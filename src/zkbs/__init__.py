@@ -26,7 +26,6 @@ from .domain import (
 from .dynamics import (
     BlowupError,
     ContractionError,
-    CutoffEta,
     PicardDiagnostics,
     RegularizedFlux,
     StepperConfig,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowupError",
     "ContractionError",
-    "CutoffEta",
     "DecayFit",
     "DomainConfig",
     "EnergyReport",

@@ -88,7 +88,8 @@ def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV columns {header}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=float)
+    # a run that blew up before its first boundary leaves the header alone
+    data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 

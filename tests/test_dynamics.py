@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from zkbs import (
@@ -20,11 +22,19 @@ from zkbs import (
     nonlinear_term,
     picard_solve,
     plan_domain,
+    random_band,
     simulate,
     symbol,
     to_grid,
     to_spectral,
 )
+from zkbs.cli import PROFILES
+
+# hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
+# multiple lies in (1, 2) on the transition band and beyond 2 on the tail
+cutoff_scales = st.floats(min_value=1e-3, max_value=1.0)
+cutoff_multiples = st.floats(min_value=0.0, max_value=4.0)
+signs = st.sampled_from((-1.0, 1.0))
 
 
 def banded_field(d, rng, amplitude=0.5):
@@ -121,6 +131,35 @@ class TestRegularizedFlux:
         eps = 1e-6
         fd = (flux(us + eps) - flux(us - eps)) / (2 * eps)
         assert np.max(np.abs(fd - flux.prime(us))) <= 1e-8
+
+
+class TestTabulatedFlux:
+    """The interpolated band integral against the adaptive-quadrature oracle."""
+
+    @settings(deadline=None)
+    @given(h=cutoff_scales, r=cutoff_multiples, sign=signs)
+    def test_matches_quad_oracle(self, h, r, sign):
+        flux = RegularizedFlux(h=h)
+        u = sign * r / h
+        ref = g_h(u, flux)
+        assert abs(flux(u) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @given(h=cutoff_scales, r=st.lists(cutoff_multiples, min_size=1, max_size=16))
+    def test_even_exactly(self, h, r):
+        flux = RegularizedFlux(h=h)
+        u = np.array(r) / h
+        assert np.array_equal(flux(u), flux(-u))
+
+    @given(h=cutoff_scales, knot=st.sampled_from((1.0, 2.0)), sign=signs)
+    def test_continuous_across_band_edges(self, h, knot, sign):
+        # neighbouring floats around |u| = 1/h and 2/h differ by the slope
+        # times one spacing plus rounding: a few ulps of max(1, g_h)
+        flux = RegularizedFlux(h=h)
+        c = knot / h
+        u = sign * np.array([np.nextafter(c, 0.0), c, np.nextafter(c, np.inf)])
+        g = flux(u)
+        tol = 16 * np.finfo(float).eps * max(1.0, g[1])
+        assert np.max(np.abs(np.diff(g))) <= tol
 
 
 class TestNonlinearTerm:
@@ -301,6 +340,43 @@ class TestSimulate:
         assert len(traj.mid_diss0) == n - 1
         assert traj.times[-1] <= traj.blowup_time + 1e-12
 
+    def test_blowup_at_initial_state_keeps_no_boundary(self):
+        # squaring 1e200 overflows in the first flux evaluation, before
+        # any boundary is recorded
+        d = plan_domain(L=math.pi, X=16 * math.pi, nx=32, ny=8, delta=0.5)
+        u0 = GridField(1e200 * gaussian_bump(d).values)
+        with np.errstate(over="ignore"):
+            traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
+        assert traj.blowup_time == 0.0
+        for series in (traj.times, traj.l2, traj.nonlin_flux, traj.step_iters,
+                       traj.mid_diss0, traj.mid_u2lap):
+            assert len(series) == 0
+        assert traj.snapshots == [] and len(traj.snapshot_indices) == 0
+
+    def test_blowup_in_post_step_evaluation_drops_that_boundary(self, small_domain):
+        # per etd2 step the flux runs at the stage, the midpoint and the new
+        # boundary; going non-finite on call 4 trips the first post-step
+        # evaluation, so only boundary 0 was recorded
+        class NanFromCall:
+            def __init__(self, bad):
+                self.bad, self.calls = bad, 0
+
+            def __call__(self, u):
+                self.calls += 1
+                return 0.5 * u**2 if self.calls < self.bad else np.full_like(u, np.nan)
+
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), NanFromCall(4), d)
+        ref = simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
+        assert traj.blowup_time == pytest.approx(1e-3)
+        assert list(traj.times) == [0.0]
+        assert list(traj.l2) == [ref.l2[0]]
+        assert list(traj.nonlin_flux) == [ref.nonlin_flux[0]]
+        assert list(traj.step_iters) == [0]
+        assert len(traj.mid_diss0) == 0 and len(traj.mid_rhs_h1) == 0
+        assert list(traj.snapshot_indices) == [0]
+
     def test_low_guard_factor_trips_early(self, medium_domain):
         # guard measures growth, so a sub-unity factor trips immediately
         d = medium_domain
@@ -347,3 +423,15 @@ class TestSimulate:
         reg = simulate(u0, 0.1, cfg, RegularizedFlux(h=1.0), d)
         assert reg.blowup_time is None
         assert not np.array_equal(plain.snapshots[-1], reg.snapshots[-1])
+
+    def test_cutoff_active_on_most_of_the_grid(self, small_domain):
+        # h = 1 with most samples beyond 1/h: the band and tail paths carry
+        # the flux, and the flow must stay bounded and dissipative
+        d = small_domain
+        u0 = random_band(d, 3, amplitude=8.0)
+        assert np.mean(np.abs(u0.values) > 1.0) > 0.5
+        traj = simulate(u0, 0.05, StepperConfig(dt=1e-3), RegularizedFlux(h=1.0), d)
+        assert traj.blowup_time is None
+        assert len(traj.times) == 51
+        slack = PROFILES["default"]["monotone_slack"] * max(1.0, traj.l2[0])
+        assert np.max(np.diff(traj.l2)) <= slack

@@ -79,6 +79,13 @@ class TestDiagnosticsCsv:
         write_diagnostics_csv(b, short_traj)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_only_file_reads_as_empty_columns(self, tmp_path):
+        p = tmp_path / "diag.csv"
+        p.write_text(",".join(CSV_COLUMNS) + "\n")
+        back = read_diagnostics_csv(p)
+        assert set(back) == set(CSV_COLUMNS)
+        assert all(len(col) == 0 for col in back.values())
+
     def test_header_validation(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,l2\n0,1\n")
