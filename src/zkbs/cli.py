@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import io as zio
 from .calibration import FROZEN
@@ -31,6 +30,7 @@ from .domain import (
     DomainConfig,
     GridField,
     SpectralField,
+    parseval_norm_sq,
     plan_domain,
     to_grid,
     to_spectral,
@@ -272,6 +272,8 @@ def _mode_coeffs(d: DomainConfig, parts) -> np.ndarray:
 
 
 def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
+    from scipy.integrate import solve_ivp  # ~0.2 s to import; only this oracle needs it
+
     d = cfg.domain()
     S = symbol(d)
     rng = np.random.default_rng(cfg.seed)
@@ -392,7 +394,8 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     fine = audit_linear_identity(
         duhamel_solve(hom, None, t_hom, 1e-3, S, snapshot_stride=0), "mass")
     fine = attach_refinement_order(coarse, fine)
-    ok = 1.5 <= fine.order <= 2.5 or coarse.max_residual < 1e-13
+    # a residual at rounding level (order None when it is exactly 0) has no order
+    ok = coarse.max_residual < 1e-13 or (fine.order is not None and 1.5 <= fine.order <= 2.5)
     checks.add("linear_mass_refinement_order", ok, fine.order, (1.5, 2.5))
 
     report = checks.summary("linear-verify", tol["_name"])
@@ -448,9 +451,22 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
 # ---------------------------------------------------------------- audit
 
 
+def _skip_zero_data(u0: GridField, experiment: str, action: str, path: Path) -> dict | None:
+    """Skip report for zero data (nothing to fit; residual ratios are 0/0), else None."""
+    if float(np.max(np.abs(u0.values))) != 0.0:
+        return None
+    print(f"[skip] zero initial data; nothing to {action}")
+    report = {"experiment": experiment, "passed": True, "skipped": "zero initial data"}
+    zio.write_json(path, report)
+    return report
+
+
 def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tuple[int, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
+    skipped = _skip_zero_data(u0, "audit", "audit", out / "audit.json")
+    if skipped is not None:
+        return 0, skipped
     flux = cfg.flux()
     coarse_traj = simulate(u0, cfg.t_end, cfg.stepper(), flux, d)
     fine_traj = simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=cfg.dt / 2), flux, d)
@@ -496,11 +512,9 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tu
 def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
-    if float(np.max(np.abs(u0.values))) == 0.0:
-        print("[skip] zero initial data; nothing to fit")
-        report = {"experiment": "decay", "passed": True, "skipped": "zero initial data"}
-        zio.write_json(out / "decay.json", report)
-        return 0, report
+    skipped = _skip_zero_data(u0, "decay", "fit", out / "decay.json")
+    if skipped is not None:
+        return 0, skipped
 
     nsteps = round(cfg.t_end / cfg.dt)
     stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else max(1, nsteps // 128)
@@ -594,8 +608,7 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
         etd_cfg = replace(stepper, scheme="etd2", dt=grid[0] / n)
         traj = simulate(to_grid(u0, d), grid[0], etd_cfg, flux, d, snapshot_stride=0)
         ref = traj.snapshots[-1]
-        diff = math.sqrt(d.parseval_weight *
-                         float(np.sum(np.abs(primary_field.coeffs - ref) ** 2)))
+        diff = math.sqrt(parseval_norm_sq(primary_field.coeffs - ref, d))
         checks.add("picard_matches_etd2", diff <= tol["picard_etd2_tol"],
                    diff, tol["picard_etd2_tol"])
 

@@ -22,9 +22,11 @@ R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma, s = h|u| - 1 in [0, 1],
 built once at import; it matches the adaptive-quadrature oracle g_h to
 about 2e-14 * max(1, |g_h|) (measured at h = 1, 0.5, 0.1 and 0.01).
 
-Two steppers share the exponential tables: a second-order exponential
-predictor-corrector (etd2) and a per-step fixed-point iteration
-(picard).  picard_solve additionally runs the whole-window iteration
+One table build (_etd2_tables) and one step (_advance) serve both
+per-step schemes: etd2, the exponential predictor-corrector of Cox &
+Matthews (2002), is one corrector pass from the exponential Euler
+predictor, and picard repeats that pass until it converges.
+picard_solve uses the same tables for the whole-window iteration
 v -> S(t) u0 + Duhamel[-d/dx g_h(v)] that mirrors the contraction
 argument behind local existence, reporting the successive-difference
 ratios.
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .domain import (
     DomainConfig,
@@ -44,12 +46,12 @@ from .domain import (
     SpectralField,
     dealias_mask,
     grid_quadrature,
-    mode_multipliers,
+    parseval_norm_sq,
     to_grid,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _Recorder
 
 __all__ = [
     "eta",
@@ -197,9 +199,11 @@ def g_h(u: float, flux: RegularizedFlux, quad_tol: float = 1e-12) -> float:
     a = abs(float(u))
     if a <= 1.0 / h:
         return 0.5 * float(u) ** 2
+    from scipy.integrate import quad  # ~0.2 s to import; only this oracle needs it
+
     val = 0.5 / h**2
     hi = min(a, 2.0 / h)
-    band, _ = _integrate.quad(
+    band, _ = quad(
         lambda th: th * eta(2.0 - h * th) + (2.0 / h) * eta(h * th - 1.0),
         1.0 / h,
         hi,
@@ -252,36 +256,82 @@ def _nonlinear_core(coeffs: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
     ghat = to_spectral(GridField(g), d).coeffs
-    n = -1j * d.xi_odd[:, None] * ghat
-    if mask is not None:
-        n = np.where(mask, n, 0.0)
-    return vals, g, n
+    return vals, g, _dealiased(-1j * d.xi_odd[:, None] * ghat, mask)
+
+
+def _mask(cfg: StepperConfig, d: DomainConfig) -> np.ndarray | None:
+    return dealias_mask(d) if cfg.dealias else None
+
+
+def _dealiased(coeffs: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return coeffs if mask is None else np.where(mask, coeffs, 0.0)
 
 
 def nonlinear_term(u: SpectralField, flux: RegularizedFlux, cfg: StepperConfig,
                    d: DomainConfig) -> SpectralField:
     """-d/dx g_h(u) evaluated pseudospectrally (dealiased per cfg)."""
-    mask = dealias_mask(d) if cfg.dealias else None
-    _, _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d, mask)
+    _, _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d, _mask(cfg, d))
     return SpectralField(n)
 
 
-def _etd2_tables(S: SymbolTable, dt: float):
+class _ETD2Tables(NamedTuple):
+    """exp(m dt), dt phi_1(m dt), dt phi_2(m dt) and the dealias mask (or None)."""
+
+    E: np.ndarray
+    hp1: np.ndarray
+    hp2: np.ndarray
+    mask: np.ndarray | None
+
+    def predict(self, u: np.ndarray, n0: np.ndarray) -> np.ndarray:
+        """Exponential Euler: E u + dt phi_1 n0."""
+        return self.E * u + self.hp1 * n0
+
+    def correct(self, a: np.ndarray, n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
+        """ETD2 corrector a + dt phi_2 (n1 - n0), a the predictor (Cox & Matthews 2002)."""
+        return a + self.hp2 * (n1 - n0)
+
+
+def _etd2_tables(S: SymbolTable, dt: float, cfg: StepperConfig) -> _ETD2Tables:
     z = S.m * dt
-    return np.exp(z), dt * phi(1, z), dt * phi(2, z)
+    return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z), _mask(cfg, S.domain))
+
+
+def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
+             cfg: StepperConfig, flux: RegularizedFlux, d: DomainConfig, t: float):
+    """One step from u, given n0 = N(u); returns (new state, iterations).
+
+    etd2 makes one corrector pass from the exponential Euler predictor; picard
+    repeats it until iterates differ by < cfg.picard_tol.  t (the new state's
+    time) is stamped on a BlowupError or ContractionError.
+    """
+    a = tab.predict(u, n0)
+    u_next, iters = a, 0
+    while True:
+        _, _, n1 = _nonlinear_core(u_next, flux, d, tab.mask, t=t)
+        cand = tab.correct(a, n0, n1)
+        iters += 1
+        if scheme == "etd2":
+            return cand, iters
+        change = math.sqrt(parseval_norm_sq(cand - u_next, d))
+        u_next = cand
+        if change < cfg.picard_tol:
+            return u_next, iters
+        if iters >= cfg.picard_max_iter:
+            raise ContractionError(
+                "contraction failed, reduce t0 (per-step fixed point "
+                f"stalled at {change:.3e}, t = {t:.6g})"
+            )
 
 
 def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
               S: SymbolTable) -> SpectralField:
     """One exponential predictor-corrector step of size cfg.dt."""
     d = S.domain
-    E, hp1, hp2 = _etd2_tables(S, cfg.dt)
-    mask = dealias_mask(d) if cfg.dealias else None
+    tab = _etd2_tables(S, cfg.dt, cfg)
     u0 = np.asarray(u.coeffs, dtype=complex)
-    _, _, n0 = _nonlinear_core(u0, flux, d, mask)
-    a = E * u0 + hp1 * n0
-    _, _, na = _nonlinear_core(a, flux, d, mask)
-    return SpectralField(a + hp2 * (na - n0))
+    _, _, n0 = _nonlinear_core(u0, flux, d, tab.mask)
+    u1, _ = _advance(u0, n0, tab, "etd2", cfg, flux, d, t=0.0)
+    return SpectralField(u1)
 
 
 def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
@@ -303,33 +353,27 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     d = S.domain
     n = max(1, round(t0 / cfg.dt))
     dt = t0 / n
-    z = S.m * dt
-    E = np.exp(z)
-    hp1 = dt * phi(1, z)
-    hp2 = dt * phi(2, z)
-    mask = dealias_mask(d) if cfg.dealias else None
+    tab = _etd2_tables(S, dt, cfg)
     W = d.parseval_weight
 
-    base = np.asarray(u0.coeffs, dtype=complex)
-    if mask is not None:
-        base = np.where(mask, base, 0.0)
+    base = _dealiased(np.asarray(u0.coeffs, dtype=complex), tab.mask)
 
     # sweep 0: pure semigroup transport of the data
     v = np.empty((n + 1,) + d.shape, dtype=complex)
     v[0] = base
     for i in range(n):
-        v[i + 1] = E * v[i]
+        v[i + 1] = tab.E * v[i]
 
     diffs: list[float] = []
     converged = False
     for _ in range(cfg.picard_max_iter):
         nl = np.empty_like(v)
         for i in range(n + 1):
-            _, _, nl[i] = _nonlinear_core(v[i], flux, d, mask, t=i * dt)
+            _, _, nl[i] = _nonlinear_core(v[i], flux, d, tab.mask, t=i * dt)
         w = np.empty_like(v)
         w[0] = base
         for i in range(n):
-            w[i + 1] = E * w[i] + hp1 * nl[i] + hp2 * (nl[i + 1] - nl[i])
+            w[i + 1] = tab.correct(tab.predict(w[i], nl[i]), nl[i], nl[i + 1])
         diff = math.sqrt(W * float(np.max(np.sum(np.abs(w - v) ** 2, axis=(1, 2)))))
         diffs.append(diff)
         v = w
@@ -354,6 +398,13 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     return SpectralField(v[n]), diag
 
 
+def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, g: np.ndarray,
+                  d: DomainConfig) -> dict:
+    """Boundary series of simulate: integral u^3 and integral g_h(u) u_x."""
+    ux = to_grid(SpectralField(1j * d.xi_odd[:, None] * coeffs), d).values
+    return {"cube": grid_quadrature(vals**3, d), "nonlin_flux": grid_quadrature(g * ux, d)}
+
+
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
              guard_factor: float = BLOWUP_GUARD) -> Trajectory:
@@ -366,140 +417,51 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     rule).  Snapshots are stored every snapshot_stride steps (0 keeps only
     the endpoints).
 
-    On blowup (L2 norm above guard_factor times its initial value, or
-    non-finite grid values) the trajectory is truncated and its
-    blowup_time is set.
+    On blowup (a non-finite initial L2 norm, an L2 norm above guard_factor
+    times its initial value, or non-finite grid values) the trajectory is
+    truncated and its blowup_time is set.
     """
-    S = symbol(d)
-    nsteps = _resolve_nsteps(T, cfg.dt)
     dt = cfg.dt
-    E, hp1, hp2 = _etd2_tables(S, dt)
-    mask = dealias_mask(d) if cfg.dealias else None
-    mults = mode_multipliers(d)
+    rec = _Recorder(d, T, dt, snapshot_stride, boundary_series=("cube",),
+                    interval_series=("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap"))
+    tab = _etd2_tables(symbol(d), dt, cfg)
+    mults = rec.mults
     W = d.parseval_weight
-    wh1 = 1.0 + mults.d1
     lap = -mults.d1  # spectral Laplacian multiplier
 
-    u = to_spectral(u0, d).coeffs
-    if mask is not None:
-        u = np.where(mask, u, 0.0)
+    u = _dealiased(to_spectral(u0, d).coeffs, tab.mask)
 
-    times = dt * np.arange(nsteps + 1)
-    cols = {name: np.empty(nsteps + 1) for name in
-            ("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed", "cube", "nonlin_flux")}
-    step_iters = np.zeros(nsteps + 1, dtype=int)
-    mid = {name: np.zeros(nsteps) for name in
-           ("diss0", "diss1", "diss2", "rhs_h1", "rhs_h2", "u2lap")}
-    snaps: list[np.ndarray] = []
-    snap_idx: list[int] = []
-
-    def record_boundary(i: int, coeffs: np.ndarray, vals: np.ndarray,
-                        g: np.ndarray) -> None:
-        a2 = np.abs(coeffs) ** 2
-        cols["l2"][i] = math.sqrt(W * float(np.sum(a2)))
-        cols["h1"][i] = math.sqrt(W * float(np.sum(wh1 * a2)))
-        cols["h2"][i] = math.sqrt(W * float(np.sum(wh1**2 * a2)))
-        cols["diss_l2"][i] = W * float(np.sum(mults.d1 * a2))
-        cols["diss_h1"][i] = W * float(np.sum(mults.d2 * a2))
-        cols["e2_mixed"][i] = W * float(np.sum(mults.e2 * a2))
-        cols["cube"][i] = grid_quadrature(vals**3, d)
-        ux = to_grid(SpectralField(1j * d.xi_odd[:, None] * coeffs), d).values
-        cols["nonlin_flux"][i] = grid_quadrature(g * ux, d)
-        if (snapshot_stride > 0 and i % snapshot_stride == 0) or i in (0, nsteps):
-            snap_idx.append(i)
-            snaps.append(coeffs.copy())
-
-    guard = guard_factor * math.sqrt(W * float(np.sum(np.abs(u) ** 2)))
     blowup_time = None
-    i = 0
-    recorded = 0  # boundaries whose columns are written
+    rows = 0  # boundaries whose series are complete
     try:
-        vals, g, n0 = _nonlinear_core(u, flux, d, mask, t=0.0)
-        record_boundary(0, u, vals, g)
-        recorded = 1
-        while i < nsteps:
-            t = times[i]
-            if cfg.scheme == "etd2":
-                a = E * u + hp1 * n0
-                _, _, na = _nonlinear_core(a, flux, d, mask, t=t + dt)
-                u_next = a + hp2 * (na - n0)
-                iters = 1
-            else:
-                u_next = E * u + hp1 * n0  # exponential Euler predictor
-                iters = 0
-                while True:
-                    _, _, nn = _nonlinear_core(u_next, flux, d, mask, t=t + dt)
-                    cand = E * u + hp1 * n0 + hp2 * (nn - n0)
-                    change = math.sqrt(W * float(np.sum(np.abs(cand - u_next) ** 2)))
-                    u_next = cand
-                    iters += 1
-                    if change < cfg.picard_tol:
-                        break
-                    if iters >= cfg.picard_max_iter:
-                        raise ContractionError(
-                            "contraction failed, reduce t0 (per-step fixed point "
-                            f"stalled at {change:.3e}, t = {t + dt:.6g})"
-                        )
-            norm_next = math.sqrt(W * float(np.sum(np.abs(u_next) ** 2)))
+        rec.boundary(0, u)
+        if not math.isfinite(rec.cols["l2"][0]):
+            raise BlowupError("non-finite initial L2 norm", 0.0)
+        guard = guard_factor * rec.cols["l2"][0]
+        vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=0.0)
+        rec.put(0, **_flux_moments(u, vals, g, d))
+        rows = 1
+        for i in range(rec.n_steps):
+            t = rec.times[i]
+            u_next, iters = _advance(u, n0, tab, cfg.scheme, cfg, flux, d, t + dt)
+            rec.boundary(i + 1, u_next, step_iters=iters)
+            norm_next = rec.cols["l2"][i + 1]
             if not math.isfinite(norm_next) or norm_next > guard:
                 raise BlowupError("L2 norm left the trust region", t + dt)
 
             uavg = 0.5 * (u + u_next)
-            aavg = np.abs(uavg) ** 2
-            mid["diss0"][i] = W * float(np.sum(mults.d1 * aavg))
-            mid["diss1"][i] = W * float(np.sum(mults.d2 * aavg))
-            mid["diss2"][i] = W * float(np.sum(mults.d3 * aavg))
-            vals_avg, _, n_avg = _nonlinear_core(uavg, flux, d, mask, t=t + 0.5 * dt)
+            vals_avg, _, n_avg = _nonlinear_core(uavg, flux, d, tab.mask, t=t + 0.5 * dt)
             pair = (np.conj(uavg) * n_avg).real
-            mid["rhs_h1"][i] = 2.0 * W * float(np.sum(mults.d1 * pair))
-            mid["rhs_h2"][i] = 2.0 * W * float(np.sum(mults.e2 * pair))
             lap_avg = to_grid(SpectralField(lap * uavg), d).values
-            mid["u2lap"][i] = grid_quadrature(vals_avg**2 * lap_avg, d)
+            rec.interval(i, uavg,
+                         mid_rhs_h1=2.0 * W * float(np.sum(mults.d1 * pair)),
+                         mid_rhs_h2=2.0 * W * float(np.sum(mults.e2 * pair)),
+                         mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
 
             u = u_next
-            i += 1
-            step_iters[i] = iters
-            vals, g, n0 = _nonlinear_core(u, flux, d, mask, t=times[i])
-            record_boundary(i, u, vals, g)
-            recorded = i + 1
+            vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=rec.times[i + 1])
+            rec.put(i + 1, **_flux_moments(u, vals, g, d))
+            rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t
-        times = times[:recorded]
-        for name in cols:
-            cols[name] = cols[name][:recorded]
-        step_iters = step_iters[:recorded]
-        for name in mid:
-            mid[name] = mid[name][: max(recorded - 1, 0)]
-
-    return Trajectory(
-        domain=d,
-        scheme=cfg.scheme,
-        times=times,
-        l2=cols["l2"],
-        h1=cols["h1"],
-        h2=cols["h2"],
-        diss_l2=cols["diss_l2"],
-        diss_h1=cols["diss_h1"],
-        e2_mixed=cols["e2_mixed"],
-        nonlin_flux=cols["nonlin_flux"],
-        step_iters=step_iters,
-        mid_diss0=mid["diss0"],
-        mid_diss1=mid["diss1"],
-        mid_diss2=mid["diss2"],
-        snapshot_indices=np.array(snap_idx, dtype=int),
-        snapshots=snaps,
-        cube=cols["cube"],
-        mid_rhs_h1=mid["rhs_h1"],
-        mid_rhs_h2=mid["rhs_h2"],
-        mid_u2lap=mid["u2lap"],
-        blowup_time=blowup_time,
-    )
-
-
-def _resolve_nsteps(T: float, dt: float) -> int:
-    if T <= 0:
-        raise ValueError("final time must be positive")
-    n = round(T / dt)
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("dt must divide the final time")
-    return n
+    return rec.trajectory(cfg.scheme, rows, blowup_time)

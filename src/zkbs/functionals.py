@@ -89,14 +89,16 @@ def norm(u: SpectralField, spec: NormSpec, d: DomainConfig) -> float:
 
 
 def dk_seminorm_sq(u: SpectralField, k: int, d: DomainConfig) -> float:
-    """integral |D^k u|^2 with one term per mixed partial (k in {1, 2, 3})."""
-    xi2 = d.xi[:, None] ** 2
-    lam = d.lam[None, :]
-    if k == 1:
-        w = xi2 + lam
-    elif k == 2:
-        w = xi2**2 + xi2 * lam + lam**2
+    """integral |D^k u|^2 with one term per mixed partial (k in {1, 2, 3}).
+
+    k = 1, 2 are the d1, e2 mode weights; k = 3 is not d3, which counts mixed partials twice.
+    """
+    if k in (1, 2):
+        mults = mode_multipliers(d)
+        w = mults.d1 if k == 1 else mults.e2
     elif k == 3:
+        xi2 = d.xi[:, None] ** 2
+        lam = d.lam[None, :]
         w = xi2**3 + xi2**2 * lam + xi2 * lam**2 + lam**3
     else:
         raise ValueError("k must be 1, 2 or 3")

@@ -30,9 +30,8 @@ from .domain import (
     SpectralField,
     mode_inner,
     mode_multipliers,
-    parseval_norm_sq,
 )
-from .trajectory import EnergyReport, Trajectory
+from .trajectory import EnergyReport, Trajectory, _Recorder
 
 __all__ = [
     "SymbolTable",
@@ -99,17 +98,6 @@ def apply_semigroup(u: SpectralField, t: float, S: SymbolTable) -> SpectralField
     return SpectralField(u.coeffs * np.exp(S.m * t))
 
 
-def _resolve_steps(T: float, dt: float) -> int:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T <= 0:
-        raise ValueError("final time must be positive")
-    n = round(T / dt)
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("dt must divide the final time")
-    return n
-
-
 def duhamel_solve(
     u0: SpectralField,
     forcing,
@@ -134,16 +122,13 @@ def duhamel_solve(
     audit_linear_identity.
     """
     d = S.domain
-    n = _resolve_steps(T, dt)
+    rec = _Recorder(d, T, dt, snapshot_stride)
     z = S.m * dt
     E = np.exp(z)
     p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
     w_left = dt * (p1 - 3.0 * p2 + 4.0 * p3)
     w_mid = dt * (4.0 * p2 - 8.0 * p3)
     w_right = dt * (4.0 * p3 - p2)
-
-    mults = mode_multipliers(d)
-    W = d.parseval_weight
 
     def sample(t: float) -> np.ndarray:
         f = np.asarray(forcing(t), dtype=complex)
@@ -154,34 +139,9 @@ def duhamel_solve(
         return f
 
     u = np.array(u0.coeffs, dtype=complex)
-    times = dt * np.arange(n + 1)
-    l2 = np.empty(n + 1)
-    h1 = np.empty(n + 1)
-    h2 = np.empty(n + 1)
-    diss_l2 = np.empty(n + 1)
-    diss_h1 = np.empty(n + 1)
-    e2_mixed = np.empty(n + 1)
-    mid0 = np.empty(n)
-    mid1 = np.empty(n)
-    mid2 = np.empty(n)
-    snaps: list[np.ndarray] = []
-    snap_idx: list[int] = []
-
-    def record_boundary(i: int, coeffs: np.ndarray) -> None:
-        a2 = np.abs(coeffs) ** 2
-        l2[i] = math.sqrt(W * float(np.sum(a2)))
-        h1[i] = math.sqrt(W * float(np.sum((1.0 + mults.d1) * a2)))
-        h2[i] = math.sqrt(W * float(np.sum((1.0 + mults.d1) ** 2 * a2)))
-        diss_l2[i] = W * float(np.sum(mults.d1 * a2))
-        diss_h1[i] = W * float(np.sum(mults.d2 * a2))
-        e2_mixed[i] = W * float(np.sum(mults.e2 * a2))
-        if snapshot_stride > 0 and i % snapshot_stride == 0 or i in (0, n):
-            snap_idx.append(i)
-            snaps.append(coeffs.copy())
-
-    record_boundary(0, u)
-    for i in range(n):
-        t = times[i]
+    rec.boundary(0, u)
+    for i in range(rec.n_steps):
+        t = rec.times[i]
         if forcing is None:
             u_next = E * u
         else:
@@ -191,32 +151,10 @@ def duhamel_solve(
                 + w_mid * sample(t + 0.5 * dt)
                 + w_right * sample(t + dt)
             )
-        uavg = 0.5 * (u + u_next)
-        aavg = np.abs(uavg) ** 2
-        mid0[i] = W * float(np.sum(mults.d1 * aavg))
-        mid1[i] = W * float(np.sum(mults.d2 * aavg))
-        mid2[i] = W * float(np.sum(mults.d3 * aavg))
+        rec.interval(i, 0.5 * (u + u_next))
         u = u_next
-        record_boundary(i + 1, u)
-
-    return Trajectory(
-        domain=d,
-        scheme="duhamel",
-        times=times,
-        l2=l2,
-        h1=h1,
-        h2=h2,
-        diss_l2=diss_l2,
-        diss_h1=diss_h1,
-        e2_mixed=e2_mixed,
-        nonlin_flux=np.zeros(n + 1),
-        step_iters=np.zeros(n + 1, dtype=int),
-        mid_diss0=mid0,
-        mid_diss1=mid1,
-        mid_diss2=mid2,
-        snapshot_indices=np.array(snap_idx, dtype=int),
-        snapshots=snaps,
-    )
+        rec.boundary(i + 1, u)
+    return rec.trajectory("duhamel", rec.n_steps + 1)
 
 
 def _forcing_pairings(traj: Trajectory, which: str, f0, f1, f2):

@@ -9,16 +9,19 @@ not grow with snapshot resolution.
 Midpoint-interval series (mid_*) hold the audit integrands evaluated on
 the averaged state (u_n + u_{n+1}) / 2, which is how the midpoint time
 rule is realized on a trajectory that is only known at step boundaries.
+
+Both integrators (duhamel_solve and simulate) fill their Trajectory
+through the one private _Recorder below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import log
+from dataclasses import dataclass, replace
+from math import log, sqrt
 
 import numpy as np
 
-from .domain import DomainConfig
+from .domain import DomainConfig, mode_multipliers
 
 __all__ = ["Trajectory", "EnergyReport", "attach_refinement_order"]
 
@@ -65,10 +68,6 @@ class Trajectory:
         """integral |D2 u|^2 + |Du|^2 + u^2 at step boundaries."""
         return self.e2_mixed + self.diss_l2 + self.l2**2
 
-    def snapshot(self, i: int) -> np.ndarray:
-        """Spectral snapshot by position in the stored list."""
-        return self.snapshots[i]
-
     def cumulative_midpoint(self, mid_values: np.ndarray) -> np.ndarray:
         """Running midpoint-rule integral of a per-interval series.
 
@@ -97,11 +96,94 @@ def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyR
     """Annotate the fine report with the observed refinement order.
 
     Both reports must audit the same identity; the order is
-    log(residual ratio) / log(dt ratio).
+    log(residual ratio) / log(dt ratio), or None when either residual is
+    exactly zero (zero data, say), where no order can be observed.
     """
     if coarse.identity != fine.identity:
         raise ValueError("refinement pair must audit the same identity")
     if not (coarse.dt > fine.dt > 0):
         raise ValueError("expected coarse.dt > fine.dt > 0")
-    order = log(coarse.max_residual / fine.max_residual) / log(coarse.dt / fine.dt)
+    order = None
+    if coarse.max_residual > 0.0 and fine.max_residual > 0.0:
+        order = log(coarse.max_residual / fine.max_residual) / log(coarse.dt / fine.dt)
     return replace(fine, order=order, dt_pair=(coarse.dt, fine.dt))
+
+
+def _resolve_steps(T: float, dt: float) -> int:
+    """Number of steps of size dt in [0, T]; dt must divide T."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if T <= 0:
+        raise ValueError("final time must be positive")
+    n = round(T / dt)
+    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("dt must divide the final time")
+    return n
+
+
+class _Recorder:
+    """Fills one Trajectory, boundary by boundary and step by step.
+
+    It owns the step count, the six boundary-norm columns, the mid_diss
+    series, the snapshot stride (0 keeps the first and last boundary
+    only) and the truncation of a run that blew up: trajectory() keeps
+    the first `rows` boundaries and rows - 1 steps.  Callers add their
+    own series, named at construction, as keyword values; nonlin_flux
+    and step_iters always exist and stay zero unless written.
+    """
+
+    def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
+                 boundary_series: tuple = (), interval_series: tuple = ()):
+        n = _resolve_steps(T, dt)
+        self.domain, self.n_steps, self.stride = d, n, snapshot_stride
+        self.times = dt * np.arange(n + 1)
+        self.mults = mode_multipliers(d)
+        self._wh1 = 1.0 + self.mults.d1
+        self.cols = {name: np.zeros(n + 1) for name in ("l2", "h1", "h2", "diss_l2",
+                     "diss_h1", "e2_mixed", "nonlin_flux", *boundary_series)}
+        self.cols["step_iters"] = np.zeros(n + 1, dtype=int)
+        self.mid = {name: np.zeros(n) for name in
+                    ("mid_diss0", "mid_diss1", "mid_diss2", *interval_series)}
+        self.snapshot_indices, self.snapshots = [], []
+
+    def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
+        cols, mults, W = self.cols, self.mults, self.domain.parseval_weight
+        # past the trust region |coeffs|^2 may overflow; the caller tests
+        # the non-finite norm, so the overflow itself stays silent
+        with np.errstate(over="ignore"):
+            a2 = np.abs(coeffs) ** 2
+            cols["l2"][i] = sqrt(W * float(np.sum(a2)))
+            cols["h1"][i] = sqrt(W * float(np.sum(self._wh1 * a2)))
+            cols["h2"][i] = sqrt(W * float(np.sum(self._wh1**2 * a2)))
+            cols["diss_l2"][i] = W * float(np.sum(mults.d1 * a2))
+            cols["diss_h1"][i] = W * float(np.sum(mults.d2 * a2))
+            cols["e2_mixed"][i] = W * float(np.sum(mults.e2 * a2))
+        self.put(i, **values)
+        if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
+            self.snapshot_indices.append(i)
+            self.snapshots.append(coeffs.copy())
+
+    def put(self, i: int, **values) -> None:
+        for name, value in values.items():
+            self.cols[name][i] = value
+
+    def interval(self, i: int, uavg: np.ndarray, **values) -> None:
+        mid, mults, W = self.mid, self.mults, self.domain.parseval_weight
+        aavg = np.abs(uavg) ** 2
+        mid["mid_diss0"][i] = W * float(np.sum(mults.d1 * aavg))
+        mid["mid_diss1"][i] = W * float(np.sum(mults.d2 * aavg))
+        mid["mid_diss2"][i] = W * float(np.sum(mults.d3 * aavg))
+        for name, value in values.items():
+            mid[name][i] = value
+
+    def trajectory(self, scheme: str, rows: int,
+                   blowup_time: float | None = None) -> Trajectory:
+        indices = np.array(self.snapshot_indices, dtype=int)
+        kept = int(np.sum(indices < rows))  # boundaries arrive in order
+        return Trajectory(
+            domain=self.domain, scheme=scheme, times=self.times[:rows],
+            snapshot_indices=indices[:kept], snapshots=self.snapshots[:kept],
+            blowup_time=blowup_time,
+            **{name: col[:rows] for name, col in self.cols.items()},
+            **{name: col[: max(rows - 1, 0)] for name, col in self.mid.items()},
+        )

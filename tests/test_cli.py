@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,29 @@ class TestOtherCommands:
         assert code == 0
         assert "[skip]" in capsys.readouterr().out
 
+    def test_audit_skips_zero_data(self, tmp_path, capsys):
+        # zero data gives exactly zero residuals, whose refinement factor
+        # and order are 0/0
+        cfg = write_cfg(tmp_path, SMALL + "nx = 32\nny = 8\n"
+                        "generator = eigenmode\namplitude = 0\n")
+        code = main(["audit", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "[skip]" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "audit.json").read_text())
+        assert report["skipped"] == "zero initial data"
+
+    def test_simulate_overflowing_data_is_a_blowup_without_warnings(self, tmp_path,
+                                                                   capsys):
+        cfg = write_cfg(tmp_path, SMALL + "nx = 32\nny = 8\n"
+                        "generator = eigenmode\namplitude = 1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "[FAIL] blowup at t = 0\n"
+        assert captured.err == ""
+
     def test_picard_passes_on_small_amplitude(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "amplitude = 0.1\n")
         code = main(["picard", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -176,3 +201,11 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "[ok]" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported only by the commands and oracles that use it
+    code = "import sys, zkbs.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

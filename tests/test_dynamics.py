@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from zkbs import (
     to_spectral,
 )
 from zkbs.cli import PROFILES
+from zkbs.dynamics import _advance, _etd2_tables
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
 # multiple lies in (1, 2) on the transition band and beyond 2 on the tail
@@ -341,11 +343,12 @@ class TestSimulate:
         assert traj.times[-1] <= traj.blowup_time + 1e-12
 
     def test_blowup_at_initial_state_keeps_no_boundary(self):
-        # squaring 1e200 overflows in the first flux evaluation, before
-        # any boundary is recorded
+        # squaring 1e200 overflows, so the initial L2 norm is inf: a blowup
+        # at t = 0 before any flux evaluation, with no numpy warning
         d = plan_domain(L=math.pi, X=16 * math.pi, nx=32, ny=8, delta=0.5)
         u0 = GridField(1e200 * gaussian_bump(d).values)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
         assert traj.blowup_time == 0.0
         for series in (traj.times, traj.l2, traj.nonlin_flux, traj.step_iters,
@@ -435,3 +438,37 @@ class TestSimulate:
         assert len(traj.times) == 51
         slack = PROFILES["default"]["monotone_slack"] * max(1.0, traj.l2[0])
         assert np.max(np.diff(traj.l2)) <= slack
+
+
+class TestOneStep:
+    """simulate, etd2_step and the Picard scheme take the same step."""
+
+    def test_simulate_equals_repeated_etd2_step(self, small_domain):
+        d = small_domain
+        S = symbol(d)
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        cfg = StepperConfig(scheme="etd2", dt=1e-3)
+        flux = RegularizedFlux(h=None)
+        traj = simulate(u0, 0.01, cfg, flux, d)
+        u = SpectralField(np.where(dealias_mask(d), to_spectral(u0, d).coeffs, 0.0))
+        for _ in range(10):
+            u = etd2_step(u, cfg, flux, S)
+        assert np.array_equal(traj.snapshots[-1], u.coeffs)
+
+    def test_picard_scheme_repeats_its_first_step(self, small_domain):
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        cfg = StepperConfig(scheme="picard", dt=1e-3)
+        flux = RegularizedFlux(h=None)
+        traj = simulate(u0, 0.01, cfg, flux, d, snapshot_stride=1)
+        first = simulate(u0, 1e-3, cfg, flux, d)
+        assert np.array_equal(traj.snapshots[1], first.snapshots[-1])
+        assert traj.step_iters[1] == first.step_iters[1]
+        # every later step is that same step taken from the previous state
+        tab = _etd2_tables(symbol(d), cfg.dt, cfg)
+        for k in range(10):
+            u = traj.snapshots[k]
+            n0 = nonlinear_term(SpectralField(u), flux, cfg, d).coeffs
+            u_next, iters = _advance(u, n0, tab, "picard", cfg, flux, d, traj.times[k + 1])
+            assert np.array_equal(traj.snapshots[k + 1], u_next)
+            assert iters == traj.step_iters[k + 1]

@@ -213,6 +213,19 @@ class TestNonlinearAudits:
         _, fine_traj = run
         assert audit_identity(fine_traj, "mass_3_3").max_residual <= 1e-6
 
+    def test_zero_data_has_no_refinement_order(self):
+        # zero data audits to residuals of exactly zero: there is no order
+        # to observe, and asking for one must not divide by zero
+        d = plan_domain(math.pi, 16 * math.pi, 32, 8, 0.5)
+        u0 = eigenmode(d, 1, 0.0)
+        flux = RegularizedFlux(h=None)
+        reports = [audit_identity(simulate(u0, 0.01, StepperConfig(dt=dt), flux, d),
+                                  "mass_3_3") for dt in (2e-3, 1e-3)]
+        assert reports[0].max_residual == 0.0 == reports[1].max_residual
+        fine = attach_refinement_order(*reports)
+        assert fine.order is None
+        assert fine.dt_pair == (2e-3, 1e-3)
+
     def test_missing_series_raises(self, small_domain):
         d = small_domain
         S = symbol(d)

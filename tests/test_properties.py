@@ -1,0 +1,85 @@
+"""Property tests of the transform pair and the discrete flux.
+
+hypothesis draws the geometry (at most 64 x 16 points), a seed for the
+random data and its scale; every invariant here must hold for all of them.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zkbs import (
+    GridField,
+    RegularizedFlux,
+    SpectralField,
+    StepperConfig,
+    dealias_mask,
+    grid_quadrature,
+    mode_inner,
+    nonlinear_term,
+    parseval_norm_sq,
+    plan_domain,
+    to_grid,
+    to_spectral,
+)
+
+domains = st.builds(
+    plan_domain,
+    L=st.floats(min_value=0.5, max_value=4.0),
+    X=st.floats(min_value=1.0, max_value=60.0),
+    nx=st.sampled_from((8, 16, 32, 64)),
+    ny=st.integers(min_value=4, max_value=16),
+    delta=st.just(0.5),
+)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+scales = st.floats(min_value=1e-3, max_value=1e3)
+
+props = settings(max_examples=40, deadline=None)
+
+
+def hermitian_coeffs(d, rng, scale):
+    """Random amplitudes of a real field: c[-j] = conj(c[j]) on every row pair."""
+    c = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
+    mirror = (-np.arange(d.nx)) % d.nx
+    return scale * 0.5 * (c + np.conj(c[mirror]))
+
+
+@props
+@given(domains, seeds, scales)
+def test_grid_spectral_grid_round_trip(d, seed, scale):
+    f = scale * np.random.default_rng(seed).standard_normal(d.shape)
+    back = to_grid(to_spectral(GridField(f), d), d).values
+    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+
+@props
+@given(domains, seeds, scales)
+def test_parseval_matches_grid_quadrature(d, seed, scale):
+    f = scale * np.random.default_rng(seed).standard_normal(d.shape)
+    want = grid_quadrature(f**2, d)
+    assert math.isclose(parseval_norm_sq(to_spectral(GridField(f), d).coeffs, d),
+                        want, rel_tol=1e-12)
+
+
+@props
+@given(domains, seeds, scales)
+def test_hermitian_amplitudes_synthesize_a_real_field(d, seed, scale):
+    # to_grid keeps only the real part, so recovering every amplitude from
+    # it shows that the synthesized imaginary part was rounding alone
+    c = hermitian_coeffs(d, np.random.default_rng(seed), scale)
+    vals = to_grid(SpectralField(c), d).values
+    assert vals.dtype == np.float64
+    back = to_spectral(GridField(vals), d).coeffs
+    assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+
+@props
+@given(domains, seeds, scales)
+def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
+    c = hermitian_coeffs(d, np.random.default_rng(seed), scale)
+    c = np.where(dealias_mask(d), c, 0.0)
+    n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), StepperConfig(), d)
+    size = parseval_norm_sq(c, d) ** 1.5
+    assert abs(mode_inner(c, n.coeffs, d)) <= 1e-12 * size
