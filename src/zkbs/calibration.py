@@ -96,7 +96,7 @@ def smoothing_run(t_end: float = 0.1, dt: float = 1e-3):
     a tall thin grid, so the second-derivative norm exceeds the first by
     three orders of magnitude at t = 0; the bound certifies that the flow
     lands in a small H2 ball by t_end anyway.  Returns (trajectory,
-    domain).
+    domain); the trajectory is recorded without the audit series.
     """
     from .domain import to_spectral
     from .dynamics import RegularizedFlux, StepperConfig, simulate
@@ -112,7 +112,7 @@ def smoothing_run(t_end: float = 0.1, dt: float = 1e-3):
     u = to_grid(SpectralField(c), d)
     u = type(u)(0.3 * u.values / np.max(np.abs(u.values)))
     traj = simulate(u, t_end, StepperConfig(scheme="etd2", dt=dt),
-                    RegularizedFlux(h=None), d)
+                    RegularizedFlux(h=None), d, audit_series=False)
     return traj, d
 
 

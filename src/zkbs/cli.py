@@ -412,7 +412,7 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     checks = Checks()
     try:
         traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d,
-                        snapshot_stride=cfg.snapshot_stride)
+                        snapshot_stride=cfg.snapshot_stride, audit_series=False)
     except ContractionError as exc:
         print(f"[FAIL] stepper: {exc}")
         report = {"experiment": "simulate", "passed": False, "error": str(exc)}
@@ -518,7 +518,8 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
 
     nsteps = round(cfg.t_end / cfg.dt)
     stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else max(1, nsteps // 128)
-    traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, snapshot_stride=stride)
+    traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, snapshot_stride=stride,
+                    audit_series=False)
     if traj.blowup_time is not None:
         report = {"experiment": "decay", "passed": False,
                   "blowup_time": traj.blowup_time}
@@ -606,7 +607,8 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     if primary_field is not None:
         n = max(1, round(grid[0] / stepper.dt))
         etd_cfg = replace(stepper, scheme="etd2", dt=grid[0] / n)
-        traj = simulate(to_grid(u0, d), grid[0], etd_cfg, flux, d, snapshot_stride=0)
+        traj = simulate(to_grid(u0, d), grid[0], etd_cfg, flux, d, snapshot_stride=0,
+                        audit_series=False)
         ref = traj.snapshots[-1]
         diff = math.sqrt(parseval_norm_sq(primary_field.coeffs - ref, d))
         checks.add("picard_matches_etd2", diff <= tol["picard_etd2_tol"],

@@ -399,31 +399,45 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
 
 
 def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, g: np.ndarray,
-                  d: DomainConfig) -> dict:
-    """Boundary series of simulate: integral u^3 and integral g_h(u) u_x."""
+                  d: DomainConfig, cube: bool) -> dict:
+    """Boundary series of simulate: integral g_h(u) u_x, and integral u^3 if cube."""
     ux = to_grid(SpectralField(1j * d.xi_odd[:, None] * coeffs), d).values
-    return {"cube": grid_quadrature(vals**3, d), "nonlin_flux": grid_quadrature(g * ux, d)}
+    out = {"nonlin_flux": grid_quadrature(g * ux, d)}
+    if cube:
+        out["cube"] = grid_quadrature(vals**3, d)
+    return out
 
 
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
-             guard_factor: float = BLOWUP_GUARD) -> Trajectory:
+             guard_factor: float = BLOWUP_GUARD, audit_series: bool = True) -> Trajectory:
     """Integrate the full equation and record diagnostics every step.
 
-    Per-boundary diagnostics: L2/H1/H2 norms, the two dissipation
-    integrals, the mixed second-derivative energy, integral u^3, the
-    nonlinear flux integral g_h(u) u_x, and iteration counts.  Per-interval
-    series evaluate the audit integrands on averaged states (midpoint
-    rule).  Snapshots are stored every snapshot_stride steps (0 keeps only
-    the endpoints).
+    Every run records, per boundary, the L2/H1/H2 norms, the two
+    dissipation integrals, the mixed second-derivative energy, the
+    nonlinear flux integral g_h(u) u_x and iteration counts, and per
+    interval the dissipation integrals mid_diss0/1/2 on the averaged
+    state.  With audit_series (the default) it also records the series
+    that only the energy audits read: integral u^3 per boundary and, on
+    the averaged state (midpoint rule), the nonlinear work mid_rhs_h1,
+    mid_rhs_h2 and integral u^2 (u_xx + u_yy), at the cost of a third
+    nonlinear evaluation and two more transforms per step.  With
+    audit_series=False those four Trajectory fields are None and every
+    other field is bit-identical.  Snapshots are stored every
+    snapshot_stride steps (0 keeps only the endpoints).
 
     On blowup (a non-finite initial L2 norm, an L2 norm above guard_factor
     times its initial value, or non-finite grid values) the trajectory is
-    truncated and its blowup_time is set.
+    truncated and its blowup_time is set.  A full run evaluates the flux
+    at the averaged state too, so it can also stop at t + dt/2 when only
+    that state's flux is non-finite; a run with audit_series=False never
+    evaluates it and may stop later.
     """
     dt = cfg.dt
-    rec = _Recorder(d, T, dt, snapshot_stride, boundary_series=("cube",),
-                    interval_series=("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap"))
+    rec = _Recorder(d, T, dt, snapshot_stride,
+                    boundary_series=("cube",) if audit_series else (),
+                    interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
+                                     if audit_series else ()))
     tab = _etd2_tables(symbol(d), dt, cfg)
     mults = rec.mults
     W = d.parseval_weight
@@ -439,7 +453,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
             raise BlowupError("non-finite initial L2 norm", 0.0)
         guard = guard_factor * rec.cols["l2"][0]
         vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=0.0)
-        rec.put(0, **_flux_moments(u, vals, g, d))
+        rec.put(0, **_flux_moments(u, vals, g, d, audit_series))
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
@@ -450,17 +464,20 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                 raise BlowupError("L2 norm left the trust region", t + dt)
 
             uavg = 0.5 * (u + u_next)
-            vals_avg, _, n_avg = _nonlinear_core(uavg, flux, d, tab.mask, t=t + 0.5 * dt)
-            pair = (np.conj(uavg) * n_avg).real
-            lap_avg = to_grid(SpectralField(lap * uavg), d).values
-            rec.interval(i, uavg,
-                         mid_rhs_h1=2.0 * W * float(np.sum(mults.d1 * pair)),
-                         mid_rhs_h2=2.0 * W * float(np.sum(mults.e2 * pair)),
-                         mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
+            if audit_series:
+                vals_avg, _, n_avg = _nonlinear_core(uavg, flux, d, tab.mask, t=t + 0.5 * dt)
+                pair = (np.conj(uavg) * n_avg).real
+                lap_avg = to_grid(SpectralField(lap * uavg), d).values
+                rec.interval(i, uavg,
+                             mid_rhs_h1=2.0 * W * float(np.sum(mults.d1 * pair)),
+                             mid_rhs_h2=2.0 * W * float(np.sum(mults.e2 * pair)),
+                             mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
+            else:
+                rec.interval(i, uavg)
 
             u = u_next
             vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=rec.times[i + 1])
-            rec.put(i + 1, **_flux_moments(u, vals, g, d))
+            rec.put(i + 1, **_flux_moments(u, vals, g, d, audit_series))
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t

@@ -188,7 +188,7 @@ def _require_series(traj: Trajectory, names: tuple[str, ...], which: str) -> Non
         if getattr(traj, name) is None:
             raise ValueError(
                 f"trajectory lacks the {name!r} diagnostics required by {which};"
-                " rerun simulate() with audit recording"
+                " rerun simulate() with audit_series=True"
             )
 
 

@@ -98,8 +98,9 @@ def library_runs(desk_domain, no_cutoff):
         "random_band": random_band(d, seed=11, amplitude=0.8),
     }
     cfg = StepperConfig(dt=DT)
-    return {name: simulate(u0, T_END, cfg, no_cutoff, d) for name, u0 in
-            data.items()}
+    # criteria 4-6 read only l2, nonlin_flux and the snapshots
+    return {name: simulate(u0, T_END, cfg, no_cutoff, d, audit_series=False)
+            for name, u0 in data.items()}
 
 
 def test_criterion_01_propagator_closed_form(desk_domain):

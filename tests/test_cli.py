@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from zkbs import simulate
 from zkbs.cli import ConfigError, RunConfig, load_config, main
-from zkbs.io import read_diagnostics_csv
+from zkbs.io import read_diagnostics_csv, write_diagnostics_csv
 
 
 SMALL = """
@@ -140,6 +141,19 @@ class TestSimulateOutputs:
         assert table["t"][0] == 0.0
         assert np.isclose(table["t"][-1], 0.05)
         assert np.all(np.diff(table["l2"]) <= 1e-12)
+
+    def test_csv_matches_a_full_recording_run(self, tmp_path, capsys):
+        # the CLI records norms only; its CSV must equal a full run's
+        cfg_path = write_cfg(tmp_path, SMALL)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        cfg = load_config(cfg_path)
+        d = cfg.domain()
+        traj = simulate(cfg.initial(d), cfg.t_end, cfg.stepper(), cfg.flux(), d,
+                        snapshot_stride=cfg.snapshot_stride)
+        assert traj.cube is not None
+        write_diagnostics_csv(tmp_path / "full.csv", traj)
+        assert ((tmp_path / "o" / "diagnostics.csv").read_bytes()
+                == (tmp_path / "full.csv").read_bytes())
 
     def test_snapshots_written_with_stride(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "snapshot_stride = 10\nt_end = 0.03\n")

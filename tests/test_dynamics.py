@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from zkbs import (
     to_spectral,
 )
 from zkbs.cli import PROFILES
+from zkbs.trajectory import Trajectory
 from zkbs.dynamics import _advance, _etd2_tables
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
@@ -37,6 +39,17 @@ from zkbs.dynamics import _advance, _etd2_tables
 cutoff_scales = st.floats(min_value=1e-3, max_value=1.0)
 cutoff_multiples = st.floats(min_value=0.0, max_value=4.0)
 signs = st.sampled_from((-1.0, 1.0))
+
+
+class NanFromCall:
+    """u^2/2 flux that returns NaN from its bad-th call on."""
+
+    def __init__(self, bad):
+        self.bad, self.calls = bad, 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return 0.5 * u**2 if self.calls < self.bad else np.full_like(u, np.nan)
 
 
 def banded_field(d, rng, amplitude=0.5):
@@ -360,14 +373,6 @@ class TestSimulate:
         # per etd2 step the flux runs at the stage, the midpoint and the new
         # boundary; going non-finite on call 4 trips the first post-step
         # evaluation, so only boundary 0 was recorded
-        class NanFromCall:
-            def __init__(self, bad):
-                self.bad, self.calls = bad, 0
-
-            def __call__(self, u):
-                self.calls += 1
-                return 0.5 * u**2 if self.calls < self.bad else np.full_like(u, np.nan)
-
         d = small_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
         traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), NanFromCall(4), d)
@@ -472,3 +477,85 @@ class TestOneStep:
             u_next, iters = _advance(u, n0, tab, "picard", cfg, flux, d, traj.times[k + 1])
             assert np.array_equal(traj.snapshots[k + 1], u_next)
             assert iters == traj.step_iters[k + 1]
+
+
+AUDIT_ONLY = ("cube", "mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
+
+
+def lean_and_full(u0, T, cfg, flux, d, **kwargs):
+    full = simulate(u0, T, cfg, flux, d, **kwargs)
+    lean = simulate(u0, T, cfg, flux, d, audit_series=False, **kwargs)
+    return full, lean
+
+
+class TestAuditSeries:
+    """audit_series=False drops the audit-only series and changes nothing else."""
+
+    def assert_lean_matches_full(self, full, lean):
+        assert lean.domain is full.domain and lean.scheme == full.scheme
+        assert lean.blowup_time == full.blowup_time
+        for field in dataclasses.fields(Trajectory):
+            a, b = getattr(full, field.name), getattr(lean, field.name)
+            if field.name in AUDIT_ONLY:
+                assert a is not None and b is None, field.name
+            elif field.name == "snapshots":
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+            elif isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+    def test_etd2(self, small_domain):
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        full, lean = lean_and_full(u0, 0.02, StepperConfig(dt=1e-3),
+                                   RegularizedFlux(h=None), d, snapshot_stride=5)
+        assert len(full.snapshots) == 5
+        self.assert_lean_matches_full(full, lean)
+
+    def test_picard_scheme(self, small_domain):
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        cfg = StepperConfig(scheme="picard", dt=1e-3)
+        full, lean = lean_and_full(u0, 0.01, cfg, RegularizedFlux(h=None), d)
+        assert np.all(full.step_iters[1:] >= 2)
+        self.assert_lean_matches_full(full, lean)
+
+    def test_active_cutoff(self, small_domain):
+        d = small_domain
+        u0 = random_band(d, 3, amplitude=8.0)
+        assert np.mean(np.abs(u0.values) > 1.0) > 0.5
+        full, lean = lean_and_full(u0, 0.01, StepperConfig(dt=1e-3),
+                                   RegularizedFlux(h=1.0), d)
+        self.assert_lean_matches_full(full, lean)
+
+    def test_guard_truncated_run(self, small_domain):
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        full, lean = lean_and_full(u0, 0.01, StepperConfig(dt=1e-3),
+                                   RegularizedFlux(h=None), d, guard_factor=0.5)
+        assert full.blowup_time == pytest.approx(1e-3) and len(full.times) == 1
+        self.assert_lean_matches_full(full, lean)
+
+    def test_blowup_at_initial_state(self):
+        d = plan_domain(L=math.pi, X=16 * math.pi, nx=32, ny=8, delta=0.5)
+        u0 = GridField(1e200 * gaussian_bump(d).values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, lean = lean_and_full(u0, 0.01, StepperConfig(dt=1e-3),
+                                       RegularizedFlux(h=None), d)
+        assert full.blowup_time == 0.0 and len(full.times) == 0
+        self.assert_lean_matches_full(full, lean)
+
+    def test_only_a_full_run_evaluates_the_averaged_state(self, small_domain):
+        # the third flux call is the averaged state of step 1 in a full run
+        # and the new boundary in a lean one, so the lean run stops at dt
+        # rather than dt/2; both keep boundary 0 alone
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        cfg = StepperConfig(dt=1e-3)
+        full = simulate(u0, 0.01, cfg, NanFromCall(3), d)
+        lean = simulate(u0, 0.01, cfg, NanFromCall(3), d, audit_series=False)
+        assert full.blowup_time == pytest.approx(0.5e-3)
+        assert lean.blowup_time == pytest.approx(1e-3)
+        assert list(full.times) == list(lean.times) == [0.0]

@@ -199,6 +199,15 @@ def run():
     return mk(2e-3), mk(1e-3)
 
 
+@pytest.fixture(scope="module")
+def lean_run():
+    """The coarse run of `run`, recorded without the audit series."""
+    d = plan_domain(math.pi, 16 * math.pi, 128, 32, 0.5)
+    u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+    return simulate(u0, 0.2, StepperConfig(scheme="etd2", dt=2e-3),
+                    RegularizedFlux(h=None), d, audit_series=False)
+
+
 class TestNonlinearAudits:
     @pytest.mark.parametrize("ident", [
         "mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29"])
@@ -233,6 +242,18 @@ class TestNonlinearAudits:
         traj = duhamel_solve(u0, None, 0.01, 1e-3, S)
         with pytest.raises(ValueError, match="mid_rhs_h1"):
             audit_identity(traj, "h1_3_15")
+
+    @pytest.mark.parametrize("ident,missing", [
+        ("h1_3_15", "mid_rhs_h1"), ("combined_3_23", "cube"), ("h2_3_29", "mid_rhs_h2")])
+    def test_lean_run_names_the_missing_series(self, lean_run, ident, missing):
+        with pytest.raises(ValueError, match=f"'{missing}'.*audit_series=True"):
+            audit_identity(lean_run, ident)
+
+    def test_lean_run_audits_mass_like_a_full_run(self, run, lean_run):
+        full = audit_identity(run[0], "mass_3_3")
+        lean = audit_identity(lean_run, "mass_3_3")
+        assert np.array_equal(full.residual, lean.residual)
+        assert full.max_residual == lean.max_residual
 
     def test_unknown_identity_rejected(self, run):
         coarse_traj, _ = run
