@@ -103,12 +103,11 @@ def smoothing_run(t_end: float = 0.1, dt: float = 1e-3):
 
     d = plan_domain(L=math.pi, X=2 * math.pi, nx=32, ny=2047, delta=0.5)
     rng = np.random.default_rng(2024)
-    c = np.zeros(d.shape, dtype=complex)
+    c = np.zeros(d.spectral_shape, dtype=complex)
     lsel = slice(899, 1200)  # sine indices for l = 900 .. 1200
     for j in range(0, 6):
         blk = rng.standard_normal(301) + 1j * rng.standard_normal(301)
-        c[j, lsel] = blk
-        c[-j, lsel] = np.conj(blk) if j != 0 else blk.real
+        c[j, lsel] = blk if j != 0 else blk.real  # the x-mean row is real
     u = to_grid(SpectralField(c), d)
     u = type(u)(0.3 * u.values / np.max(np.abs(u.values)))
     traj = simulate(u, t_end, StepperConfig(scheme="etd2", dt=dt),

@@ -11,17 +11,19 @@ and y_k = k L / (ny + 1) (interior sine-collocation nodes; wall rows are
 not stored, the sine synthesis vanishes there identically).
 
 Normalization, fixed once and shared by every norm and energy audit in
-the package: a SpectralField stores the complex amplitudes c(j, l) of
-e_{j,l}, so Parseval reads
+the package: fields are real, so c(-j, l) = conj(c(j, l)), and a
+SpectralField stores the half spectrum j = 0 .. nx/2 alone, whose rows
+0 and nx/2 are real.  Parseval reads
 
-    integral |u|^2 dx dy = (X * L) * sum_{j,l} |c(j, l)|^2.
+    integral |u|^2 dx dy = sum_{j >= 0, l} w_j |c(j, l)|^2,
 
-The weight X * L is exposed as DomainConfig.parseval_weight.  Grid
-quadrature uses the tensor weights dx * dy with dx = 2X/nx and
-dy = L/(ny + 1); these are trapezoid-consistent because every stored
-integrand of interest vanishes on the walls.
+with w_j = X * L on rows 0 and nx/2 and 2 X L on the others, which
+stand for their conjugate rows too (Boyd 2001); DomainConfig.parseval_weight
+holds w_j.  Grid quadrature uses the tensor weights dx * dy with
+dx = 2X/nx and dy = L/(ny + 1); these are trapezoid-consistent because
+every stored integrand of interest vanishes on the walls.
 
-Transforms are plain FFT in x and an unnormalized type-I DST in y.  All
+Transforms are a real FFT in x and an unnormalized type-I DST in y.  All
 functions here are pure: they read DomainConfig and return new fields.
 """
 
@@ -63,16 +65,22 @@ class DomainConfig:
     nx: int
     ny: int
     delta: float
-    xi: np.ndarray = field(repr=False, default=None)        # (nx,) FFT order
+    xi: np.ndarray = field(repr=False, default=None)        # (nx/2 + 1,) j = 0 .. nx/2
     xi_odd: np.ndarray = field(repr=False, default=None)    # xi with Nyquist zeroed
     lam: np.ndarray = field(repr=False, default=None)       # (ny,) (pi l / L)^2
     ky: np.ndarray = field(repr=False, default=None)        # (ny,) pi l / L
-    phase: np.ndarray = field(repr=False, default=None)     # (nx,) (-1)^j
+    phase: np.ndarray = field(repr=False, default=None)     # (nx/2 + 1,) (-1)^j
+    parseval_weight: np.ndarray = field(repr=False, default=None)  # (nx/2 + 1,) w_j
     _cos_mat: np.ndarray = field(repr=False, default=None)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
+
+    @property
+    def spectral_shape(self) -> tuple[int, int]:
+        """Half-spectrum shape (nx/2 + 1, ny)."""
+        return (self.nx // 2 + 1, self.ny)
 
     @property
     def x(self) -> np.ndarray:
@@ -89,11 +97,6 @@ class DomainConfig:
     @property
     def dy(self) -> float:
         return self.L / (self.ny + 1)
-
-    @property
-    def parseval_weight(self) -> float:
-        """Per-mode weight in the Parseval identity (see module docstring)."""
-        return self.X * self.L
 
     def cos_matrix(self) -> np.ndarray:
         # Synthesis of cos(pi l y / L) on the interior grid; only needed for
@@ -122,11 +125,10 @@ class GridField:
 
 @dataclass(eq=False)
 class SpectralField:
-    """Complex mode amplitudes c(j, l), shape (nx, ny), x frequency first.
+    """Complex mode amplitudes c(j, l), shape (nx/2 + 1, ny), x frequency first.
 
-    The x axis uses FFT ordering (j = 0, 1, ..., nx/2-1, -nx/2, ..., -1);
-    the y axis indexes sine modes l = 1 .. ny.  Fields representing real
-    data satisfy c(-j, l) = conj(c(j, l)).
+    The x axis holds j = 0 .. nx/2, the half spectrum of a real field whose
+    rows 0 and nx/2 are real; the y axis indexes sine modes l = 1 .. ny.
     """
 
     coeffs: np.ndarray
@@ -134,7 +136,7 @@ class SpectralField:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 2:
-            raise ValueError("SpectralField expects a 2-d array (nx, ny)")
+            raise ValueError("SpectralField expects a 2-d array (nx/2 + 1, ny)")
 
 
 def plan_domain(L: float, X: float, nx: int, ny: int, delta: float) -> DomainConfig:
@@ -156,53 +158,57 @@ def plan_domain(L: float, X: float, nx: int, ny: int, delta: float) -> DomainCon
     if ny < 4:
         raise ValueError("ny must be >= 4")
 
-    j = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)
+    j = np.arange(nx // 2 + 1)
     xi = np.pi * j / X
     xi_odd = xi.copy()
-    # The j = -nx/2 mode has no conjugate partner; odd powers of xi there
+    # The j = nx/2 mode is its own conjugate partner; odd powers of xi there
     # would break realness, so dispersion and odd x derivatives drop it.
-    xi_odd[j == -nx // 2] = 0.0
+    xi_odd[-1] = 0.0
     l = np.arange(1, ny + 1)
     ky = np.pi * l / L
     lam = ky**2
     phase = np.where(j % 2 == 0, 1.0, -1.0)
+    weight = np.full(j.shape, 2.0 * X * L)
+    weight[[0, -1]] = X * L
     return DomainConfig(L=float(L), X=float(X), nx=int(nx), ny=int(ny),
                         delta=float(delta), xi=xi, xi_odd=xi_odd, lam=lam,
-                        ky=ky, phase=phase)
+                        ky=ky, phase=phase, parseval_weight=weight)
 
 
-def _check_shape(arr: np.ndarray, d: DomainConfig, what: str) -> None:
-    if arr.shape != d.shape:
-        raise ValueError(f"{what} has shape {arr.shape}, expected {d.shape}")
+def _check_shape(arr: np.ndarray, shape: tuple[int, int], what: str) -> None:
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+
+
+def _check_spectral(coeffs: np.ndarray, d: DomainConfig, what: str) -> None:
+    """Raise unless coeffs is the half spectrum of a real field.
+
+    Besides the shape, only rows 0 and nx/2 need checking: they must be real,
+    and the inverse real FFT would silently drop their imaginary part.
+    """
+    _check_shape(coeffs, d.spectral_shape, what)
+    edges = coeffs[:: coeffs.shape[0] - 1]  # rows 0 and nx/2, as a view
+    defect = np.abs(edges.imag).max()
+    if defect > 1e-10 * max(np.abs(edges.real).max(), 1.0):
+        raise ValueError(f"{what} is not a real field's spectrum: rows 0, nx/2 not real")
 
 
 def to_spectral(f: GridField, d: DomainConfig) -> SpectralField:
     """Forward transform: collocation samples to mode amplitudes."""
-    _check_shape(f.values, d, "grid field")
+    _check_shape(f.values, d.shape, "grid field")
     csin = _sfft.dst(f.values, type=1, axis=1) / (d.ny + 1)
-    coeffs = d.phase[:, None] * np.fft.fft(csin, axis=0) / d.nx
+    coeffs = d.phase[:, None] * _sfft.rfft(csin, axis=0) / d.nx
     return SpectralField(coeffs)
 
 
 def _x_synthesis(coeffs: np.ndarray, d: DomainConfig) -> np.ndarray:
-    """Inverse x transform; returns per-x sine (or cosine) coefficients.
-
-    Raises if the input is visibly non-Hermitian, i.e. would not produce
-    a real field.
-    """
-    tmp = np.fft.ifft(coeffs * d.phase[:, None] * d.nx, axis=0)
-    scale = float(np.max(np.abs(tmp.real), initial=0.0))
-    defect = float(np.max(np.abs(tmp.imag), initial=0.0))
-    if defect > 1e-10 * max(scale, 1.0) and defect > 1e-13:
-        raise ValueError(
-            "spectral field is not Hermitian-symmetric; cannot synthesize a real grid field"
-        )
-    return tmp.real
+    """Inverse x transform; returns per-x sine (or cosine) coefficients."""
+    return _sfft.irfft(coeffs * d.phase[:, None] * d.nx, n=d.nx, axis=0)
 
 
 def to_grid(s: SpectralField, d: DomainConfig) -> GridField:
     """Inverse transform: mode amplitudes to real collocation samples."""
-    _check_shape(s.coeffs, d, "spectral field")
+    _check_spectral(s.coeffs, d, "spectral field")
     csin = _x_synthesis(s.coeffs, d)
     return GridField(_sfft.dst(csin, type=1, axis=1) / 2.0)
 
@@ -213,7 +219,7 @@ def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> Gri
     Even y orders stay in the sine basis; odd y orders land in the cosine
     basis and are synthesized on the same interior grid.
     """
-    _check_shape(s.coeffs, d, "spectral field")
+    _check_spectral(s.coeffs, d, "spectral field")
     if kx < 0 or ky < 0 or kx + ky > 3:
         raise ValueError("mixed_derivative supports orders kx, ky >= 0 with kx + ky <= 3")
     xi = d.xi_odd if kx % 2 == 1 else d.xi
@@ -248,26 +254,25 @@ def derivative(s: SpectralField, axis: str, order: int, d: DomainConfig) -> Grid
 def dealias_mask(d: DomainConfig) -> np.ndarray:
     """Boolean keep-mask implementing the 2/3 rule on both axes.
 
-    Kept x indices satisfy 3|j| < nx, kept sine indices satisfy
+    Kept x rows satisfy 3j < nx (j = 0 .. nx/2), kept sine indices satisfy
     3l < 2(ny + 1); quadratic products of kept modes then alias neither
     onto kept modes nor onto the x mean.
     """
-    j = np.fft.fftfreq(d.nx, d=1.0 / d.nx).astype(int)
     kx = (d.nx - 1) // 3
     kyl = (2 * (d.ny + 1) - 1) // 3
-    keep_x = np.abs(j) <= kx
+    keep_x = np.arange(d.nx // 2 + 1) <= kx
     keep_y = np.arange(1, d.ny + 1) <= kyl
     return np.logical_and(keep_x[:, None], keep_y[None, :])
 
 
 def parseval_norm_sq(coeffs: np.ndarray, d: DomainConfig) -> float:
     """integral |u|^2 dx dy evaluated from mode amplitudes."""
-    return d.parseval_weight * float(np.sum(np.abs(coeffs) ** 2))
+    return float(d.parseval_weight @ np.sum(np.abs(coeffs) ** 2, axis=1))
 
 
 def mode_inner(a: np.ndarray, b: np.ndarray, d: DomainConfig) -> float:
     """L2 pairing integral a*b dx dy of two real fields given spectrally."""
-    return d.parseval_weight * float(np.sum((np.conj(a) * b).real))
+    return float(d.parseval_weight @ np.sum((np.conj(a) * b).real, axis=1))
 
 
 def grid_quadrature(values: np.ndarray, d: DomainConfig) -> float:

@@ -354,27 +354,28 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     n = max(1, round(t0 / cfg.dt))
     dt = t0 / n
     tab = _etd2_tables(S, dt, cfg)
-    W = d.parseval_weight
 
     base = _dealiased(np.asarray(u0.coeffs, dtype=complex), tab.mask)
 
     # sweep 0: pure semigroup transport of the data
-    v = np.empty((n + 1,) + d.shape, dtype=complex)
+    v = np.empty((n + 1,) + d.spectral_shape, dtype=complex)
     v[0] = base
     for i in range(n):
         v[i + 1] = tab.E * v[i]
 
+    # every iterate starts from base, so N(v[0]) is the same in every sweep
+    nl = np.empty_like(v)
+    _, _, nl[0] = _nonlinear_core(base, flux, d, tab.mask)
     diffs: list[float] = []
     converged = False
     for _ in range(cfg.picard_max_iter):
-        nl = np.empty_like(v)
-        for i in range(n + 1):
+        for i in range(1, n + 1):
             _, _, nl[i] = _nonlinear_core(v[i], flux, d, tab.mask, t=i * dt)
         w = np.empty_like(v)
         w[0] = base
         for i in range(n):
             w[i + 1] = tab.correct(tab.predict(w[i], nl[i]), nl[i], nl[i + 1])
-        diff = math.sqrt(W * float(np.max(np.sum(np.abs(w - v) ** 2, axis=(1, 2)))))
+        diff = math.sqrt(float(np.max(np.sum(np.abs(w - v) ** 2, axis=2) @ d.parseval_weight)))
         diffs.append(diff)
         v = w
         if diff < cfg.picard_tol:
@@ -439,9 +440,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                     interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
                                      if audit_series else ()))
     tab = _etd2_tables(symbol(d), dt, cfg)
-    mults = rec.mults
-    W = d.parseval_weight
-    lap = -mults.d1  # spectral Laplacian multiplier
+    lap = -rec.mults.d1  # spectral Laplacian multiplier
 
     u = _dealiased(to_spectral(u0, d).coeffs, tab.mask)
 
@@ -469,8 +468,8 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                 pair = (np.conj(uavg) * n_avg).real
                 lap_avg = to_grid(SpectralField(lap * uavg), d).values
                 rec.interval(i, uavg,
-                             mid_rhs_h1=2.0 * W * float(np.sum(mults.d1 * pair)),
-                             mid_rhs_h2=2.0 * W * float(np.sum(mults.e2 * pair)),
+                             mid_rhs_h1=2.0 * float(np.sum(rec.weights["diss_l2"] * pair)),
+                             mid_rhs_h2=2.0 * float(np.sum(rec.weights["e2_mixed"] * pair)),
                              mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
             else:
                 rec.interval(i, uavg)

@@ -85,7 +85,7 @@ def norm(u: SpectralField, spec: NormSpec, d: DomainConfig) -> float:
         w = (1.0 + mults.d1) ** spec.s
     else:
         w = mults.d1**spec.k
-    return math.sqrt(d.parseval_weight * float(np.sum(w * a2)))
+    return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * a2)))
 
 
 def dk_seminorm_sq(u: SpectralField, k: int, d: DomainConfig) -> float:
@@ -102,7 +102,7 @@ def dk_seminorm_sq(u: SpectralField, k: int, d: DomainConfig) -> float:
         w = xi2**3 + xi2**2 * lam + xi2 * lam**2 + lam**3
     else:
         raise ValueError("k must be 1, 2 or 3")
-    return d.parseval_weight * float(np.sum(w * np.abs(u.coeffs) ** 2))
+    return float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2))
 
 
 def lyapunov_h1(u: SpectralField, d: DomainConfig) -> float:
@@ -129,11 +129,10 @@ def steklov_check(u: SpectralField, d: DomainConfig) -> SteklovResult:
     margin is a sum of nonnegative terms and vanishes exactly on pure
     l = 1 data.
     """
-    a2 = np.abs(u.coeffs) ** 2
-    W = d.parseval_weight
-    lhs = W * float(np.sum(d.lam[None, :] * a2))
+    rows = d.parseval_weight @ (np.abs(u.coeffs) ** 2)  # per-l sums over x rows
+    lhs = float(rows @ d.lam)
     lam1 = (np.pi / d.L) ** 2
-    rhs = lam1 * W * float(np.sum(a2))
+    rhs = lam1 * float(np.sum(rows))
     return SteklovResult(lhs=lhs, rhs=rhs, margin=lhs - rhs)
 
 

@@ -63,20 +63,19 @@ def random_band(d: DomainConfig, seed: int, jmax: int = 8, lmax: int = 4,
                 amplitude: float = 0.5) -> GridField:
     """Random band-limited field, rescaled to max |u| = amplitude.
 
-    Populates modes with |j| <= jmax and l <= lmax from a seeded
-    generator, Hermitian-symmetrized so the samples are real.
+    Populates modes with 0 <= j <= jmax and l <= lmax from a seeded
+    generator; the x-mean row is drawn real.
     """
     if not (0 <= jmax <= d.nx // 2 - 1):
         raise ValueError(f"jmax must lie in [0, {d.nx // 2 - 1}]")
     _check_l(d, lmax)
     rng = np.random.default_rng(seed)
-    c = np.zeros(d.shape, dtype=complex)
+    c = np.zeros(d.spectral_shape, dtype=complex)
     c[0, :lmax] = rng.standard_normal(lmax)  # x-mean row stays real
     for j in range(1, jmax + 1):
         re = rng.standard_normal(lmax)
         im = rng.standard_normal(lmax)
         c[j, :lmax] = re + 1j * im
-        c[-j, :lmax] = re - 1j * im
     vals = to_grid(SpectralField(c), d).values
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:

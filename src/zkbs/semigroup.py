@@ -28,6 +28,7 @@ import numpy as np
 from .domain import (
     DomainConfig,
     SpectralField,
+    _check_spectral,
     mode_inner,
     mode_multipliers,
 )
@@ -51,7 +52,7 @@ class SymbolTable:
     """Per-mode symbol values plus the domain they were built for."""
 
     domain: DomainConfig
-    m: np.ndarray  # (nx, ny) complex
+    m: np.ndarray  # (nx/2 + 1, ny) complex
 
     @property
     def slowest_rate(self) -> float:
@@ -110,8 +111,9 @@ def duhamel_solve(
 
     Args:
         u0: initial amplitudes.
-        forcing: None, or a callable t -> complex (nx, ny) array of forcing
-            amplitudes; it is sampled at step endpoints and midpoints.
+        forcing: None, or a callable t -> complex (nx/2 + 1, ny) array of
+            forcing amplitudes, the half spectrum of a real field; it is
+            sampled at step endpoints and midpoints.
         T: final time; dt must divide it.
         dt: step size.
         S: symbol table (carries the domain).
@@ -132,8 +134,7 @@ def duhamel_solve(
 
     def sample(t: float) -> np.ndarray:
         f = np.asarray(forcing(t), dtype=complex)
-        if f.shape != d.shape:
-            raise ValueError("forcing sample has wrong shape")
+        _check_spectral(f, d, "forcing sample")
         if not np.all(np.isfinite(f)):
             raise ValueError("forcing sample contains non-finite entries")
         return f

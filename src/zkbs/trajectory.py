@@ -43,7 +43,7 @@ class Trajectory:
     mid_diss1: np.ndarray             # (n,) integral u_xx^2 + 2 u_xy^2 + u_yy^2, averaged states
     mid_diss2: np.ndarray             # (n,) third-order dissipation integral, averaged states
     snapshot_indices: np.ndarray      # indices into times
-    snapshots: list                   # spectral coefficient arrays, complex (nx, ny)
+    snapshots: list                   # spectral coefficient arrays, complex (nx/2 + 1, ny)
     cube: np.ndarray | None = None            # (n+1,) integral u^3 (nonlinear runs)
     mid_rhs_h1: np.ndarray | None = None      # (n,) 2 integral u u_x (u_xx + u_yy)
     mid_rhs_h2: np.ndarray | None = None      # (n,) second-order forcing pairing
@@ -129,7 +129,8 @@ class _Recorder:
     only) and the truncation of a run that blew up: trajectory() keeps
     the first `rows` boundaries and rows - 1 steps.  Callers add their
     own series, named at construction, as keyword values; nonlin_flux
-    and step_iters always exist and stay zero unless written.
+    and step_iters always exist and stay zero unless written.  Built-in
+    series sum |c|^2 against per-mode weights that include the Parseval row weight.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
@@ -137,27 +138,28 @@ class _Recorder:
         n = _resolve_steps(T, dt)
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
-        self.mults = mode_multipliers(d)
-        self._wh1 = 1.0 + self.mults.d1
-        self.cols = {name: np.zeros(n + 1) for name in ("l2", "h1", "h2", "diss_l2",
-                     "diss_h1", "e2_mixed", "nonlin_flux", *boundary_series)}
+        self.mults = m = mode_multipliers(d)
+        W = d.parseval_weight[:, None]
+        wh1 = 1.0 + m.d1
+        self.weights = {"l2": W, "h1": W * wh1, "h2": W * wh1**2, "diss_l2": W * m.d1,
+                        "diss_h1": W * m.d2, "e2_mixed": W * m.e2}
+        self.mid_weights = {"mid_diss0": W * m.d1, "mid_diss1": W * m.d2,
+                            "mid_diss2": W * m.d3}
+        self.cols = {name: np.zeros(n + 1) for name in
+                     (*self.weights, "nonlin_flux", *boundary_series)}
         self.cols["step_iters"] = np.zeros(n + 1, dtype=int)
-        self.mid = {name: np.zeros(n) for name in
-                    ("mid_diss0", "mid_diss1", "mid_diss2", *interval_series)}
+        self.mid = {name: np.zeros(n) for name in (*self.mid_weights, *interval_series)}
         self.snapshot_indices, self.snapshots = [], []
 
     def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
-        cols, mults, W = self.cols, self.mults, self.domain.parseval_weight
         # past the trust region |coeffs|^2 may overflow; the caller tests
         # the non-finite norm, so the overflow itself stays silent
         with np.errstate(over="ignore"):
             a2 = np.abs(coeffs) ** 2
-            cols["l2"][i] = sqrt(W * float(np.sum(a2)))
-            cols["h1"][i] = sqrt(W * float(np.sum(self._wh1 * a2)))
-            cols["h2"][i] = sqrt(W * float(np.sum(self._wh1**2 * a2)))
-            cols["diss_l2"][i] = W * float(np.sum(mults.d1 * a2))
-            cols["diss_h1"][i] = W * float(np.sum(mults.d2 * a2))
-            cols["e2_mixed"][i] = W * float(np.sum(mults.e2 * a2))
+            for name, w in self.weights.items():
+                self.cols[name][i] = float(np.sum(w * a2))
+        for name in ("l2", "h1", "h2"):
+            self.cols[name][i] = sqrt(self.cols[name][i])
         self.put(i, **values)
         if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
             self.snapshot_indices.append(i)
@@ -168,13 +170,11 @@ class _Recorder:
             self.cols[name][i] = value
 
     def interval(self, i: int, uavg: np.ndarray, **values) -> None:
-        mid, mults, W = self.mid, self.mults, self.domain.parseval_weight
         aavg = np.abs(uavg) ** 2
-        mid["mid_diss0"][i] = W * float(np.sum(mults.d1 * aavg))
-        mid["mid_diss1"][i] = W * float(np.sum(mults.d2 * aavg))
-        mid["mid_diss2"][i] = W * float(np.sum(mults.d3 * aavg))
+        for name, w in self.mid_weights.items():
+            self.mid[name][i] = float(np.sum(w * aavg))
         for name, value in values.items():
-            mid[name][i] = value
+            self.mid[name][i] = value
 
     def trajectory(self, scheme: str, rows: int,
                    blowup_time: float | None = None) -> Trajectory:

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from zkbs import simulate
+import zkbs.cli
+from zkbs import SpectralField, duhamel_solve, simulate, to_grid
 from zkbs.cli import ConfigError, RunConfig, load_config, main
 from zkbs.io import read_diagnostics_csv, write_diagnostics_csv
 
@@ -196,6 +197,25 @@ class TestOtherCommands:
         assert code == 2
         assert captured.out == "[FAIL] blowup at t = 0\n"
         assert captured.err == ""
+
+    def test_linear_verify_forcing_samples_are_real_fields(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # every forcing sample must be the spectrum of a real field, so each
+        # one synthesizes through to_grid
+        samples = []
+
+        def checked_solve(u0, forcing, T, dt, S, **kwargs):
+            def sample(t):
+                f = forcing(t)
+                samples.append(to_grid(SpectralField(f), S.domain).values)
+                return f
+            return duhamel_solve(u0, None if forcing is None else sample, T, dt, S, **kwargs)
+
+        monkeypatch.setattr(zkbs.cli, "duhamel_solve", checked_solve)
+        cfg = write_cfg(tmp_path, SMALL)
+        code = main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr()
+        assert samples
 
     def test_picard_passes_on_small_amplitude(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "amplitude = 0.1\n")

@@ -27,6 +27,7 @@ class TestPlanDomain:
     def test_geometry_tables(self, small_domain):
         d = small_domain
         assert d.shape == (64, 16)
+        assert d.spectral_shape == (33, 16)
         assert d.x[0] == -d.X
         assert np.isclose(d.x[1] - d.x[0], d.dx)
         assert np.isclose(d.y[0], d.dy)
@@ -37,8 +38,7 @@ class TestPlanDomain:
 
     def test_nyquist_column_zeroed_for_odd_orders(self, small_domain):
         d = small_domain
-        j = np.fft.fftfreq(d.nx, 1.0 / d.nx).astype(int)
-        nyq = np.nonzero(j == -d.nx // 2)[0][0]
+        nyq = d.nx // 2
         assert d.xi_odd[nyq] == 0.0
         assert d.xi[nyq] != 0.0
 
@@ -62,15 +62,13 @@ class TestTransforms:
 
     def test_single_mode_amplitudes(self, small_domain):
         # cos(xi x) sin(2 pi y / L) with xi = xi_4 must put 1/2 on (4, 2)
-        # and 1/2 on (-4, 2), nothing anywhere else
+        # (its conjugate partner (-4, 2) is not stored), nothing anywhere else
         d = small_domain
         xi = np.pi * 4 / d.X
         f = GridField(np.outer(np.cos(xi * d.x), np.sin(2 * np.pi * d.y / d.L)))
         c = to_spectral(f, d).coeffs
         assert abs(c[4, 1] - 0.5) <= 1e-14
-        assert abs(c[-4, 1] - 0.5) <= 1e-14
         c[4, 1] = 0.0
-        c[-4, 1] = 0.0
         assert np.max(np.abs(c)) <= 1e-14
 
     def test_sine_mode_vanishes_on_walls(self, small_domain):
@@ -78,7 +76,7 @@ class TestTransforms:
         # grid rows stays consistent with the closed form; the walls
         # themselves are not stored, so check the series values directly
         d = small_domain
-        c = np.zeros(d.shape, dtype=complex)
+        c = np.zeros(d.spectral_shape, dtype=complex)
         c[0, 2] = 1.0  # sin(3 pi y / L)
         vals = to_grid(SpectralField(c), d).values
         want = np.sin(3 * np.pi * d.y / d.L)
@@ -107,11 +105,20 @@ class TestTransforms:
             rtol=1e-11,
         )
 
-    def test_non_hermitian_synthesis_rejected(self, small_domain):
+    def test_complex_mean_row_rejected(self, small_domain):
         d = small_domain
-        c = np.zeros(d.shape, dtype=complex)
-        c[3, 0] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
+        c = np.zeros(d.spectral_shape, dtype=complex)
+        c[0, 3] = 1.0j  # the x mean of a real field is real
+        with pytest.raises(ValueError, match="real field"):
+            to_grid(SpectralField(c), d)
+        with pytest.raises(ValueError, match="real field"):
+            mixed_derivative(SpectralField(c), 1, 0, d)
+
+    def test_complex_nyquist_row_rejected(self, small_domain):
+        d = small_domain
+        c = np.zeros(d.spectral_shape, dtype=complex)
+        c[d.nx // 2, 0] = 1.0 + 1.0j  # its own conjugate partner, so real
+        with pytest.raises(ValueError, match="real field"):
             to_grid(SpectralField(c), d)
 
     def test_grid_field_validation(self):
@@ -169,11 +176,11 @@ class TestDerivatives:
             derivative(s, "z", 1, d)
 
     def test_third_x_derivative_drops_nyquist(self, small_domain):
-        # odd x orders on the pairless column must return zero, not a
-        # spurious imaginary field
+        # odd x orders on the Nyquist row, its own conjugate partner, must
+        # return zero, not a spurious imaginary field
         d = small_domain
-        c = np.zeros(d.shape, dtype=complex)
-        c[-d.nx // 2, 0] = 1.0
+        c = np.zeros(d.spectral_shape, dtype=complex)
+        c[d.nx // 2, 0] = 1.0
         g = mixed_derivative(SpectralField(c), 1, 0, d)
         assert np.max(np.abs(g.values)) == 0.0
 
@@ -182,8 +189,9 @@ class TestDealiasAndWeights:
     def test_mask_bounds(self, small_domain):
         d = small_domain
         mask = dealias_mask(d)
-        j = np.fft.fftfreq(d.nx, 1.0 / d.nx).astype(int)
-        kept_j = np.abs(j[mask.any(axis=1)])
+        j = np.arange(d.nx // 2 + 1)
+        assert mask.shape == d.spectral_shape
+        kept_j = j[mask.any(axis=1)]
         assert kept_j.max() == (d.nx - 1) // 3
         kept_l = np.arange(1, d.ny + 1)[mask.any(axis=0)]
         assert kept_l.max() == (2 * (d.ny + 1) - 1) // 3
@@ -201,13 +209,12 @@ class TestDealiasAndWeights:
         sq = to_spectral(GridField(u.values**2), d).coeffs
 
         big = plan_domain(d.L, d.X, 4 * d.nx, d.ny, d.delta)
-        half = d.nx // 2
-        cbig = np.zeros(big.shape, dtype=complex)
-        cbig[:half] = c[:half]
-        cbig[-half:] = c[-half:]
+        rows = d.nx // 2 + 1
+        cbig = np.zeros(big.spectral_shape, dtype=complex)
+        cbig[:rows] = c
         ubig = to_grid(SpectralField(cbig), big)
         sqbig = to_spectral(GridField(ubig.values**2), big).coeffs
-        ref = np.concatenate([sqbig[:half], sqbig[-half:]])
+        ref = sqbig[:rows]
 
         err = np.max(np.abs((sq - ref)[mask]))
         assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -241,25 +248,26 @@ class TestDealiasAndWeights:
             + B * np.outer(np.sin(b * d.x), np.sin(q * d.y))
         )
         s = to_spectral(f, d)
-        a2 = np.abs(s.coeffs) ** 2
-        W = d.parseval_weight
         mults = mode_multipliers(d)
         half_area = d.X * d.L / 2.0
 
+        def weighted(w):
+            return parseval_norm_sq(np.sqrt(w) * s.coeffs, d)
+
         # integral u_x^2 + u_y^2 = sum_i amp_i^2 (xi_i^2 + k_i^2) * X L / 2
         want = half_area * (A**2 * (a**2 + p**2) + B**2 * (b**2 + q**2))
-        assert np.isclose(W * np.sum(mults.d1 * a2), want, rtol=1e-12)
+        assert np.isclose(weighted(mults.d1), want, rtol=1e-12)
 
         # integral u_xx^2 + 2 u_xy^2 + u_yy^2 carries (xi^2 + k^2)^2
         want = half_area * (A**2 * (a**2 + p**2) ** 2 + B**2 * (b**2 + q**2) ** 2)
-        assert np.isclose(W * np.sum(mults.d2 * a2), want, rtol=1e-12)
+        assert np.isclose(weighted(mults.d2), want, rtol=1e-12)
 
         # integral u_xx^2 + u_xy^2 + u_yy^2 carries xi^4 + xi^2 k^2 + k^4
         want = half_area * (
             A**2 * (a**4 + a**2 * p**2 + p**4)
             + B**2 * (b**4 + b**2 * q**2 + q**4)
         )
-        assert np.isclose(W * np.sum(mults.e2 * a2), want, rtol=1e-12)
+        assert np.isclose(weighted(mults.e2), want, rtol=1e-12)
 
         assert np.allclose(mults.d3, mults.d1 * mults.e2)
 

@@ -22,6 +22,7 @@ from zkbs import (
     gaussian_bump,
     mixed_derivative,
     nonlinear_term,
+    parseval_norm_sq,
     picard_solve,
     plan_domain,
     random_band,
@@ -222,7 +223,7 @@ class TestEtd2:
         cfg = StepperConfig(scheme="etd2", dt=1e-3)
 
         def rhs(t, y):
-            c = y.reshape(d.shape)
+            c = y.reshape(d.spectral_shape)
             vals = to_grid(SpectralField(c), d).values
             ghat = to_spectral(GridField(flux(vals)), d).coeffs
             n = np.where(mask, -1j * d.xi_odd[:, None] * ghat, 0.0)
@@ -231,7 +232,7 @@ class TestEtd2:
         T = 0.05
         sol = solve_ivp(rhs, (0.0, T), base.ravel(), method="DOP853",
                         rtol=1e-12, atol=1e-14)
-        ref = sol.y[:, -1].reshape(d.shape)
+        ref = sol.y[:, -1].reshape(d.spectral_shape)
 
         errs = {}
         for dt in (1e-3, 5e-4):
@@ -262,7 +263,7 @@ class TestPicard:
         d = small_domain
         S = symbol(d)
         cfg = StepperConfig(scheme="picard", dt=1e-3)
-        u0 = SpectralField(np.zeros(d.shape, dtype=complex))
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         field, diag = picard_solve(u0, 0.01, cfg, RegularizedFlux(h=None), S)
         assert diag.converged
         assert diag.iterations == 1
@@ -293,8 +294,7 @@ class TestPicard:
             u0, t0, StepperConfig(scheme="picard", dt=1e-3, picard_tol=1e-12),
             flux, S)
         traj = simulate(u0g, t0, StepperConfig(scheme="etd2", dt=1e-3), flux, d)
-        diff = math.sqrt(d.parseval_weight
-                         * np.sum(np.abs(field.coeffs - traj.snapshots[-1]) ** 2))
+        diff = math.sqrt(parseval_norm_sq(field.coeffs - traj.snapshots[-1], d))
         assert diff <= 1e-6
 
     def test_contraction_error_message_mentions_t0(self, medium_domain, rng):
@@ -308,7 +308,7 @@ class TestPicard:
 
     def test_rejects_nonpositive_horizon(self, small_domain):
         d = small_domain
-        u0 = SpectralField(np.zeros(d.shape, dtype=complex))
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         with pytest.raises(ValueError):
             picard_solve(u0, 0.0, StepperConfig(), RegularizedFlux(h=None),
                          symbol(d))

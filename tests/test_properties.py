@@ -39,11 +39,12 @@ scales = st.floats(min_value=1e-3, max_value=1e3)
 props = settings(max_examples=40, deadline=None)
 
 
-def hermitian_coeffs(d, rng, scale):
-    """Random amplitudes of a real field: c[-j] = conj(c[j]) on every row pair."""
-    c = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
-    mirror = (-np.arange(d.nx)) % d.nx
-    return scale * 0.5 * (c + np.conj(c[mirror]))
+def half_spectrum_coeffs(d, rng, scale):
+    """Random half-spectrum amplitudes of a real field: rows 0 and nx/2 real."""
+    shape = d.spectral_shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[[0, -1]] = c[[0, -1]].real
+    return scale * c
 
 
 @props
@@ -66,19 +67,22 @@ def test_parseval_matches_grid_quadrature(d, seed, scale):
 @props
 @given(domains, seeds, scales)
 def test_hermitian_amplitudes_synthesize_a_real_field(d, seed, scale):
-    # to_grid keeps only the real part, so recovering every amplitude from
-    # it shows that the synthesized imaginary part was rounding alone
-    c = hermitian_coeffs(d, np.random.default_rng(seed), scale)
+    # recovering every amplitude, the Nyquist row's included, from the
+    # synthesized samples shows that no row was dropped or halved, and
+    # Parseval on the same samples checks the doubled interior row weights
+    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
     vals = to_grid(SpectralField(c), d).values
     assert vals.dtype == np.float64
     back = to_spectral(GridField(vals), d).coeffs
     assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+    assert math.isclose(parseval_norm_sq(c, d), grid_quadrature(vals**2, d),
+                        rel_tol=1e-12)
 
 
 @props
 @given(domains, seeds, scales)
 def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
-    c = hermitian_coeffs(d, np.random.default_rng(seed), scale)
+    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
     c = np.where(dealias_mask(d), c, 0.0)
     n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), StepperConfig(), d)
     size = parseval_norm_sq(c, d) ** 1.5

@@ -11,6 +11,7 @@ from zkbs import (
     audit_linear_identity,
     attach_refinement_order,
     duhamel_solve,
+    parseval_norm_sq,
     phi,
     plan_domain,
     symbol,
@@ -20,12 +21,11 @@ from zkbs import (
 
 
 def single_mode(d, j, l, amp=1.0, theta=0.0):
-    c = np.zeros(d.shape, dtype=complex)
+    c = np.zeros(d.spectral_shape, dtype=complex)
     if j == 0:
         c[0, l - 1] = amp * math.cos(theta)
     else:
         c[j, l - 1] = 0.5 * amp * np.exp(1j * theta)
-        c[-j, l - 1] = np.conj(c[j, l - 1])
     return SpectralField(c)
 
 
@@ -72,7 +72,7 @@ class TestSymbol:
     def test_nyquist_column_is_pure_decay(self, small_domain):
         d = small_domain
         S = symbol(d)
-        col = S.m[-d.nx // 2, :]
+        col = S.m[d.nx // 2, :]
         assert np.max(np.abs(col.imag)) == 0.0
         assert np.all(col.real < 0.0)
 
@@ -165,12 +165,13 @@ class TestDuhamel:
         d = small_domain
         S = symbol(d)
         rng = np.random.default_rng(7)
-        modes = [(j, l) for j in (-3, 0, 2, 5) for l in (1, 2)]
-        u0c = np.zeros(d.shape, dtype=complex)
-        f0 = np.zeros(d.shape, dtype=complex)
+        modes = [(j, l) for j in (0, 2, 3, 5) for l in (1, 2)]
+        u0c = np.zeros(d.spectral_shape, dtype=complex)
+        f0 = np.zeros(d.spectral_shape, dtype=complex)
         for j, l in modes:
-            u0c[j, l - 1] = rng.standard_normal() + 1j * rng.standard_normal()
-            f0[j, l - 1] = rng.standard_normal() + 1j * rng.standard_normal()
+            im = 1j if j else 0.0  # the x-mean row of a real field is real
+            u0c[j, l - 1] = rng.standard_normal() + im * rng.standard_normal()
+            f0[j, l - 1] = rng.standard_normal() + im * rng.standard_normal()
 
         def forcing(t):
             return f0 * math.sin(2.5 * t) * math.exp(-0.5 * t)
@@ -197,15 +198,25 @@ class TestDuhamel:
 
     def test_rejects_non_divisible_dt(self, small_domain):
         d = small_domain
-        u0 = SpectralField(np.zeros(d.shape, dtype=complex))
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         with pytest.raises(ValueError, match="divide"):
             duhamel_solve(u0, None, 0.35, 1e-4 * 3, symbol(d))
 
     def test_rejects_non_finite_forcing(self, small_domain):
         d = small_domain
-        u0 = SpectralField(np.zeros(d.shape, dtype=complex))
-        bad = np.full(d.shape, np.nan, dtype=complex)
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
+        bad = np.full(d.spectral_shape, np.nan, dtype=complex)
         with pytest.raises(ValueError, match="finite"):
+            duhamel_solve(u0, lambda t: bad, 0.01, 1e-3, symbol(d))
+
+    def test_rejects_forcing_of_no_real_field(self, small_domain):
+        # an imaginary x-mean row is not the spectrum of a real field; it
+        # must be refused where it enters, not solved silently
+        d = small_domain
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
+        bad = np.zeros(d.spectral_shape, dtype=complex)
+        bad[0, 1] = 1.0j
+        with pytest.raises(ValueError, match="real field"):
             duhamel_solve(u0, lambda t: bad, 0.01, 1e-3, symbol(d))
 
 
@@ -217,7 +228,7 @@ class TestLinearAudits:
         d = plan_domain(L=math.pi, X=2 * math.pi, nx=16, ny=8, delta=0.5)
         S = symbol(d)
         s0 = single_mode(d, 1, 1, amp=1.0)
-        nrm = math.sqrt(d.parseval_weight * np.sum(np.abs(s0.coeffs) ** 2))
+        nrm = math.sqrt(parseval_norm_sq(s0.coeffs, d))
         s0 = SpectralField(s0.coeffs / nrm)
         traj = duhamel_solve(s0, None, 1e-3, 1e-5, S, snapshot_stride=0)
         rep = audit_linear_identity(traj, "mass")
@@ -288,7 +299,7 @@ class TestLinearAudits:
 
     def test_unknown_identity_rejected(self, small_domain):
         d = small_domain
-        u0 = SpectralField(np.zeros(d.shape, dtype=complex))
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, None, 0.01, 1e-3, symbol(d))
         with pytest.raises(ValueError, match="unknown"):
             audit_linear_identity(traj, "momentum")
