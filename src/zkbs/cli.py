@@ -2,8 +2,9 @@
 
 Config files are flat ``key = value`` text (# comments, blank lines
 ignored); every key matches a RunConfig field.  CLI flags override file
-values.  Exit codes: 0 all checks passed, 1 at least one check failed,
-2 blowup, 3 bad configuration.
+values.  load_config checks the whole configuration before any stepping.
+Exit codes: 0 all checks passed, 1 a failed check or a stalled
+contraction, 2 blowup, 3 bad configuration or unusable output directory.
 
 Subcommands:
   linear-verify   propagator and forced-solve checks against closed forms
@@ -43,10 +44,16 @@ from .dynamics import (
     picard_solve,
     simulate,
 )
-from .functionals import NormSpec, audit_identity, decay_fit, threshold_time
+from .functionals import (
+    NONLINEAR_IDENTITIES,
+    NormSpec,
+    audit_identity,
+    decay_fit,
+    threshold_time,
+)
 from .initial_data import make_initial
 from .semigroup import apply_semigroup, audit_linear_identity, duhamel_solve, symbol
-from .trajectory import attach_refinement_order
+from .trajectory import _resolve_steps, attach_refinement_order
 
 __all__ = ["RunConfig", "load_config", "main", "PROFILES"]
 
@@ -68,7 +75,6 @@ class RunConfig:
     dt: float = 1e-3
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
-    dealias: bool = True
     h: float | None = None          # cutoff scale; None = unregularized
     generator: str = "gaussian_bump"
     amplitude: float = 0.5
@@ -95,7 +101,6 @@ class RunConfig:
             dt=self.dt,
             picard_tol=self.picard_tol,
             picard_max_iter=self.picard_max_iter,
-            dealias=self.dealias,
         )
 
     def initial(self, d: DomainConfig) -> GridField:
@@ -113,8 +118,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _parse_value(key: str, raw: str):
@@ -125,13 +128,6 @@ def _parse_value(key: str, raw: str):
     try:
         if key == "h":
             return None if raw.lower() in ("none", "off") else float(raw)
-        if ftype == "bool":
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(raw)
         if ftype == "int":
             return int(raw)
         if ftype == "float":
@@ -142,7 +138,12 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Read a flat key = value file, then apply CLI overrides."""
+    """Read a flat key = value file, apply CLI overrides, then check everything.
+
+    Every check that needs no stepping runs here: finite floats, the
+    geometry, the stepper, the flux, the initial data (by building it),
+    dt dividing t_end and a non-negative snapshot stride.
+    """
     values: dict = {}
     if path is not None:
         p = Path(path)
@@ -161,9 +162,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             values[key] = val
     try:
         cfg = RunConfig(**values)
-        cfg.domain()          # geometry validation
-        cfg.stepper()         # scheme validation
-        RegularizedFlux(h=cfg.h)
+        for key, val in vars(cfg).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
+        if cfg.snapshot_stride < 0:
+            raise ConfigError(f"snapshot_stride must be >= 0, got {cfg.snapshot_stride}")
+        cfg.stepper()
+        cfg.flux()
+        _resolve_steps(cfg.t_end, cfg.dt)
+        cfg.initial(cfg.domain())
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -239,7 +246,10 @@ class Checks:
 
 def _outdir(cfg: RunConfig, override: str | None) -> Path:
     out = Path(override if override is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
     return out
 
 
@@ -329,8 +339,7 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     checks.add("linearity", err <= tol["exactness_abs"], err, tol["exactness_abs"])
 
     # forced solves against a per-mode adaptive oracle
-    worst = 0.0
-    T = 1.0
+    T = cfg.t_end
     active = [(j, l) for j in range(7) for l in range(3)]
     u0c = np.zeros(d.spectral_shape, dtype=complex)
     f0c = np.zeros(d.spectral_shape, dtype=complex)
@@ -343,41 +352,28 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
         f0c[j, l] = b if j else b.real
         theta[j, l] = rng.uniform(0.0, 2.0 * math.pi)
 
+    # forcing F(t) from amplitudes F and per-mode phases th, for the whole
+    # spectrum (duhamel_solve) and for one mode at a time (the oracle)
     shapes = {
-        "constant": lambda t: 1.0,
-        "cubic": lambda t: 0.3 - 1.2 * t + 0.8 * t**3,
-        "smooth": None,  # per-mode phases, handled below
+        "constant": lambda F, t, th: F,
+        "cubic": lambda F, t, th: F * (0.3 - 1.2 * t + 0.8 * t**3),
+        "smooth": lambda F, t, th: F * np.sin(3.0 * t + th) * math.exp(-t),
     }
     for name, shape in shapes.items():
-        if name == "smooth":
-            def forcing(t, F=f0c, th=theta):
-                return F * np.sin(3.0 * t + th) * math.exp(-t)
-        else:
-            def forcing(t, F=f0c, sh=shape):
-                return F * sh(t)
-        traj = duhamel_solve(SpectralField(u0c), forcing, T, cfg.dt, S,
-                             snapshot_stride=0)
+        traj = duhamel_solve(SpectralField(u0c), lambda t, sh=shape: sh(f0c, t, theta),
+                             T, cfg.dt, S, snapshot_stride=0)
         got = traj.snapshots[-1]
         err = 0.0
         ref_scale = 0.0
         for j, l in active:
-            m = S.m[j, l]
-            if name == "smooth":
-                th = theta[j, l]
-                fampl = f0c[j, l]
-                def rhs(t, y, m=m, fa=fampl, th=th):
-                    return m * y + fa * np.sin(3.0 * t + th) * math.exp(-t)
-            else:
-                fampl = f0c[j, l]
-                def rhs(t, y, m=m, fa=fampl, sh=shape):
-                    return m * y + fa * sh(t)
+            def rhs(t, y, m=S.m[j, l], fa=f0c[j, l], th=theta[j, l], sh=shape):
+                return m * y + sh(fa, t, th)
             sol = solve_ivp(rhs, (0.0, T), np.array([u0c[j, l]], dtype=complex),
                             method="DOP853", rtol=1e-12, atol=1e-14)
             ref = sol.y[0, -1]
             err = max(err, abs(got[j, l] - ref))
             ref_scale = max(ref_scale, abs(ref))
         rel = float(err / max(ref_scale, 1e-30))
-        worst = max(worst, rel)
         checks.add(f"duhamel_vs_oracle_{name}", rel <= tol["duhamel_rel"],
                    rel, tol["duhamel_rel"])
 
@@ -393,9 +389,7 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     ok = coarse.max_residual < 1e-13 or (fine.order is not None and 1.5 <= fine.order <= 2.5)
     checks.add("linear_mass_refinement_order", ok, fine.order, (1.5, 2.5))
 
-    report = checks.summary("linear-verify", tol["_name"])
-    zio.write_json(out / "linear_verify.json", report)
-    return (0 if checks.passed else 1), report
+    return (0 if checks.passed else 1), checks.summary("linear-verify", tol["_name"])
 
 
 # ---------------------------------------------------------------- simulate
@@ -405,15 +399,8 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
     checks = Checks()
-    try:
-        traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d,
-                        snapshot_stride=cfg.snapshot_stride, audit_series=False)
-    except ContractionError as exc:
-        print(f"[FAIL] stepper: {exc}")
-        report = {"experiment": "simulate", "passed": False, "error": str(exc)}
-        zio.write_json(out / "summary.json", report)
-        return 1, report
-
+    traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d,
+                    snapshot_stride=cfg.snapshot_stride, audit_series=False)
     zio.write_diagnostics_csv(out / "diagnostics.csv", traj)
     for pos, idx in enumerate(traj.snapshot_indices):
         values = to_grid(SpectralField(traj.snapshots[pos]), d).values
@@ -421,10 +408,8 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
 
     if traj.blowup_time is not None:
         print(f"[FAIL] blowup at t = {traj.blowup_time:.6g}")
-        report = {"experiment": "simulate", "passed": False,
-                  "blowup_time": traj.blowup_time}
-        zio.write_json(out / "summary.json", report)
-        return 2, report
+        return 2, {"experiment": "simulate", "passed": False,
+                   "blowup_time": traj.blowup_time}
 
     jumps = np.diff(traj.l2)
     slack = tol["monotone_slack"] * max(1.0, float(traj.l2[0]))
@@ -434,41 +419,35 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     worst_flux = float(np.max(np.abs(traj.nonlin_flux) / flux_bound))
     checks.add("flux_orthogonality", worst_flux <= 1.0, worst_flux, 1.0)
 
-    report = checks.summary("simulate", tol["_name"], extra={
+    return (0 if checks.passed else 1), checks.summary("simulate", tol["_name"], extra={
         "final_time": float(traj.times[-1]),
         "final_l2": float(traj.l2[-1]),
         "blowup_time": None,
     })
-    zio.write_json(out / "summary.json", report)
-    return (0 if checks.passed else 1), report
 
 
 # ---------------------------------------------------------------- audit
 
 
-def _skip_zero_data(u0: GridField, experiment: str, action: str, path: Path) -> dict | None:
+def _skip_zero_data(u0: GridField, experiment: str, action: str) -> dict | None:
     """Skip report for zero data (nothing to fit; residual ratios are 0/0), else None."""
     if float(np.max(np.abs(u0.values))) != 0.0:
         return None
     print(f"[skip] zero initial data; nothing to {action}")
-    report = {"experiment": experiment, "passed": True, "skipped": "zero initial data"}
-    zio.write_json(path, report)
-    return report
+    return {"experiment": experiment, "passed": True, "skipped": "zero initial data"}
 
 
 def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tuple[int, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
-    skipped = _skip_zero_data(u0, "audit", "audit", out / "audit.json")
+    skipped = _skip_zero_data(u0, "audit", "audit")
     if skipped is not None:
         return 0, skipped
     flux = cfg.flux()
     coarse_traj = simulate(u0, cfg.t_end, cfg.stepper(), flux, d)
     fine_traj = simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=cfg.dt / 2), flux, d)
     if coarse_traj.blowup_time is not None or fine_traj.blowup_time is not None:
-        report = {"experiment": "audit", "passed": False, "blowup": True}
-        zio.write_json(out / "audit.json", report)
-        return 2, report
+        return 2, {"experiment": "audit", "passed": False, "blowup": True}
 
     checks = Checks()
     table = {}
@@ -497,7 +476,6 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tu
                   f"factor {factor:.2f} (report only)")
 
     report = checks.summary("audit", tol["_name"], extra={"identities": table})
-    zio.write_json(out / "audit.json", report)
     return (0 if checks.passed else 1), report
 
 
@@ -507,7 +485,7 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tu
 def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
-    skipped = _skip_zero_data(u0, "decay", "fit", out / "decay.json")
+    skipped = _skip_zero_data(u0, "decay", "fit")
     if skipped is not None:
         return 0, skipped
 
@@ -516,10 +494,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, snapshot_stride=stride,
                     audit_series=False)
     if traj.blowup_time is not None:
-        report = {"experiment": "decay", "passed": False,
-                  "blowup_time": traj.blowup_time}
-        zio.write_json(out / "decay.json", report)
-        return 2, report
+        return 2, {"experiment": "decay", "passed": False, "blowup_time": traj.blowup_time}
 
     with open(out / "decay.csv", "w", newline="") as fh:
         fh.write("t,l2,h1,h2\n")
@@ -533,9 +508,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
                 (0.0, 0.5, 1.0, 1.5, 2.0)}
     except ValueError as exc:
         print(f"[FAIL] decay fit: {exc}")
-        report = {"experiment": "decay", "passed": False, "error": str(exc)}
-        zio.write_json(out / "decay.json", report)
-        return 1, report
+        return 1, {"experiment": "decay", "passed": False, "error": str(exc)}
 
     slope_bound = -rate + tol["decay_slope_tol"]
     checks.add("l2_slope_at_least_poincare", fits[0.0].slope <= slope_bound,
@@ -554,15 +527,13 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     checks.add("h1_lyapunov_monotone_past_threshold", len(thr.violations) == 0,
                {"t1": t1_str, "violations": len(thr.violations)}, 0)
 
-    report = checks.summary("decay", tol["_name"], extra={
+    return (0 if checks.passed else 1), checks.summary("decay", tol["_name"], extra={
         "rate_bound": rate,
         "fits": {f"s={s:g}": {"slope": f.slope, "rms": f.fit_rms,
                               "window": list(f.window), "n": f.n_samples}
                  for s, f in fits.items()},
         "threshold_time": thr.t1,
     })
-    zio.write_json(out / "decay.json", report)
-    return (0 if checks.passed else 1), report
 
 
 # ---------------------------------------------------------------- picard
@@ -610,11 +581,20 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
                    diff, tol["picard_etd2_tol"])
 
     report = checks.summary("picard", tol["_name"], extra={"grid": rows})
-    zio.write_json(out / "picard.json", report)
     return (0 if checks.passed else 1), report
 
 
 # ---------------------------------------------------------------- driver
+
+
+# subcommand -> (its function, the file its JSON report goes to)
+COMMANDS = {
+    "linear-verify": (cmd_linear_verify, "linear_verify.json"),
+    "simulate": (cmd_simulate, "summary.json"),
+    "audit": (cmd_audit, "audit.json"),
+    "decay": (cmd_decay, "decay.json"),
+    "picard": (cmd_picard, "picard.json"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -622,11 +602,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _identities(raw: str) -> list[str]:
+    names = [s.strip() for s in raw.split(",") if s.strip()]
+    if not names or not set(names) <= set(NONLINEAR_IDENTITIES):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated subset of {','.join(NONLINEAR_IDENTITIES)}, "
+            f"got {raw!r}")
+    return names
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zkbs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("linear-verify", "simulate", "audit", "decay", "picard"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -639,8 +628,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--tolerance-profile", choices=sorted(PROFILES),
                        default="default")
         if name == "audit":
-            p.add_argument("--identities",
-                           default="mass_3_3,h1_3_15,combined_3_23,h2_3_29")
+            p.add_argument("--identities", type=_identities,
+                           default=",".join(NONLINEAR_IDENTITIES))
     return parser
 
 
@@ -656,21 +645,16 @@ def main(argv=None) -> int:
         if args.h is not None:
             overrides["h"] = _parse_value("h", args.h)
         cfg = load_config(args.config, overrides)
-        tol = dict(PROFILES[args.tolerance_profile])
-        tol["_name"] = args.tolerance_profile
+        tol = dict(PROFILES[args.tolerance_profile], _name=args.tolerance_profile)
         out = _outdir(cfg, args.out)
-
-        if args.command == "linear-verify":
-            code, _ = cmd_linear_verify(cfg, tol, out)
-        elif args.command == "simulate":
-            code, _ = cmd_simulate(cfg, tol, out)
-        elif args.command == "audit":
-            identities = [s.strip() for s in args.identities.split(",") if s.strip()]
-            code, _ = cmd_audit(cfg, tol, out, identities)
-        elif args.command == "decay":
-            code, _ = cmd_decay(cfg, tol, out)
-        else:
-            code, _ = cmd_picard(cfg, tol, out)
+        run, report_file = COMMANDS[args.command]
+        extra = {"identities": args.identities} if args.command == "audit" else {}
+        try:
+            code, report = run(cfg, tol, out, **extra)
+        except ContractionError as exc:
+            print(f"[FAIL] stepper: {exc}")
+            code, report = 1, {"experiment": args.command, "passed": False, "error": str(exc)}
+        zio.write_json(out / report_file, report)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -678,9 +662,6 @@ def main(argv=None) -> int:
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ functions here are pure: they read DomainConfig and return new fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,10 +150,10 @@ def plan_domain(L: float, X: float, nx: int, ny: int, delta: float) -> DomainCon
         ny: interior y collocation points, >= 4.
         delta: dissipation coefficient, > 0.
     """
-    if not (L > 0 and X > 0):
-        raise ValueError("L and X must be positive")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (L > 0 and X > 0 and math.isfinite(L) and math.isfinite(X)):
+        raise ValueError("L and X must be positive and finite")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be positive and finite")
     if nx < 8 or nx % 2 != 0:
         raise ValueError("nx must be even and >= 8")
     if ny < 4:

@@ -2,9 +2,9 @@
 
 The nonlinear term of u_t + u_xxx + u_xyy + u u_x - delta (u_xx + u_yy) = 0
 is treated pseudospectrally as -d/dx g_h(u): transform to the grid, apply
-the flux pointwise, transform back, multiply by -i xi, and (by default)
-zero the upper third of both mode ranges so quadratic products cannot
-alias onto retained modes.
+the flux pointwise, transform back, multiply by -i xi, and zero the upper
+third of both mode ranges so quadratic products cannot alias onto
+retained modes.
 
 g_h is the regularized flux
 
@@ -225,14 +225,13 @@ class StepperConfig:
     dt: float = 1e-3
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
-    dealias: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("etd2", "picard"):
             raise ValueError("scheme must be 'etd2' or 'picard'")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.picard_tol <= 0 or self.picard_max_iter < 1:
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.picard_tol > 0) or self.picard_max_iter < 1:
             raise ValueError("picard_tol must be > 0 and picard_max_iter >= 1")
 
 
@@ -249,38 +248,29 @@ class PicardDiagnostics:
 
 
 def _nonlinear_core(coeffs: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
-                    mask: np.ndarray | None, t: float = 0.0):
+                    mask: np.ndarray, t: float = 0.0):
     """Shared pseudospectral evaluation; returns (grid values, g_h values, N)."""
     vals = to_grid(SpectralField(coeffs), d).values
     g = flux(vals)
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
     ghat = to_spectral(GridField(g), d).coeffs
-    return vals, g, _dealiased(-1j * d.xi_odd[:, None] * ghat, mask)
+    return vals, g, np.where(mask, -1j * d.xi_odd[:, None] * ghat, 0.0)
 
 
-def _mask(cfg: StepperConfig, d: DomainConfig) -> np.ndarray | None:
-    return dealias_mask(d) if cfg.dealias else None
-
-
-def _dealiased(coeffs: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return coeffs if mask is None else np.where(mask, coeffs, 0.0)
-
-
-def nonlinear_term(u: SpectralField, flux: RegularizedFlux, cfg: StepperConfig,
-                   d: DomainConfig) -> SpectralField:
-    """-d/dx g_h(u) evaluated pseudospectrally (dealiased per cfg)."""
-    _, _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d, _mask(cfg, d))
+def nonlinear_term(u: SpectralField, flux: RegularizedFlux, d: DomainConfig) -> SpectralField:
+    """-d/dx g_h(u) evaluated pseudospectrally and dealiased."""
+    _, _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d, dealias_mask(d))
     return SpectralField(n)
 
 
 class _ETD2Tables(NamedTuple):
-    """exp(m dt), dt phi_1(m dt), dt phi_2(m dt) and the dealias mask (or None)."""
+    """exp(m dt), dt phi_1(m dt), dt phi_2(m dt) and the dealias mask."""
 
     E: np.ndarray
     hp1: np.ndarray
     hp2: np.ndarray
-    mask: np.ndarray | None
+    mask: np.ndarray
 
     def predict(self, u: np.ndarray, n0: np.ndarray) -> np.ndarray:
         """Exponential Euler: E u + dt phi_1 n0."""
@@ -291,9 +281,9 @@ class _ETD2Tables(NamedTuple):
         return a + self.hp2 * (n1 - n0)
 
 
-def _etd2_tables(S: SymbolTable, dt: float, cfg: StepperConfig) -> _ETD2Tables:
+def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
     z = S.m * dt
-    return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z), _mask(cfg, S.domain))
+    return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z), dealias_mask(S.domain))
 
 
 def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
@@ -327,7 +317,7 @@ def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
               S: SymbolTable) -> SpectralField:
     """One exponential predictor-corrector step of size cfg.dt."""
     d = S.domain
-    tab = _etd2_tables(S, cfg.dt, cfg)
+    tab = _etd2_tables(S, cfg.dt)
     u0 = np.asarray(u.coeffs, dtype=complex)
     _, _, n0 = _nonlinear_core(u0, flux, d, tab.mask)
     u1, _ = _advance(u0, n0, tab, "etd2", cfg, flux, d, t=0.0)
@@ -353,9 +343,9 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     d = S.domain
     n = max(1, round(t0 / cfg.dt))
     dt = t0 / n
-    tab = _etd2_tables(S, dt, cfg)
+    tab = _etd2_tables(S, dt)
 
-    base = _dealiased(np.asarray(u0.coeffs, dtype=complex), tab.mask)
+    base = np.where(tab.mask, np.asarray(u0.coeffs, dtype=complex), 0.0)
 
     # sweep 0: pure semigroup transport of the data
     v = np.empty((n + 1,) + d.spectral_shape, dtype=complex)
@@ -439,10 +429,10 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                     boundary_series=("cube",) if audit_series else (),
                     interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
                                      if audit_series else ()))
-    tab = _etd2_tables(symbol(d), dt, cfg)
+    tab = _etd2_tables(symbol(d), dt)
     lap = -rec.mults.d1  # spectral Laplacian multiplier
 
-    u = _dealiased(to_spectral(u0, d).coeffs, tab.mask)
+    u = np.where(tab.mask, to_spectral(u0, d).coeffs, 0.0)
 
     blowup_time = None
     rows = 0  # boundaries whose series are complete

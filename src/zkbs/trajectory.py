@@ -17,7 +17,7 @@ through the one private _Recorder below.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
@@ -111,10 +111,12 @@ def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyR
 
 def _resolve_steps(T: float, dt: float) -> int:
     """Number of steps of size dt in [0, T]; dt must divide T."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    if not (dt > 0 and isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if not (T > 0 and isfinite(T)):
+        raise ValueError("final time must be positive and finite")
+    if not T / dt < 2**53:
+        raise ValueError("final time / dt must be below 2**53 steps")
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide the final time")

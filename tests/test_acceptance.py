@@ -38,6 +38,7 @@ from zkbs import (
     write_diagnostics_csv,
 )
 from zkbs.calibration import FROZEN
+from zkbs.cli import _closed_form_grid as closed_form, _mode_coeffs as mode_coeffs
 
 T_END = 2.0
 DT = 1e-3
@@ -48,26 +49,6 @@ def report(num, label, ok, detail):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num:02d} {label}: {detail}")
     assert ok, f"criterion {num} {label}: {detail}"
-
-
-def mode_coeffs(d, parts):
-    """Exact amplitudes of sum_i amp cos(xi_j x + theta) sin(pi l y / L)."""
-    c = np.zeros(d.spectral_shape, dtype=complex)
-    for j, l, amp, theta in parts:
-        if j == 0:
-            c[0, l - 1] += amp * math.cos(theta)
-        else:
-            c[j, l - 1] += 0.5 * amp * np.exp(1j * theta)
-    return c
-
-
-def closed_form(d, j, l, amp, theta, t):
-    xi = math.pi * j / d.X
-    lam = (math.pi * l / d.L) ** 2
-    decay = math.exp(-d.delta * (xi**2 + lam) * t)
-    drift = (xi**3 + xi * lam) * t
-    xpart = np.cos(xi * d.x + theta + drift)
-    return amp * decay * np.outer(xpart, np.sin(math.pi * l * d.y / d.L))
 
 
 @pytest.fixture(scope="module")

@@ -26,6 +26,9 @@ sigma_x = 2.0
 t_end = 0.05
 """
 
+# the per-step fixed point stalls at the first step
+STALLED = "scheme = picard\npicard_max_iter = 1\namplitude = 3\n"
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -56,10 +59,13 @@ class TestConfigParsing:
         assert load_config(write_cfg(tmp_path, "h = off", "b.cfg")).h is None
         assert load_config(write_cfg(tmp_path, "h = 0.5", "c.cfg")).h == 0.5
 
-    def test_bool_parsing(self, tmp_path):
-        assert load_config(write_cfg(tmp_path, "dealias = false")).dealias is False
-        with pytest.raises(ConfigError, match="bad value"):
-            load_config(write_cfg(tmp_path, "dealias = maybe", "b.cfg"))
+    def test_dealias_is_an_unknown_key(self, tmp_path):
+        # products are always dealiased; an old config that turns it off fails loudly
+        cfg = write_cfg(tmp_path, SMALL + "dealias = false\n")
+        with pytest.raises(ConfigError, match="unknown config key 'dealias'"):
+            load_config(cfg)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -123,6 +129,29 @@ class TestExitCodes:
     def test_bad_h_override_is_3(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
         assert main(["simulate", "--config", cfg, "--h", "2.5"]) == 3
+
+    @pytest.mark.parametrize("command,report", [
+        ("simulate", "summary.json"), ("audit", "audit.json"), ("decay", "decay.json")])
+    def test_stalled_contraction_is_1_with_a_report(self, tmp_path, capsys, command, report):
+        cfg = write_cfg(tmp_path, SMALL + STALLED)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("[FAIL] stepper: contraction failed")
+        summary = json.loads((tmp_path / "o" / report).read_text())
+        assert summary["experiment"] == command and summary["passed"] is False
+        assert summary["error"] in out
+
+    @pytest.mark.parametrize("identities", ["foo", "mass_3_3,foo"])
+    def test_unknown_identity_is_rejected_before_stepping(self, tmp_path, monkeypatch,
+                                                          identities):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("simulate ran before the identities were checked")
+
+        monkeypatch.setattr(zkbs.cli, "simulate", no_stepping)
+        cfg = write_cfg(tmp_path, SMALL)
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--identities", identities]) == 3
 
 
 class TestSimulateOutputs:
@@ -235,6 +264,44 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "[ok]" in proc.stdout
+
+
+# command, config lines, extra flags, exit code, text its one line must name;
+# {file} is a regular file, so a directory cannot be made under it
+ROBUSTNESS = [
+    pytest.param("simulate", STALLED, [], 1, "contraction failed", id="stalled-simulate"),
+    pytest.param("audit", STALLED, [], 1, "contraction failed", id="stalled-audit"),
+    pytest.param("decay", STALLED, [], 1, "contraction failed", id="stalled-decay"),
+    pytest.param("simulate", "", ["--out", "{file}/x"], 3, "{file}/x", id="out-unusable"),
+    pytest.param("audit", "", ["--identities", "foo"], 3, "'foo'", id="identities-unknown"),
+    pytest.param("audit", "", ["--identities", ""], 3, "--identities", id="identities-empty"),
+    pytest.param("simulate", "t_end = inf\n", [], 3, "t_end", id="t_end-inf"),
+    pytest.param("simulate", "", ["--t-end", "inf"], 3, "t_end", id="t_end-inf-flag"),
+    pytest.param("simulate", "dt = nan\n", [], 3, "dt", id="dt-nan"),
+    pytest.param("simulate", "t_end = 1e300\ndt = 1e-10\n", [], 3, "2**53",
+                 id="steps-overflow"),
+    pytest.param("simulate", "delta = nan\n", [], 3, "delta", id="delta-nan"),
+    pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
+                 id="snapshot_stride-negative"),
+    pytest.param("simulate", "dealias = false\n", [], 3, "dealias", id="dealias-removed"),
+]
+
+
+@pytest.mark.parametrize("command,lines,flags,code,named", ROBUSTNESS)
+def test_bad_input_exits_with_its_code_and_one_line(tmp_path, command, lines, flags,
+                                                    code, named):
+    (tmp_path / "file").write_text("")
+    fill = str(tmp_path / "file")
+    argv = [command, "--config", write_cfg(tmp_path, SMALL + lines),
+            "--out", str(tmp_path / "o"), *(f.replace("{file}", fill) for f in flags)]
+    proc = subprocess.run([sys.executable, "-m", "zkbs", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    reasons = proc.stderr.splitlines() + [
+        line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert len(reasons) == 1, reasons
+    assert named.replace("{file}", fill) in reasons[0]
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

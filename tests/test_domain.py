@@ -47,6 +47,8 @@ class TestPlanDomain:
         (dict(L=1.0, X=1.0, nx=7, ny=4, delta=0.5), "even"),
         (dict(L=1.0, X=1.0, nx=8, ny=3, delta=0.5), "ny"),
         (dict(L=1.0, X=1.0, nx=8, ny=4, delta=0.0), "delta"),
+        (dict(L=1.0, X=1.0, nx=8, ny=4, delta=math.nan), "delta"),
+        (dict(L=math.inf, X=1.0, nx=8, ny=4, delta=0.5), "finite"),
     ])
     def test_rejects_bad_geometry(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):

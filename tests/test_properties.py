@@ -14,7 +14,6 @@ from zkbs import (
     GridField,
     RegularizedFlux,
     SpectralField,
-    StepperConfig,
     dealias_mask,
     grid_quadrature,
     mode_inner,
@@ -84,6 +83,6 @@ def test_hermitian_amplitudes_synthesize_a_real_field(d, seed, scale):
 def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
     c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
     c = np.where(dealias_mask(d), c, 0.0)
-    n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), StepperConfig(), d)
+    n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), d)
     size = parseval_norm_sq(c, d) ** 1.5
     assert abs(mode_inner(c, n.coeffs, d)) <= 1e-12 * size
