@@ -415,7 +415,8 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     slack = tol["monotone_slack"] * max(1.0, float(traj.l2[0]))
     checks.add("l2_monotone_decay", bool(np.all(jumps <= slack)),
                float(np.max(jumps, initial=0.0)), slack)
-    flux_bound = tol["flux_rel"] * np.maximum(1.0, traj.l2**3)
+    with np.errstate(over="ignore"):  # an infinite bound passes, as it should
+        flux_bound = tol["flux_rel"] * np.maximum(1.0, traj.l2**3)
     worst_flux = float(np.max(np.abs(traj.nonlin_flux) / flux_bound))
     checks.add("flux_orthogonality", worst_flux <= 1.0, worst_flux, 1.0)
 

@@ -25,6 +25,12 @@ every stored integrand of interest vanishes on the walls.
 
 Transforms are a real FFT in x and an unnormalized type-I DST in y.  All
 functions here are pure: they read DomainConfig and return new fields.
+The public to_grid/to_spectral are the general, checked path.  The
+nonlinear step uses the private _band_to_grid/_band_to_spectral pair
+instead: it reads and writes only the 2/3-rule band, and does the y
+transform as a product with the cached kept-band sine block rather than a
+DST.  That is faster at the desk size 256 x 64 and slower on tall grids,
+where the product's O(ny^2) per row outweighs the DST's O(ny log ny).
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class DomainConfig:
     phase: np.ndarray = field(repr=False, default=None)     # (nx/2 + 1,) (-1)^j
     parseval_weight: np.ndarray = field(repr=False, default=None)  # (nx/2 + 1,) w_j
     _cos_mat: np.ndarray = field(repr=False, default=None)
+    _sin_band: np.ndarray = field(repr=False, default=None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,6 +115,20 @@ class DomainConfig:
             l = np.arange(1, self.ny + 1)
             self._cos_mat = np.cos(np.pi * np.outer(k, l) / n1)
         return self._cos_mat
+
+    def sine_band(self) -> np.ndarray:
+        # sin(pi l y_k / L) for grid rows k = 1 .. ny and kept sine indices
+        # l = 1 .. ky, shape (ny, ky); built lazily, in place, for the band
+        # transforms.  k l is first reduced modulo its period 2 (ny + 1)
+        # (exactly: both are integers), which keeps the argument below 2 pi
+        # and the entries accurate on tall grids.
+        if self._sin_band is None:
+            n1 = self.ny + 1
+            arg = np.outer(np.arange(1.0, n1), np.arange(1.0, _kept_band(self)[1] + 1))
+            np.fmod(arg, 2 * n1, out=arg)
+            arg *= np.pi / n1
+            self._sin_band = np.sin(arg, out=arg)
+        return self._sin_band
 
 
 @dataclass(eq=False)
@@ -252,18 +273,54 @@ def derivative(s: SpectralField, axis: str, order: int, d: DomainConfig) -> Grid
     raise ValueError("axis must be 'x' or 'y'")
 
 
-def dealias_mask(d: DomainConfig) -> np.ndarray:
-    """Boolean keep-mask implementing the 2/3 rule on both axes.
+def _kept_band(d: DomainConfig) -> tuple[int, int]:
+    """(kx, ky): the 2/3 rule keeps x rows j < kx and sine indices l <= ky.
 
     Kept x rows satisfy 3j < nx (j = 0 .. nx/2), kept sine indices satisfy
     3l < 2(ny + 1); quadratic products of kept modes then alias neither
-    onto kept modes nor onto the x mean.
+    onto kept modes nor onto the x mean.  kx < nx/2, so the Nyquist row is
+    never kept.
     """
-    kx = (d.nx - 1) // 3
-    kyl = (2 * (d.ny + 1) - 1) // 3
-    keep_x = np.arange(d.nx // 2 + 1) <= kx
-    keep_y = np.arange(1, d.ny + 1) <= kyl
-    return np.logical_and(keep_x[:, None], keep_y[None, :])
+    return (d.nx - 1) // 3 + 1, (2 * d.ny + 1) // 3
+
+
+def dealias_mask(d: DomainConfig) -> np.ndarray:
+    """Boolean keep-mask implementing the 2/3 rule on both axes (_kept_band)."""
+    kx, ky = _kept_band(d)
+    mask = np.zeros(d.spectral_shape, dtype=bool)
+    mask[:kx, :ky] = True
+    return mask
+
+
+# Both band products below keep OpenBLAS (0.3.31) on one thread at the
+# desk size 256 x 64: it runs a C-ordered matrix times a transposed
+# (F-ordered) one on two threads, whose idle spinning then costs a second
+# core per step.  So the x synthesis is laid out transposed, and sine_band
+# is stored grid-major, (ny, ky), where the analysis multiplies by it directly.
+
+def _band_to_grid(coeffs: np.ndarray, d: DomainConfig) -> np.ndarray:
+    """to_grid of the dealiased part of coeffs, unchecked, as a raw array.
+
+    Reads only the kept band: an inverse real FFT of coeffs[:kx, :ky] in x,
+    then a product with the cached sine block in y.
+    """
+    kx, ky = _kept_band(d)
+    band = coeffs[:kx, :ky] * (d.phase[:kx, None] * d.nx)
+    csin = _sfft.irfft(band.T, n=d.nx, axis=1).T  # (nx, ky), F-ordered
+    return csin @ d.sine_band().T
+
+
+def _band_to_spectral(values: np.ndarray, d: DomainConfig) -> np.ndarray:
+    """to_spectral of grid values followed by the dealias mask, unchecked.
+
+    A product with the cached sine block in y, then a real FFT in x that
+    keeps rows j < kx; every mode outside the kept band is zero.
+    """
+    kx, ky = _kept_band(d)
+    rows = _sfft.rfft(values @ d.sine_band(), axis=0)[:kx]
+    out = np.zeros(d.spectral_shape, dtype=complex)
+    out[:kx, :ky] = rows * (d.phase[:kx, None] * (2.0 / ((d.ny + 1) * d.nx)))
+    return out
 
 
 def parseval_norm_sq(coeffs: np.ndarray, d: DomainConfig) -> float:

@@ -44,10 +44,12 @@ from .domain import (
     DomainConfig,
     GridField,
     SpectralField,
+    _band_to_grid,
+    _band_to_spectral,
     dealias_mask,
     grid_quadrature,
+    mode_inner,
     parseval_norm_sq,
-    to_grid,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
@@ -248,19 +250,21 @@ class PicardDiagnostics:
 
 
 def _nonlinear_core(coeffs: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
-                    mask: np.ndarray, t: float = 0.0):
-    """Shared pseudospectral evaluation; returns (grid values, g_h values, N)."""
-    vals = to_grid(SpectralField(coeffs), d).values
-    g = flux(vals)
+                    t: float = 0.0):
+    """(grid values, N) of the dealiased part of coeffs, by the band transforms."""
+    # the finiteness test on g is the evaluation's one guard; it raises
+    # BlowupError on any overflow before it, so the overflow stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _band_to_grid(coeffs, d)
+        g = flux(vals)
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
-    ghat = to_spectral(GridField(g), d).coeffs
-    return vals, g, np.where(mask, -1j * d.xi_odd[:, None] * ghat, 0.0)
+    return vals, -1j * d.xi_odd[:, None] * _band_to_spectral(g, d)
 
 
 def nonlinear_term(u: SpectralField, flux: RegularizedFlux, d: DomainConfig) -> SpectralField:
-    """-d/dx g_h(u) evaluated pseudospectrally and dealiased."""
-    _, _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d, dealias_mask(d))
+    """-d/dx g_h of the dealiased part of u, evaluated pseudospectrally and dealiased."""
+    _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d)
     return SpectralField(n)
 
 
@@ -297,7 +301,7 @@ def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
     a = tab.predict(u, n0)
     u_next, iters = a, 0
     while True:
-        _, _, n1 = _nonlinear_core(u_next, flux, d, tab.mask, t=t)
+        _, n1 = _nonlinear_core(u_next, flux, d, t=t)
         cand = tab.correct(a, n0, n1)
         iters += 1
         if scheme == "etd2":
@@ -315,11 +319,11 @@ def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
 
 def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
               S: SymbolTable) -> SpectralField:
-    """One exponential predictor-corrector step of size cfg.dt."""
+    """One exponential predictor-corrector step of size cfg.dt from the dealiased part of u."""
     d = S.domain
     tab = _etd2_tables(S, cfg.dt)
-    u0 = np.asarray(u.coeffs, dtype=complex)
-    _, _, n0 = _nonlinear_core(u0, flux, d, tab.mask)
+    u0 = np.where(tab.mask, np.asarray(u.coeffs, dtype=complex), 0.0)
+    _, n0 = _nonlinear_core(u0, flux, d)
     u1, _ = _advance(u0, n0, tab, "etd2", cfg, flux, d, t=0.0)
     return SpectralField(u1)
 
@@ -355,12 +359,12 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
 
     # every iterate starts from base, so N(v[0]) is the same in every sweep
     nl = np.empty_like(v)
-    _, _, nl[0] = _nonlinear_core(base, flux, d, tab.mask)
+    _, nl[0] = _nonlinear_core(base, flux, d)
     diffs: list[float] = []
     converged = False
     for _ in range(cfg.picard_max_iter):
         for i in range(1, n + 1):
-            _, _, nl[i] = _nonlinear_core(v[i], flux, d, tab.mask, t=i * dt)
+            _, nl[i] = _nonlinear_core(v[i], flux, d, t=i * dt)
         w = np.empty_like(v)
         w[0] = base
         for i in range(n):
@@ -389,13 +393,14 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     return SpectralField(v[n]), diag
 
 
-def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, g: np.ndarray,
+def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, n: np.ndarray,
                   d: DomainConfig, cube: bool) -> dict:
-    """Boundary series of simulate: integral g_h(u) u_x, and integral u^3 if cube."""
-    ux = to_grid(SpectralField(1j * d.xi_odd[:, None] * coeffs), d).values
-    out = {"nonlin_flux": grid_quadrature(g * ux, d)}
-    if cube:
-        out["cube"] = grid_quadrature(vals**3, d)
+    """Boundary series of simulate: integral g_h(u) u_x as the pairing of u with n = N(u),
+    exact by discrete Parseval for dealiased u and every h, and integral u^3 if cube."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard or the checks report inf
+        out = {"nonlin_flux": mode_inner(coeffs, n, d)}
+        if cube:
+            out["cube"] = grid_quadrature(vals**3, d)
     return out
 
 
@@ -412,7 +417,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     that only the energy audits read: integral u^3 per boundary and, on
     the averaged state (midpoint rule), the nonlinear work mid_rhs_h1,
     mid_rhs_h2 and integral u^2 (u_xx + u_yy), at the cost of a third
-    nonlinear evaluation and two more transforms per step.  With
+    nonlinear evaluation and one more band synthesis per step.  With
     audit_series=False those four Trajectory fields are None and every
     other field is bit-identical.  Snapshots are stored every
     snapshot_stride steps (0 keeps only the endpoints).
@@ -431,6 +436,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                                      if audit_series else ()))
     tab = _etd2_tables(symbol(d), dt)
     lap = -rec.mults.d1  # spectral Laplacian multiplier
+    rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
 
     u = np.where(tab.mask, to_spectral(u0, d).coeffs, 0.0)
 
@@ -441,8 +447,8 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
         if not math.isfinite(rec.cols["l2"][0]):
             raise BlowupError("non-finite initial L2 norm", 0.0)
         guard = guard_factor * rec.cols["l2"][0]
-        vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=0.0)
-        rec.put(0, **_flux_moments(u, vals, g, d, audit_series))
+        vals, n0 = _nonlinear_core(u, flux, d, t=0.0)
+        rec.put(0, **_flux_moments(u, vals, n0, d, audit_series))
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
@@ -454,19 +460,18 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
             uavg = 0.5 * (u + u_next)
             if audit_series:
-                vals_avg, _, n_avg = _nonlinear_core(uavg, flux, d, tab.mask, t=t + 0.5 * dt)
+                vals_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt)
                 pair = (np.conj(uavg) * n_avg).real
-                lap_avg = to_grid(SpectralField(lap * uavg), d).values
-                rec.interval(i, uavg,
-                             mid_rhs_h1=2.0 * float(np.sum(rec.weights["diss_l2"] * pair)),
-                             mid_rhs_h2=2.0 * float(np.sum(rec.weights["e2_mixed"] * pair)),
+                rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ pair.ravel())
+                lap_avg = _band_to_grid(lap * uavg, d)
+                rec.interval(i, uavg, mid_rhs_h1=rhs_h1, mid_rhs_h2=rhs_h2,
                              mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
             else:
                 rec.interval(i, uavg)
 
             u = u_next
-            vals, g, n0 = _nonlinear_core(u, flux, d, tab.mask, t=rec.times[i + 1])
-            rec.put(i + 1, **_flux_moments(u, vals, g, d, audit_series))
+            vals, n0 = _nonlinear_core(u, flux, d, t=rec.times[i + 1])
+            rec.put(i + 1, **_flux_moments(u, vals, n0, d, audit_series))
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t

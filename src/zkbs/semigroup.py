@@ -113,7 +113,7 @@ def duhamel_solve(
         u0: initial amplitudes.
         forcing: None, or a callable t -> complex (nx/2 + 1, ny) array of
             forcing amplitudes, the half spectrum of a real field; it is
-            sampled at step endpoints and midpoints.
+            sampled once at each step boundary and each step midpoint.
         T: final time; dt must divide it.
         dt: step size.
         S: symbol table (carries the domain).
@@ -141,17 +141,15 @@ def duhamel_solve(
 
     u = np.array(u0.coeffs, dtype=complex)
     rec.boundary(0, u)
+    # each boundary is sampled once: a step's right end is the next one's left end
+    f_right = None if forcing is None else sample(rec.times[0])
     for i in range(rec.n_steps):
-        t = rec.times[i]
         if forcing is None:
             u_next = E * u
         else:
-            u_next = (
-                E * u
-                + w_left * sample(t)
-                + w_mid * sample(t + 0.5 * dt)
-                + w_right * sample(t + dt)
-            )
+            f_left, f_mid, f_right = (f_right, sample(rec.times[i] + 0.5 * dt),
+                                      sample(rec.times[i + 1]))
+            u_next = E * u + w_left * f_left + w_mid * f_mid + w_right * f_right
         rec.interval(i, 0.5 * (u + u_next))
         u = u_next
         rec.boundary(i + 1, u)

@@ -16,8 +16,9 @@ through the one private _Recorder below.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
-from math import isfinite, log, sqrt
+from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -120,7 +121,20 @@ def _resolve_steps(T: float, dt: float) -> int:
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide the final time")
+    # a _Recorder keeps at most 16 float64 series, 10 per boundary and 6 per step
+    need = 16 * 8 * (n + 1)
+    if need > _memory_bytes():
+        raise ValueError(f"{n} steps cannot be recorded: their series need "
+                         f"{need / 2**30:.3g} GiB, more than the machine's memory")
     return n
+
+
+def _memory_bytes() -> float:
+    """Physical memory of the machine, or inf where the OS does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return inf
 
 
 class _Recorder:
@@ -141,12 +155,15 @@ class _Recorder:
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
         self.mults = m = mode_multipliers(d)
-        W = d.parseval_weight[:, None]
+        W = d.parseval_weight[:, None] * np.ones(d.spectral_shape)
         wh1 = 1.0 + m.d1
-        self.weights = {"l2": W, "h1": W * wh1, "h2": W * wh1**2, "diss_l2": W * m.d1,
-                        "diss_h1": W * m.d2, "e2_mixed": W * m.e2}
-        self.mid_weights = {"mid_diss0": W * m.d1, "mid_diss1": W * m.d2,
-                            "mid_diss2": W * m.d3}
+        # (series, modes) matrices, so that each record makes one contraction
+        self.stacked = np.stack([W, W * wh1, W * wh1**2, W * m.d1, W * m.d2,
+                                 W * m.e2]).reshape(6, -1)
+        self.mid_stacked = np.stack([W * m.d1, W * m.d2, W * m.d3]).reshape(3, -1)
+        self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed"),
+                                self.stacked))
+        self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
         self.cols = {name: np.zeros(n + 1) for name in
                      (*self.weights, "nonlin_flux", *boundary_series)}
         self.cols["step_iters"] = np.zeros(n + 1, dtype=int)
@@ -157,11 +174,9 @@ class _Recorder:
         # past the trust region |coeffs|^2 may overflow; the caller tests
         # the non-finite norm, so the overflow itself stays silent
         with np.errstate(over="ignore"):
-            a2 = np.abs(coeffs) ** 2
-            for name, w in self.weights.items():
-                self.cols[name][i] = float(np.sum(w * a2))
-        for name in ("l2", "h1", "h2"):
-            self.cols[name][i] = sqrt(self.cols[name][i])
+            sums = self.stacked @ (coeffs.real**2 + coeffs.imag**2).ravel()
+        for name, value in zip(self.weights, sums):
+            self.cols[name][i] = sqrt(value) if name in ("l2", "h1", "h2") else value
         self.put(i, **values)
         if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
             self.snapshot_indices.append(i)
@@ -172,10 +187,8 @@ class _Recorder:
             self.cols[name][i] = value
 
     def interval(self, i: int, uavg: np.ndarray, **values) -> None:
-        aavg = np.abs(uavg) ** 2
-        for name, w in self.mid_weights.items():
-            self.mid[name][i] = float(np.sum(w * aavg))
-        for name, value in values.items():
+        sums = self.mid_stacked @ (uavg.real**2 + uavg.imag**2).ravel()
+        for name, value in (*zip(self.mid_weights, sums), *values.items()):
             self.mid[name][i] = value
 
     def trajectory(self, scheme: str, rows: int,

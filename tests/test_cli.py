@@ -280,6 +280,10 @@ ROBUSTNESS = [
     pytest.param("simulate", "dt = nan\n", [], 3, "dt", id="dt-nan"),
     pytest.param("simulate", "t_end = 1e300\ndt = 1e-10\n", [], 3, "2**53",
                  id="steps-overflow"),
+    pytest.param("simulate", "t_end = 1e3\ndt = 1e-10\n", [], 3, "10000000000000 steps",
+                 id="steps-unrecordable"),
+    pytest.param("simulate", "generator = traveling_mode\namplitude = 1e120\n", [], 2,
+                 "blowup", id="first-step-blowup"),
     pytest.param("simulate", "delta = nan\n", [], 3, "delta", id="delta-nan"),
     pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
                  id="snapshot_stride-negative"),
@@ -302,6 +306,17 @@ def test_bad_input_exits_with_its_code_and_one_line(tmp_path, command, lines, fl
         line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
     assert len(reasons) == 1, reasons
     assert named.replace("{file}", fill) in reasons[0]
+
+
+def test_overflowing_flux_bound_passes_silently(tmp_path):
+    # x-independent data do no flux work, so the run survives although
+    # its flux bound, a multiple of l2**3, overflows to inf
+    argv = ["simulate", "--config", write_cfg(tmp_path, SMALL + (
+        "generator = eigenmode\namplitude = 1e120\n")), "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", "zkbs", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stderr == ""
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -20,6 +20,7 @@ from zkbs import (
     etd2_step,
     g_h,
     gaussian_bump,
+    grid_quadrature,
     mixed_derivative,
     nonlinear_term,
     parseval_norm_sq,
@@ -32,6 +33,8 @@ from zkbs import (
     to_spectral,
 )
 from zkbs.cli import PROFILES
+import zkbs.domain
+import zkbs.dynamics
 from zkbs.trajectory import Trajectory
 from zkbs.dynamics import _advance, _etd2_tables
 
@@ -246,6 +249,50 @@ class TestEtd2:
         e2 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
         # with errors ~ C dt^2, the (4dt vs dt)/(2dt vs dt) gap ratio is 5
         assert 4.0 <= e1 / e2 <= 6.5
+
+
+class TestBandKernel:
+    """The step's kept-band transforms and the flux work they make free."""
+
+    @pytest.mark.parametrize("h", [None, 1.0, 0.5])
+    def test_flux_work_pairing_matches_the_grid_sum(self, medium_domain, h):
+        # oracle: integral g_h(u) u_x summed on the grid from public transforms
+        d = medium_domain
+        flux = RegularizedFlux(h=h)
+        traj = simulate(random_band(d, 11, amplitude=8.0), 0.005, StepperConfig(dt=1e-3),
+                        flux, d, snapshot_stride=1, audit_series=False)
+        assert traj.blowup_time is None
+        for i, c in enumerate(traj.snapshots):
+            s = SpectralField(c)
+            g = flux(to_grid(s, d).values)
+            want = grid_quadrature(g * mixed_derivative(s, 1, 0, d).values, d)
+            bound = 1e-12 * max(1.0, traj.l2[i] ** 3)
+            assert abs(traj.nonlin_flux[i] - want) <= bound
+
+    def test_norms_only_step_makes_four_band_transforms(self, small_domain, monkeypatch):
+        calls = {"synthesis": 0, "analysis": 0, "public": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(zkbs.dynamics, "_band_to_grid",
+                            counted("synthesis", zkbs.dynamics._band_to_grid))
+        monkeypatch.setattr(zkbs.dynamics, "_band_to_spectral",
+                            counted("analysis", zkbs.dynamics._band_to_spectral))
+        for module in (zkbs.domain, zkbs.dynamics):
+            for name in ("to_grid", "to_spectral"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted("public", getattr(module, name)))
+        d = small_domain
+        n = 5
+        traj = simulate(gaussian_bump(d), n * 1e-3, StepperConfig(dt=1e-3),
+                        RegularizedFlux(h=None), d, audit_series=False)
+        assert traj.n_steps == n
+        # N(u0) before the loop, then a corrector and the new boundary's N per step
+        assert calls == {"synthesis": 1 + 2 * n, "analysis": 1 + 2 * n, "public": 1}
 
 
 class TestPicard:

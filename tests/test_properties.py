@@ -1,4 +1,4 @@
-"""Property tests of the transform pair and the discrete flux.
+"""Property tests of the transform pairs and the discrete flux.
 
 hypothesis draws the geometry (at most 64 x 16 points), a seed for the
 random data and its scale; every invariant here must hold for all of them.
@@ -23,6 +23,7 @@ from zkbs import (
     to_grid,
     to_spectral,
 )
+from zkbs.domain import _band_to_grid, _band_to_spectral
 
 domains = st.builds(
     plan_domain,
@@ -86,3 +87,18 @@ def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
     n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), d)
     size = parseval_norm_sq(c, d) ** 1.5
     assert abs(mode_inner(c, n.coeffs, d)) <= 1e-12 * size
+
+
+@props
+@given(domains, seeds, scales)
+def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
+    # the step's band kernel against to_grid/to_spectral, its oracle
+    rng = np.random.default_rng(seed)
+    mask = dealias_mask(d)
+    c = np.where(mask, half_spectrum_coeffs(d, rng, scale), 0.0)
+    want = to_grid(SpectralField(c), d).values
+    assert np.max(np.abs(_band_to_grid(c, d) - want)) <= 1e-12 * np.max(np.abs(want))
+    f = scale * rng.standard_normal(d.shape)
+    want = np.where(mask, to_spectral(GridField(f), d).coeffs, 0.0)
+    got = _band_to_spectral(f, d)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -196,6 +196,20 @@ class TestDuhamel:
             scale = max(scale, abs(ref))
         assert worst <= 1e-8 * scale
 
+    def test_forcing_is_sampled_once_per_boundary_and_midpoint(self, small_domain):
+        # n steps need n + 1 boundaries and n midpoints, 2n + 1 samples in all
+        d = small_domain
+        f = to_spectral(GridField(np.random.default_rng(5).standard_normal(d.shape)), d).coeffs
+        times = []
+
+        def forcing(t):
+            times.append(t)
+            return f
+
+        traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, 0.02, 1e-3, symbol(d))
+        assert len(times) == 2 * traj.n_steps + 1
+        assert times[::2] == list(traj.times)  # boundaries, at the recorded times
+
     def test_rejects_non_divisible_dt(self, small_domain):
         d = small_domain
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
