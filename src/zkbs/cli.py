@@ -53,7 +53,7 @@ from .functionals import (
 )
 from .initial_data import make_initial
 from .semigroup import apply_semigroup, audit_linear_identity, duhamel_solve, symbol
-from .trajectory import _resolve_steps, attach_refinement_order
+from .trajectory import Trajectory, _resolve_steps, attach_refinement_order
 
 __all__ = ["RunConfig", "load_config", "main", "PROFILES"]
 
@@ -104,17 +104,7 @@ class RunConfig:
         )
 
     def initial(self, d: DomainConfig) -> GridField:
-        params = {
-            "amplitude": self.amplitude,
-            "l": self.l,
-            "j": self.j,
-            "x0": self.x0,
-            "sigma_x": self.sigma_x,
-            "jmax": self.jmax,
-            "lmax": self.lmax,
-            "seed": self.seed,
-        }
-        return make_initial(self.generator, params, d)
+        return make_initial(self.generator, vars(self), d)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -279,7 +269,7 @@ def _mode_coeffs(d: DomainConfig, parts) -> np.ndarray:
     return c
 
 
-def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
+def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> dict:
     from scipy.integrate import solve_ivp  # ~0.2 s to import; only this oracle needs it
 
     d = cfg.domain()
@@ -389,13 +379,20 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     ok = coarse.max_residual < 1e-13 or (fine.order is not None and 1.5 <= fine.order <= 2.5)
     checks.add("linear_mass_refinement_order", ok, fine.order, (1.5, 2.5))
 
-    return (0 if checks.passed else 1), checks.summary("linear-verify", tol["_name"])
+    return checks.summary("linear-verify", tol["_name"])
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
+def _complete(traj: Trajectory) -> Trajectory:
+    """traj, or a BlowupError at its blowup time when the run was cut short."""
+    if traj.blowup_time is not None:
+        raise BlowupError("run cut short", traj.blowup_time)
+    return traj
+
+
+def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> dict:
     d = cfg.domain()
     u0 = cfg.initial(d)
     checks = Checks()
@@ -405,22 +402,17 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     for pos, idx in enumerate(traj.snapshot_indices):
         values = to_grid(SpectralField(traj.snapshots[pos]), d).values
         zio.write_snapshot(out / f"snapshot_{idx:06d}.zkbs", values)
-
-    if traj.blowup_time is not None:
-        print(f"[FAIL] blowup at t = {traj.blowup_time:.6g}")
-        return 2, {"experiment": "simulate", "passed": False,
-                   "blowup_time": traj.blowup_time}
+    _complete(traj)
 
     jumps = np.diff(traj.l2)
     slack = tol["monotone_slack"] * max(1.0, float(traj.l2[0]))
     checks.add("l2_monotone_decay", bool(np.all(jumps <= slack)),
                float(np.max(jumps, initial=0.0)), slack)
-    with np.errstate(over="ignore"):  # an infinite bound passes, as it should
-        flux_bound = tol["flux_rel"] * np.maximum(1.0, traj.l2**3)
+    flux_bound = tol["flux_rel"] * np.maximum(1.0, traj.l2**3)  # inf passes, as it should
     worst_flux = float(np.max(np.abs(traj.nonlin_flux) / flux_bound))
     checks.add("flux_orthogonality", worst_flux <= 1.0, worst_flux, 1.0)
 
-    return (0 if checks.passed else 1), checks.summary("simulate", tol["_name"], extra={
+    return checks.summary("simulate", tol["_name"], extra={
         "final_time": float(traj.times[-1]),
         "final_l2": float(traj.l2[-1]),
         "blowup_time": None,
@@ -438,17 +430,16 @@ def _skip_zero_data(u0: GridField, experiment: str, action: str) -> dict | None:
     return {"experiment": experiment, "passed": True, "skipped": "zero initial data"}
 
 
-def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tuple[int, dict]:
+def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> dict:
     d = cfg.domain()
     u0 = cfg.initial(d)
     skipped = _skip_zero_data(u0, "audit", "audit")
     if skipped is not None:
-        return 0, skipped
+        return skipped
     flux = cfg.flux()
-    coarse_traj = simulate(u0, cfg.t_end, cfg.stepper(), flux, d)
-    fine_traj = simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=cfg.dt / 2), flux, d)
-    if coarse_traj.blowup_time is not None or fine_traj.blowup_time is not None:
-        return 2, {"experiment": "audit", "passed": False, "blowup": True}
+    coarse_traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), flux, d))
+    fine_traj = _complete(simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=cfg.dt / 2),
+                                   flux, d))
 
     checks = Checks()
     table = {}
@@ -476,26 +467,23 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path, identities: list[str]) -> tu
             print(f"[info] {ident}: coarse residual {coarse.max_residual:.3e}, "
                   f"factor {factor:.2f} (report only)")
 
-    report = checks.summary("audit", tol["_name"], extra={"identities": table})
-    return (0 if checks.passed else 1), report
+    return checks.summary("audit", tol["_name"], extra={"identities": table})
 
 
 # ---------------------------------------------------------------- decay
 
 
-def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
+def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> dict:
     d = cfg.domain()
     u0 = cfg.initial(d)
     skipped = _skip_zero_data(u0, "decay", "fit")
     if skipped is not None:
-        return 0, skipped
+        return skipped
 
-    nsteps = round(cfg.t_end / cfg.dt)
+    nsteps = _resolve_steps(cfg.t_end, cfg.dt)
     stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else max(1, nsteps // 128)
-    traj = simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, snapshot_stride=stride,
-                    audit_series=False)
-    if traj.blowup_time is not None:
-        return 2, {"experiment": "decay", "passed": False, "blowup_time": traj.blowup_time}
+    traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d,
+                              snapshot_stride=stride, audit_series=False))
 
     with open(out / "decay.csv", "w", newline="") as fh:
         fh.write("t,l2,h1,h2\n")
@@ -509,7 +497,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
                 (0.0, 0.5, 1.0, 1.5, 2.0)}
     except ValueError as exc:
         print(f"[FAIL] decay fit: {exc}")
-        return 1, {"experiment": "decay", "passed": False, "error": str(exc)}
+        return {"experiment": "decay", "passed": False, "error": str(exc)}
 
     slope_bound = -rate + tol["decay_slope_tol"]
     checks.add("l2_slope_at_least_poincare", fits[0.0].slope <= slope_bound,
@@ -528,7 +516,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     checks.add("h1_lyapunov_monotone_past_threshold", len(thr.violations) == 0,
                {"t1": t1_str, "violations": len(thr.violations)}, 0)
 
-    return (0 if checks.passed else 1), checks.summary("decay", tol["_name"], extra={
+    return checks.summary("decay", tol["_name"], extra={
         "rate_bound": rate,
         "fits": {f"s={s:g}": {"slope": f.slope, "rms": f.fit_rms,
                               "window": list(f.window), "n": f.n_samples}
@@ -540,7 +528,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
 # ---------------------------------------------------------------- picard
 
 
-def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
+def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> dict:
     d = cfg.domain()
     S = symbol(d)
     u0 = to_spectral(cfg.initial(d), d)
@@ -549,7 +537,7 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
     checks = Checks()
     grid = [0.0125, 0.025, 0.05]
     rows = []
-    primary_field = None
+    primary = None  # (field, diagnostics) of the first window
     for i, t0 in enumerate(grid):
         try:
             field, diag = picard_solve(u0, t0, stepper, flux, S)
@@ -561,7 +549,7 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
                 "ratios": [float(r) for r in diag.ratios],
             })
             if i == 0:
-                primary_field = field
+                primary = field, diag
                 after_first = diag.ratios[: max(diag.iterations - 2, 0)]
                 contracting = bool(np.all(after_first < 1.0)) if len(after_first) else True
                 checks.add("contraction_ratios_below_one", contracting,
@@ -571,18 +559,16 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[int, dict]:
             if i == 0:
                 checks.add("contraction_ratios_below_one", False, str(exc), 1.0)
 
-    if primary_field is not None:
-        n = max(1, round(grid[0] / stepper.dt))
-        etd_cfg = replace(stepper, scheme="etd2", dt=grid[0] / n)
-        traj = simulate(to_grid(u0, d), grid[0], etd_cfg, flux, d, snapshot_stride=0,
-                        audit_series=False)
-        ref = traj.snapshots[-1]
-        diff = math.sqrt(parseval_norm_sq(primary_field.coeffs - ref, d))
+    if primary is not None:
+        field, diag = primary
+        etd_cfg = replace(stepper, scheme="etd2", dt=diag.dt)
+        traj = _complete(simulate(to_grid(u0, d), grid[0], etd_cfg, flux, d,
+                                  snapshot_stride=0, audit_series=False))
+        diff = math.sqrt(parseval_norm_sq(field.coeffs - traj.snapshots[-1], d))
         checks.add("picard_matches_etd2", diff <= tol["picard_etd2_tol"],
                    diff, tol["picard_etd2_tol"])
 
-    report = checks.summary("picard", tol["_name"], extra={"grid": rows})
-    return (0 if checks.passed else 1), report
+    return checks.summary("picard", tol["_name"], extra={"grid": rows})
 
 
 # ---------------------------------------------------------------- driver
@@ -634,7 +620,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guards and checks report inf
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that maps its outcome to a report and an exit code."""
     try:
         args = _build_parser().parse_args(argv)
         overrides = {
@@ -650,19 +638,21 @@ def main(argv=None) -> int:
         out = _outdir(cfg, args.out)
         run, report_file = COMMANDS[args.command]
         extra = {"identities": args.identities} if args.command == "audit" else {}
+        failed = {"experiment": args.command, "passed": False}
         try:
-            code, report = run(cfg, tol, out, **extra)
+            report = run(cfg, tol, out, **extra)
+            code = 0 if report["passed"] else 1
         except ContractionError as exc:
             print(f"[FAIL] stepper: {exc}")
-            code, report = 1, {"experiment": args.command, "passed": False, "error": str(exc)}
+            code, report = 1, {**failed, "error": str(exc)}
+        except BlowupError as exc:
+            print(f"[FAIL] blowup at t = {exc.t:.6g}")
+            code, report = 2, {**failed, "blowup_time": exc.t}
         zio.write_json(out / report_file, report)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except BlowupError as exc:
-        print(f"blowup: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

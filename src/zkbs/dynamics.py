@@ -328,6 +328,7 @@ def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
     return SpectralField(u1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
 def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
                  flux: RegularizedFlux, S: SymbolTable):
     """Whole-window fixed point of v -> semigroup + Duhamel[nonlinear(v)].
@@ -340,7 +341,8 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
 
     Returns (field at t0, PicardDiagnostics).  Raises ContractionError
     when the successive differences fail to drop below cfg.picard_tol
-    within cfg.picard_max_iter sweeps.
+    within cfg.picard_max_iter sweeps, and BlowupError when an iterate's
+    grid values are not finite.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -397,13 +399,13 @@ def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, n: np.ndarray,
                   d: DomainConfig, cube: bool) -> dict:
     """Boundary series of simulate: integral g_h(u) u_x as the pairing of u with n = N(u),
     exact by discrete Parseval for dealiased u and every h, and integral u^3 if cube."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard or the checks report inf
-        out = {"nonlin_flux": mode_inner(coeffs, n, d)}
-        if cube:
-            out["cube"] = grid_quadrature(vals**3, d)
+    out = {"nonlin_flux": mode_inner(coeffs, n, d)}
+    if cube:
+        out["cube"] = grid_quadrature(vals**3, d)
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
              guard_factor: float = BLOWUP_GUARD, audit_series: bool = True) -> Trajectory:

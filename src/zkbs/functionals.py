@@ -213,14 +213,10 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     delta = traj.domain.delta
 
     if which == "mass_3_3":
-        lhs = traj.l2**2 - traj.l2[0] ** 2
-        lhs += 2.0 * delta * traj.cumulative_midpoint(traj.mid_diss0)
-        residual = np.abs(lhs)
+        residual = np.abs(traj.balance(0))
     elif which == "h1_3_15":
         _require_series(traj, ("mid_rhs_h1",), which)
-        lhs = traj.diss_l2 - traj.diss_l2[0]
-        lhs += 2.0 * delta * traj.cumulative_midpoint(traj.mid_diss1)
-        residual = np.abs(lhs - traj.cumulative_midpoint(traj.mid_rhs_h1))
+        residual = np.abs(traj.balance(1) - traj.cumulative_midpoint(traj.mid_rhs_h1))
     elif which == "combined_3_23":
         _require_series(traj, ("cube", "mid_u2lap"), which)
         energy = traj.diss_l2 - traj.cube / 3.0
@@ -230,9 +226,7 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
         residual = np.abs(lhs)
     else:  # h2_3_29
         _require_series(traj, ("mid_rhs_h2",), which)
-        lhs = traj.e2_mixed - traj.e2_mixed[0]
-        lhs += 2.0 * delta * traj.cumulative_midpoint(traj.mid_diss2)
-        residual = np.abs(lhs - traj.cumulative_midpoint(traj.mid_rhs_h2))
+        residual = np.abs(traj.balance(2) - traj.cumulative_midpoint(traj.mid_rhs_h2))
 
     return EnergyReport(
         identity=which,

@@ -232,18 +232,7 @@ def audit_linear_identity(
     if traj.n_steps < 1:
         raise ValueError("trajectory must contain at least one step")
 
-    if which == "mass":
-        energy = traj.l2**2
-        quad = traj.cumulative_midpoint(traj.mid_diss0)
-    elif which == "grad":
-        energy = traj.diss_l2
-        quad = traj.cumulative_midpoint(traj.mid_diss1)
-    else:
-        energy = traj.e2_mixed
-        quad = traj.cumulative_midpoint(traj.mid_diss2)
-
-    d = traj.domain
-    lhs = energy - energy[0] + 2.0 * d.delta * quad
+    lhs = traj.balance(("mass", "grad", "hess").index(which))
     if f0 is None and f1 is None and f2 is None:
         times = traj.times
         residual = np.abs(lhs)

@@ -69,6 +69,20 @@ class Trajectory:
         """integral |D2 u|^2 + |Du|^2 + u^2 at step boundaries."""
         return self.e2_mixed + self.diss_l2 + self.l2**2
 
+    def balance(self, k: int) -> np.ndarray:
+        """Left side E_k - E_k(0) + 2 delta integral D_k of the order-k energy identity.
+
+        E_0, E_1, E_2 are ||u||^2, diss_l2 and e2_mixed, and D_k is mid_diss<k>
+        integrated by the midpoint rule; the identity's right side is its work term.
+        """
+        if k not in (0, 1, 2):
+            raise ValueError(f"energy order k must be 0, 1 or 2, got {k!r}")
+        energy = (self.l2**2, self.diss_l2, self.e2_mixed)[k]
+        lhs = energy - energy[0]
+        lhs += 2.0 * self.domain.delta * self.cumulative_midpoint(
+            (self.mid_diss0, self.mid_diss1, self.mid_diss2)[k])
+        return lhs
+
     def cumulative_midpoint(self, mid_values: np.ndarray) -> np.ndarray:
         """Running midpoint-rule integral of a per-interval series.
 
@@ -171,10 +185,7 @@ class _Recorder:
         self.snapshot_indices, self.snapshots = [], []
 
     def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
-        # past the trust region |coeffs|^2 may overflow; the caller tests
-        # the non-finite norm, so the overflow itself stays silent
-        with np.errstate(over="ignore"):
-            sums = self.stacked @ (coeffs.real**2 + coeffs.imag**2).ravel()
+        sums = self.stacked @ (coeffs.real**2 + coeffs.imag**2).ravel()
         for name, value in zip(self.weights, sums):
             self.cols[name][i] = sqrt(value) if name in ("l2", "h1", "h2") else value
         self.put(i, **values)

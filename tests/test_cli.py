@@ -29,6 +29,9 @@ t_end = 0.05
 # the per-step fixed point stalls at the first step
 STALLED = "scheme = picard\npicard_max_iter = 1\namplitude = 3\n"
 
+# the grid values overflow in the first step
+BLOWUP = "generator = traveling_mode\namplitude = 1e120\n"
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -141,6 +144,20 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "o" / report).read_text())
         assert summary["experiment"] == command and summary["passed"] is False
         assert summary["error"] in out
+
+    @pytest.mark.parametrize("command,report", [
+        ("audit", "audit.json"), ("decay", "decay.json"), ("picard", "picard.json")])
+    def test_blowup_is_2_with_one_line_and_its_time(self, tmp_path, capsys, command,
+                                                    report):
+        cfg = write_cfg(tmp_path, SMALL + BLOWUP)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        summary = json.loads((tmp_path / "o" / report).read_text())
+        assert set(summary) == {"experiment", "passed", "blowup_time"}
+        assert summary["experiment"] == command and summary["passed"] is False
+        assert captured.out == f"[FAIL] blowup at t = {summary['blowup_time']:.6g}\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("identities", ["foo", "mass_3_3,foo"])
     def test_unknown_identity_is_rejected_before_stepping(self, tmp_path, monkeypatch,
@@ -284,6 +301,10 @@ ROBUSTNESS = [
                  id="steps-unrecordable"),
     pytest.param("simulate", "generator = traveling_mode\namplitude = 1e120\n", [], 2,
                  "blowup", id="first-step-blowup"),
+    *(pytest.param(command, BLOWUP, [], 2, "blowup", id=f"first-step-blowup-{command}")
+      for command in ("audit", "decay", "picard")),
+    pytest.param("audit", "generator = eigenmode\namplitude = 1e103\n", [], 1,
+                 "mass_abs_residual", id="overflowing-audit-series"),
     pytest.param("simulate", "delta = nan\n", [], 3, "delta", id="delta-nan"),
     pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
                  id="snapshot_stride-negative"),
@@ -317,6 +338,17 @@ def test_overflowing_flux_bound_passes_silently(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout
     assert proc.stderr == ""
+
+
+def test_package_exports_every_module_list():
+    import zkbs
+
+    modules = (zkbs.domain, zkbs.dynamics, zkbs.functionals, zkbs.initial_data, zkbs.io,
+               zkbs.semigroup, zkbs.trajectory)
+    names = {name for mod in modules for name in mod.__all__}
+    assert set(zkbs.__all__) == names | {"phi"}
+    assert zkbs.GENERATORS is zkbs.initial_data.GENERATORS
+    assert zkbs.CSV_COLUMNS is zkbs.io.CSV_COLUMNS
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

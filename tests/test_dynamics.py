@@ -16,6 +16,7 @@ from zkbs import (
     SpectralField,
     StepperConfig,
     dealias_mask,
+    eigenmode,
     eta,
     etd2_step,
     g_h,
@@ -31,6 +32,7 @@ from zkbs import (
     symbol,
     to_grid,
     to_spectral,
+    traveling_mode,
 )
 from zkbs.cli import PROFILES
 import zkbs.domain
@@ -343,6 +345,17 @@ class TestPicard:
         with pytest.raises(ContractionError, match="reduce t0"):
             picard_solve(u0, 0.05, cfg, RegularizedFlux(h=None), S)
 
+    def test_overflowing_data_is_a_blowup_without_warnings(self, small_domain):
+        # the grid values overflow in the first sweep; the guard reports them
+        d = small_domain
+        u0 = to_spectral(traveling_mode(d, 1, 1, 1e120), d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError) as info:
+                picard_solve(u0, 0.0125, StepperConfig(dt=1e-3), RegularizedFlux(h=None),
+                             symbol(d))
+        assert info.value.t == pytest.approx(0.0125 / 12)
+
     def test_rejects_nonpositive_horizon(self, small_domain):
         d = small_domain
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
@@ -405,6 +418,17 @@ class TestSimulate:
                        traj.mid_diss0, traj.mid_u2lap):
             assert len(series) == 0
         assert traj.snapshots == [] and len(traj.snapshot_indices) == 0
+
+    def test_overflowing_audit_series_are_recorded_without_warnings(self, small_domain):
+        # x-independent data do no flux work and survive, while the audit
+        # integrand u^2 (u_xx + u_yy) overflows; the audit reports the inf
+        d = small_domain
+        u0 = eigenmode(d, 1, 1e103)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
+        assert traj.blowup_time is None
+        assert not np.all(np.isfinite(traj.mid_u2lap))
 
     def test_blowup_in_post_step_evaluation_drops_that_boundary(self, small_domain):
         # per etd2 step the flux runs at the stage, the midpoint and the new

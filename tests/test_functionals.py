@@ -11,6 +11,7 @@ from zkbs import (
     StepperConfig,
     attach_refinement_order,
     audit_identity,
+    audit_linear_identity,
     decay_fit,
     dk_seminorm_sq,
     duhamel_solve,
@@ -253,6 +254,21 @@ class TestNonlinearAudits:
         lean = audit_identity(lean_run, "mass_3_3")
         assert np.array_equal(full.residual, lean.residual)
         assert full.max_residual == lean.max_residual
+
+    @pytest.mark.parametrize("ident,k,rhs", [
+        ("mass_3_3", 0, None), ("h1_3_15", 1, "mid_rhs_h1"), ("h2_3_29", 2, "mid_rhs_h2")])
+    def test_identities_share_the_trajectory_balance(self, run, ident, k, rhs):
+        # the nonlinear audits and the homogeneous linear ones take one left side
+        traj = run[0]
+        work = 0.0 if rhs is None else traj.cumulative_midpoint(getattr(traj, rhs))
+        assert np.array_equal(audit_identity(traj, ident).residual,
+                              np.abs(traj.balance(k) - work))
+        assert np.array_equal(audit_linear_identity(traj, ("mass", "grad", "hess")[k]).residual,
+                              np.abs(traj.balance(k)))
+
+    def test_balance_rejects_an_unknown_order(self, run):
+        with pytest.raises(ValueError, match="energy order"):
+            run[0].balance(3)
 
     def test_unknown_identity_rejected(self, run):
         coarse_traj, _ = run
