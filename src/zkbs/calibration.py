@@ -15,9 +15,19 @@ import math
 
 import numpy as np
 
-from .domain import DomainConfig, SpectralField, grid_quadrature, plan_domain, to_grid
+from .domain import (
+    DomainConfig,
+    SpectralField,
+    grid_quadrature,
+    mixed_derivative,
+    parseval_norm_sq,
+    plan_domain,
+    to_grid,
+    to_spectral,
+)
+from .dynamics import RegularizedFlux, StepperConfig, simulate
 from .functionals import dk_seminorm_sq, lyapunov_h1, lyapunov_h2
-from .domain import mixed_derivative, parseval_norm_sq
+from .initial_data import eigenmode, gaussian_bump, random_band, traveling_mode
 
 __all__ = [
     "FROZEN",
@@ -40,8 +50,6 @@ FROZEN = {
 
 def validation_corpus(d: DomainConfig) -> list[SpectralField]:
     """Deterministic mix of eigenmodes, packets and random band fields."""
-    from .initial_data import eigenmode, gaussian_bump, random_band, traveling_mode
-
     fields = [
         eigenmode(d, l=1, amplitude=1.0),
         eigenmode(d, l=3, amplitude=0.7),
@@ -56,8 +64,6 @@ def validation_corpus(d: DomainConfig) -> list[SpectralField]:
     for seed in (11, 29, 47, 101):
         fields.append(random_band(d, seed=seed, jmax=8, lmax=5, amplitude=0.8))
     fields.append(random_band(d, seed=7, jmax=20, lmax=12, amplitude=1.2))
-    from .domain import to_spectral
-
     return [to_spectral(f, d) for f in fields]
 
 
@@ -98,9 +104,6 @@ def smoothing_run(t_end: float = 0.1, dt: float = 1e-3):
     lands in a small H2 ball by t_end anyway.  Returns (trajectory,
     domain); the trajectory is recorded without the audit series.
     """
-    from .domain import to_spectral
-    from .dynamics import RegularizedFlux, StepperConfig, simulate
-
     d = plan_domain(L=math.pi, X=2 * math.pi, nx=32, ny=2047, delta=0.5)
     rng = np.random.default_rng(2024)
     c = np.zeros(d.spectral_shape, dtype=complex)

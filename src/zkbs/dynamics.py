@@ -477,4 +477,4 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t
-    return rec.trajectory(cfg.scheme, rows, blowup_time)
+    return rec.trajectory(cfg.scheme, rows, blowup_time, h=flux.h)

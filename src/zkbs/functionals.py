@@ -195,16 +195,20 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     """Residual of one nonlinear energy balance along a recorded run.
 
     which selects the balance:
-      mass_3_3:      ||u||^2 growth against 2 delta integral |Du|^2;
+      mass_3_3:      ||u||^2 growth against 2 delta integral |Du|^2 and the
+                     flux work 2 integral g_h(u) u_x;
       h1_3_15:       integral |Du|^2 against second-order dissipation and
                      the work term 2 integral u u_x (u_xx + u_yy);
       combined_3_23: integral (|Du|^2 - u^3/3) with the extra
-                     delta integral u^2 (u_xx + u_yy) drift;
+                     delta integral u^2 (u_xx + u_yy) drift; it holds for
+                     the u^2/2 flux only, so an h != None run raises;
       h2_3_29:       mixed second-derivative energy against third-order
                      dissipation and the paired nonlinear work.
 
-    All time integrals use the midpoint values recorded by simulate();
-    requesting an identity whose series were not recorded raises.
+    The flux work integrates the boundary series nonlin_flux by the
+    trapezoid rule, which both recording modes keep; every other time
+    integral uses the midpoint values recorded by simulate().  Requesting
+    an identity whose series were not recorded raises.
     """
     if which not in NONLINEAR_IDENTITIES:
         raise ValueError(f"unknown identity {which!r}; expected one of {NONLINEAR_IDENTITIES}")
@@ -213,11 +217,13 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     delta = traj.domain.delta
 
     if which == "mass_3_3":
-        residual = np.abs(traj.balance(0))
+        residual = np.abs(traj.balance(0) - traj.cumulative_trapezoid(2.0 * traj.nonlin_flux))
     elif which == "h1_3_15":
         _require_series(traj, ("mid_rhs_h1",), which)
         residual = np.abs(traj.balance(1) - traj.cumulative_midpoint(traj.mid_rhs_h1))
     elif which == "combined_3_23":
+        if traj.h is not None:
+            raise ValueError(f"combined_3_23 holds for the u^2/2 flux only, not h = {traj.h!r}")
         _require_series(traj, ("cube", "mid_u2lap"), which)
         energy = traj.diss_l2 - traj.cube / 3.0
         lhs = energy - energy[0]

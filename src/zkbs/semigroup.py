@@ -54,11 +54,6 @@ class SymbolTable:
     domain: DomainConfig
     m: np.ndarray  # (nx/2 + 1, ny) complex
 
-    @property
-    def slowest_rate(self) -> float:
-        """Least-negative real part, -delta pi^2 / L^2 at mode (0, 1)."""
-        return -self.domain.delta * np.pi**2 / self.domain.L**2
-
 
 def symbol(d: DomainConfig) -> SymbolTable:
     """Assemble the per-mode symbol table for the domain."""

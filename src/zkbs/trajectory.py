@@ -50,6 +50,7 @@ class Trajectory:
     mid_rhs_h2: np.ndarray | None = None      # (n,) second-order forcing pairing
     mid_u2lap: np.ndarray | None = None       # (n,) integral u^2 (u_xx + u_yy)
     blowup_time: float | None = None
+    h: float | None = None            # the flux's cutoff scale; None for u^2/2 and linear runs
 
     @property
     def dt(self) -> float:
@@ -91,6 +92,16 @@ class Trajectory:
         out = np.empty(len(mid_values) + 1)
         out[0] = 0.0
         np.cumsum(mid_values * self.dt, out=out[1:])
+        return out
+
+    def cumulative_trapezoid(self, values: np.ndarray) -> np.ndarray:
+        """Running trapezoid-rule integral of a per-boundary series.
+
+        Entry i approximates the integral from times[0] to times[i].
+        """
+        out = np.empty(len(values))
+        out[0] = 0.0
+        np.cumsum(0.5 * (values[:-1] + values[1:]) * self.dt, out=out[1:])
         return out
 
 
@@ -202,14 +213,14 @@ class _Recorder:
         for name, value in (*zip(self.mid_weights, sums), *values.items()):
             self.mid[name][i] = value
 
-    def trajectory(self, scheme: str, rows: int,
-                   blowup_time: float | None = None) -> Trajectory:
+    def trajectory(self, scheme: str, rows: int, blowup_time: float | None = None,
+                   h: float | None = None) -> Trajectory:
         indices = np.array(self.snapshot_indices, dtype=int)
         kept = int(np.sum(indices < rows))  # boundaries arrive in order
         return Trajectory(
             domain=self.domain, scheme=scheme, times=self.times[:rows],
             snapshot_indices=indices[:kept], snapshots=self.snapshots[:kept],
-            blowup_time=blowup_time,
+            blowup_time=blowup_time, h=h,
             **{name: col[:rows] for name, col in self.cols.items()},
             **{name: col[: max(rows - 1, 0)] for name, col in self.mid.items()},
         )

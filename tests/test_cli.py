@@ -32,6 +32,18 @@ STALLED = "scheme = picard\npicard_max_iter = 1\namplitude = 3\n"
 # the grid values overflow in the first step
 BLOWUP = "generator = traveling_mode\namplitude = 1e120\n"
 
+# the desk bump with most of its peak beyond the cutoff's 1/h
+CUTOFF = "amplitude = 3\nh = 1\nt_end = 0.05\n"
+
+# the figures each subcommand adds to experiment, profile, checks and passed
+FIGURES = {
+    "linear-verify": ("linear_verify.json", set()),
+    "simulate": ("summary.json", {"final_time", "final_l2", "blowup_time"}),
+    "audit": ("audit.json", {"identities"}),
+    "decay": ("decay.json", {"rate_bound", "fits", "threshold_time"}),
+    "picard": ("picard.json", {"grid"}),
+}
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -219,7 +231,10 @@ class TestOtherCommands:
         cfg = write_cfg(tmp_path, SMALL + "generator = eigenmode\namplitude = 0\n")
         code = main(["decay", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 0
-        assert "[skip]" in capsys.readouterr().out
+        assert capsys.readouterr().out == "[n/a] decay_fits: zero initial data\n"
+        report = json.loads((tmp_path / "o" / "decay.json").read_text())
+        assert report["checks"] == [
+            {"name": "decay_fits", "passed": True, "not_applicable": "zero initial data"}]
 
     def test_audit_skips_zero_data(self, tmp_path, capsys):
         # zero data gives exactly zero residuals, whose refinement factor
@@ -228,9 +243,10 @@ class TestOtherCommands:
                         "generator = eigenmode\namplitude = 0\n")
         code = main(["audit", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 0
-        assert "[skip]" in capsys.readouterr().out
+        assert capsys.readouterr().out == "[n/a] energy_identities: zero initial data\n"
         report = json.loads((tmp_path / "o" / "audit.json").read_text())
-        assert report["skipped"] == "zero initial data"
+        assert report["checks"] == [{"name": "energy_identities", "passed": True,
+                                     "not_applicable": "zero initial data"}]
 
     def test_simulate_overflowing_data_is_a_blowup_without_warnings(self, tmp_path,
                                                                    capsys):
@@ -272,6 +288,41 @@ class TestOtherCommands:
         assert (tmp_path / "o" / "picard.json").is_file()
 
 
+@pytest.mark.parametrize("command", sorted(FIGURES))
+def test_every_line_is_a_check_and_main_writes_every_report(tmp_path, capsys, command):
+    report, figures = FIGURES[command]
+    code = main([command, "--config", write_cfg(tmp_path, SMALL), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "o" / report).read_text())
+    assert set(summary) == {"experiment", "profile", "checks", "passed"} | figures
+    assert summary["experiment"] == command and summary["profile"] == "default"
+    assert code == (0 if summary["passed"] else 1)
+    assert all(line.startswith(("[ok] ", "[FAIL] ", "[n/a] ")) for line in lines), lines
+    assert [line.split(":")[0].split("] ")[1] for line in lines] == [
+        check["name"] for check in summary["checks"]]
+
+
+@pytest.mark.parametrize("flags", [[], ["--tolerance-profile", "strict", "--dt", "5e-4"]],
+                         ids=["default", "strict"])
+@pytest.mark.parametrize("command,u2_only", [
+    ("simulate", "flux_orthogonality"), ("audit", "combined_3_23")])
+def test_cutoff_run_passes_and_skips_the_u2_only_check(tmp_path, capsys, command, u2_only,
+                                                       flags):
+    # the mass audit pairs against the flux work, so it holds for every h
+    report, _ = FIGURES[command]
+    code = main([command, "--config", write_cfg(tmp_path, CUTOFF),
+                 "--out", str(tmp_path / "o"), *flags])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert f"[n/a] {u2_only}: holds for the u^2/2 flux (h = none) only\n" in out
+    summary = json.loads((tmp_path / "o" / report).read_text())
+    assert {"name": u2_only, "passed": True,
+            "not_applicable": "holds for the u^2/2 flux (h = none) only"} in summary["checks"]
+    if command == "audit":
+        assert u2_only not in summary["identities"]
+        assert 3.0 <= summary["identities"]["mass_3_3"]["refinement_factor"] <= 5.0
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL)
@@ -309,6 +360,7 @@ ROBUSTNESS = [
     pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
                  id="snapshot_stride-negative"),
     pytest.param("simulate", "dealias = false\n", [], 3, "dealias", id="dealias-removed"),
+    pytest.param("decay", "t_end = 0.005\n", [], 1, "decay window", id="decay-fit-window"),
 ]
 
 

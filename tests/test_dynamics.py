@@ -50,6 +50,8 @@ signs = st.sampled_from((-1.0, 1.0))
 class NanFromCall:
     """u^2/2 flux that returns NaN from its bad-th call on."""
 
+    h = None
+
     def __init__(self, bad):
         self.bad, self.calls = bad, 0
 

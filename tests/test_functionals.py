@@ -260,11 +260,21 @@ class TestNonlinearAudits:
     def test_identities_share_the_trajectory_balance(self, run, ident, k, rhs):
         # the nonlinear audits and the homogeneous linear ones take one left side
         traj = run[0]
-        work = 0.0 if rhs is None else traj.cumulative_midpoint(getattr(traj, rhs))
+        work = (traj.cumulative_trapezoid(2.0 * traj.nonlin_flux) if rhs is None
+                else traj.cumulative_midpoint(getattr(traj, rhs)))
         assert np.array_equal(audit_identity(traj, ident).residual,
                               np.abs(traj.balance(k) - work))
         assert np.array_equal(audit_linear_identity(traj, ("mass", "grad", "hess")[k]).residual,
                               np.abs(traj.balance(k)))
+
+    def test_combined_identity_refuses_a_cutoff_run(self):
+        # its u^3/3 energy and u^2 (u_xx + u_yy) drift belong to the u^2/2 flux
+        d = plan_domain(math.pi, 16 * math.pi, 32, 8, 0.5)
+        traj = simulate(gaussian_bump(d, 0.0, 2.0, 1, 0.5), 0.01, StepperConfig(dt=1e-3),
+                        RegularizedFlux(h=1.0), d)
+        assert traj.h == 1.0
+        with pytest.raises(ValueError, match="combined_3_23.*h = 1.0"):
+            audit_identity(traj, "combined_3_23")
 
     def test_balance_rejects_an_unknown_order(self, run):
         with pytest.raises(ValueError, match="energy order"):
