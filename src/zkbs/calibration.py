@@ -26,7 +26,7 @@ from .domain import (
     to_spectral,
 )
 from .dynamics import RegularizedFlux, StepperConfig, simulate
-from .functionals import dk_seminorm_sq, lyapunov_h1, lyapunov_h2
+from .functionals import dk_seminorm_sq, lyapunov_h1
 from .initial_data import eigenmode, gaussian_bump, random_band, traveling_mode
 
 __all__ = [

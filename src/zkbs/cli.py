@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .functionals import (
     NONLINEAR_IDENTITIES,
-    NormSpec,
     audit_identity,
     decay_fit,
     threshold_time,
@@ -472,8 +471,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
 
     rate = d.delta * math.pi**2 / d.L**2
     try:
-        fits = {s: decay_fit(traj, NormSpec(kind="hs", s=s), d) for s in
-                (0.0, 0.5, 1.0, 1.5, 2.0)}
+        fits = {s: decay_fit(traj, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)}
     except ValueError as exc:
         checks.add("decay_fits", False, str(exc), None)
         return checks, {}
@@ -490,7 +488,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
         checks.add(f"h{s:g}_slope_envelope", fits[s].slope <= envelope,
                    fits[s].slope, envelope)
 
-    thr = threshold_time(traj, FROZEN["threshold_c1"], d, slack=tol["lyap_slack"])
+    thr = threshold_time(traj, FROZEN["threshold_c1"], slack=tol["lyap_slack"])
     t1_str = "not reached" if thr.t1 is None else f"{thr.t1:.6g}"
     checks.add("h1_lyapunov_monotone_past_threshold", len(thr.violations) == 0,
                {"t1": t1_str, "violations": len(thr.violations)}, 0)

@@ -48,7 +48,6 @@ __all__ = [
     "plan_domain",
     "to_spectral",
     "to_grid",
-    "derivative",
     "mixed_derivative",
     "dealias_mask",
     "parseval_norm_sq",
@@ -257,22 +256,6 @@ def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> Gri
     return GridField(ccos @ d.cos_matrix().T)
 
 
-def derivative(s: SpectralField, axis: str, order: int, d: DomainConfig) -> GridField:
-    """Spectral derivative along one axis, returned as grid samples.
-
-    Args:
-        axis: "x" or "y".
-        order: 1, 2 or 3.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("derivative order must be 1, 2 or 3")
-    if axis == "x":
-        return mixed_derivative(s, order, 0, d)
-    if axis == "y":
-        return mixed_derivative(s, 0, order, d)
-    raise ValueError("axis must be 'x' or 'y'")
-
-
 def _kept_band(d: DomainConfig) -> tuple[int, int]:
     """(kx, ky): the 2/3 rule keeps x rows j < kx and sine indices l <= ky.
 
@@ -340,7 +323,7 @@ def grid_quadrature(values: np.ndarray, d: DomainConfig) -> float:
 
 @dataclass(eq=False)
 class ModeMultipliers:
-    """Per-mode weights for the derivative integrals used everywhere.
+    """Per-mode weights on |c|^2: the one table every norm and energy reads.
 
     With xi the x frequency and lam the sine eigenvalue (pi l / L)^2:
 
@@ -348,12 +331,19 @@ class ModeMultipliers:
       d2:   (xi^2 + lam)^2              -> integral u_xx^2 + 2 u_xy^2 + u_yy^2
       e2:   xi^4 + xi^2 lam + lam^2     -> integral u_xx^2 + u_xy^2 + u_yy^2
       d3:   d1 * e2                     -> integral u_xxx^2 + 2 u_xxy^2 + 2 u_xyy^2 + u_yyy^2
+      e3:   xi^6 + xi^4 lam + xi^2 lam^2 + lam^3
+                                        -> integral u_xxx^2 + u_xxy^2 + u_xyy^2 + u_yyy^2
+      hs(s): (1 + d1)^s                 -> the squared H^s norm, s in [0, 2]
     """
 
     d1: np.ndarray
     d2: np.ndarray
     e2: np.ndarray
     d3: np.ndarray
+    e3: np.ndarray
+
+    def hs(self, s: float) -> np.ndarray:
+        return (1.0 + self.d1) ** s
 
 
 def mode_multipliers(d: DomainConfig) -> ModeMultipliers:
@@ -361,4 +351,5 @@ def mode_multipliers(d: DomainConfig) -> ModeMultipliers:
     lam = d.lam[None, :]
     d1 = xi2 + lam
     e2 = xi2**2 + xi2 * lam + lam**2
-    return ModeMultipliers(d1=d1, d2=d1**2, e2=e2, d3=d1 * e2)
+    e3 = xi2**3 + xi2**2 * lam + xi2 * lam**2 + lam**3
+    return ModeMultipliers(d1=d1, d2=d1**2, e2=e2, d3=d1 * e2, e3=e3)

@@ -35,7 +35,7 @@ ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +69,7 @@ __all__ = [
     "simulate",
 ]
 
+# simulate stops a run whose L2 norm exceeds this multiple of its initial value
 BLOWUP_GUARD = 1e6
 
 
@@ -151,10 +152,6 @@ class RegularizedFlux:
         if self.h is not None and not (0.0 < self.h <= 1.0):
             raise ValueError("cutoff scale h must lie in (0, 1]")
 
-    @property
-    def regularized(self) -> bool:
-        return self.h is not None
-
     def __call__(self, u):
         """Pointwise flux values; vectorized over arrays."""
         arr = np.asarray(u, dtype=float)
@@ -185,12 +182,12 @@ class RegularizedFlux:
         return float(out) if arr.ndim == 0 else out
 
 
-def g_h(u: float, flux: RegularizedFlux, quad_tol: float = 1e-12) -> float:
+def g_h(u: float, flux: RegularizedFlux) -> float:
     """Scalar flux value with adaptive quadrature on the transition band.
 
     Closed forms cover |u| <= 1/h (parabola) and |u| >= 2/h (linear tail);
     the glue region integrates the defining integrand with scipy's
-    adaptive rule at absolute tolerance quad_tol.  This is the reference
+    adaptive rule at absolute tolerance 1e-12.  This is the reference
     for the vectorized RegularizedFlux.__call__, which evaluates the band
     from the tabulated Chebyshev interpolant of R(s) and agrees with this
     to within 1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]).
@@ -209,7 +206,7 @@ def g_h(u: float, flux: RegularizedFlux, quad_tol: float = 1e-12) -> float:
         lambda th: th * eta(2.0 - h * th) + (2.0 / h) * eta(h * th - 1.0),
         1.0 / h,
         hi,
-        epsabs=quad_tol,
+        epsabs=1e-12,
         epsrel=1e-13,
         limit=200,
     )
@@ -290,9 +287,9 @@ def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
     return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z), dealias_mask(S.domain))
 
 
-def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
-             cfg: StepperConfig, flux: RegularizedFlux, d: DomainConfig, t: float):
-    """One step from u, given n0 = N(u); returns (new state, iterations).
+def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, cfg: StepperConfig,
+             flux: RegularizedFlux, d: DomainConfig, t: float):
+    """One cfg.scheme step from u, given n0 = N(u); returns (new state, iterations).
 
     etd2 makes one corrector pass from the exponential Euler predictor; picard
     repeats it until iterates differ by < cfg.picard_tol.  t (the new state's
@@ -304,7 +301,7 @@ def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, scheme: str,
         _, n1 = _nonlinear_core(u_next, flux, d, t=t)
         cand = tab.correct(a, n0, n1)
         iters += 1
-        if scheme == "etd2":
+        if cfg.scheme == "etd2":
             return cand, iters
         change = math.sqrt(parseval_norm_sq(cand - u_next, d))
         u_next = cand
@@ -324,7 +321,7 @@ def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
     tab = _etd2_tables(S, cfg.dt)
     u0 = np.where(tab.mask, np.asarray(u.coeffs, dtype=complex), 0.0)
     _, n0 = _nonlinear_core(u0, flux, d)
-    u1, _ = _advance(u0, n0, tab, "etd2", cfg, flux, d, t=0.0)
+    u1, _ = _advance(u0, n0, tab, replace(cfg, scheme="etd2"), flux, d, t=0.0)
     return SpectralField(u1)
 
 
@@ -408,7 +405,7 @@ def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, n: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
-             guard_factor: float = BLOWUP_GUARD, audit_series: bool = True) -> Trajectory:
+             audit_series: bool = True) -> Trajectory:
     """Integrate the full equation and record diagnostics every step.
 
     Every run records, per boundary, the L2/H1/H2 norms, the two
@@ -424,7 +421,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     other field is bit-identical.  Snapshots are stored every
     snapshot_stride steps (0 keeps only the endpoints).
 
-    On blowup (a non-finite initial L2 norm, an L2 norm above guard_factor
+    On blowup (a non-finite initial L2 norm, an L2 norm above BLOWUP_GUARD
     times its initial value, or non-finite grid values) the trajectory is
     truncated and its blowup_time is set.  A full run evaluates the flux
     at the averaged state too, so it can also stop at t + dt/2 when only
@@ -448,13 +445,13 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
         rec.boundary(0, u)
         if not math.isfinite(rec.cols["l2"][0]):
             raise BlowupError("non-finite initial L2 norm", 0.0)
-        guard = guard_factor * rec.cols["l2"][0]
+        guard = BLOWUP_GUARD * rec.cols["l2"][0]
         vals, n0 = _nonlinear_core(u, flux, d, t=0.0)
         rec.put(0, **_flux_moments(u, vals, n0, d, audit_series))
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
-            u_next, iters = _advance(u, n0, tab, cfg.scheme, cfg, flux, d, t + dt)
+            u_next, iters = _advance(u, n0, tab, cfg, flux, d, t + dt)
             rec.boundary(i + 1, u_next, step_iters=iters)
             norm_next = rec.cols["l2"][i + 1]
             if not math.isfinite(norm_next) or norm_next > guard:

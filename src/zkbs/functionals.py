@@ -1,15 +1,11 @@
 """Norms, inequality monitors and energy-balance audits.
 
 Everything here evaluates on the shared Parseval normalization from
-zkbs.domain.  Two flavours of derivative weights coexist on purpose:
-
-  * norm() implements the package-level contract: full Sobolev norms use
-    the multiplier (1 + xi^2 + lam)^s for s in [0, 2], seminorms use
-    (xi^2 + lam)^k for k in {1, 2, 3};
-  * the audits and the interpolation ratio use the exact multipliers of
-    the integrals they monitor (for instance u_xx^2 + u_xy^2 + u_yy^2
-    maps to xi^4 + xi^2 lam + lam^2), because those are the combinations
-    that appear in the balances themselves.
+zkbs.domain, and every per-mode weight comes from its one table,
+domain.mode_multipliers: norm() is the H^s norm for s in [0, 2], and
+dk_seminorm_sq(u, k) is integral |D^k u|^2 with one term per partial,
+the combination that appears in the energy identities themselves (for
+instance u_xx^2 + u_xy^2 + u_yy^2 for k = 2).
 
 L_q norms are tensor-grid quadratures; every integrand that reaches a
 wall does so with value zero, which keeps the interior-point rule
@@ -35,7 +31,6 @@ from .domain import (
 from .trajectory import EnergyReport, Trajectory
 
 __all__ = [
-    "NormSpec",
     "norm",
     "SteklovResult",
     "steklov_check",
@@ -53,55 +48,23 @@ __all__ = [
 NONLINEAR_IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Selects a norm: full H^s for s in [0, 2], or seminorm |D^k|.
-
-    kind is "hs" (uses s) or "seminorm" (uses k in {1, 2, 3}).
-    """
-
-    kind: str = "hs"
-    s: float = 0.0
-    k: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("hs", "seminorm"):
-            raise ValueError("kind must be 'hs' or 'seminorm'")
-        if self.kind == "hs" and not (0.0 <= self.s <= 2.0):
-            raise ValueError("Sobolev exponent s must lie in [0, 2]")
-        if self.kind == "seminorm" and self.k not in (1, 2, 3):
-            raise ValueError("seminorm order k must be 1, 2 or 3")
-
-    @property
-    def label(self) -> str:
-        return f"H^{self.s:g}" if self.kind == "hs" else f"|D^{self.k}|"
-
-
-def norm(u: SpectralField, spec: NormSpec, d: DomainConfig) -> float:
-    """Parseval evaluation of the selected norm."""
-    mults = mode_multipliers(d)
-    a2 = np.abs(u.coeffs) ** 2
-    if spec.kind == "hs":
-        w = (1.0 + mults.d1) ** spec.s
-    else:
-        w = mults.d1**spec.k
-    return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * a2)))
+def norm(u: SpectralField, s: float, d: DomainConfig) -> float:
+    """Parseval evaluation of the H^s norm, s in [0, 2]."""
+    if not 0.0 <= s <= 2.0:
+        raise ValueError("Sobolev exponent s must lie in [0, 2]")
+    w = mode_multipliers(d).hs(s)
+    return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2)))
 
 
 def dk_seminorm_sq(u: SpectralField, k: int, d: DomainConfig) -> float:
     """integral |D^k u|^2 with one term per mixed partial (k in {1, 2, 3}).
 
-    k = 1, 2 are the d1, e2 mode weights; k = 3 is not d3, which counts mixed partials twice.
+    These are the d1, e2 and e3 mode weights; d2 and d3 count mixed partials twice.
     """
-    if k in (1, 2):
-        mults = mode_multipliers(d)
-        w = mults.d1 if k == 1 else mults.e2
-    elif k == 3:
-        xi2 = d.xi[:, None] ** 2
-        lam = d.lam[None, :]
-        w = xi2**3 + xi2**2 * lam + xi2 * lam**2 + lam**3
-    else:
+    if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
+    mults = mode_multipliers(d)
+    w = (mults.d1, mults.e2, mults.e3)[k - 1]
     return float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2))
 
 
@@ -131,8 +94,7 @@ def steklov_check(u: SpectralField, d: DomainConfig) -> SteklovResult:
     """
     rows = d.parseval_weight @ (np.abs(u.coeffs) ** 2)  # per-l sums over x rows
     lhs = float(rows @ d.lam)
-    lam1 = (np.pi / d.L) ** 2
-    rhs = lam1 * float(np.sum(rows))
+    rhs = d.lam[0] * float(np.sum(rows))
     return SteklovResult(lhs=lhs, rhs=rhs, margin=lhs - rhs)
 
 
@@ -251,29 +213,26 @@ class DecayFit:
     slope: float
     intercept: float
     fit_rms: float
-    norm_label: str
     n_samples: int
 
 
-def _norm_series(traj: Trajectory, spec: NormSpec, d: DomainConfig):
-    """Times and norm values for the fit; dense columns when available."""
-    if spec.kind == "hs" and spec.s in (0.0, 1.0, 2.0):
-        series = {0.0: traj.l2, 1.0: traj.h1, 2.0: traj.h2}[spec.s]
-        return traj.times, series
-    idx = traj.snapshot_indices
-    vals = np.array([norm(SpectralField(c), spec, d) for c in traj.snapshots])
-    return traj.times[idx], vals
+def _norm_series(traj: Trajectory, s: float):
+    """Times and H^s norm values for the fit; dense columns when available."""
+    if s in (0.0, 1.0, 2.0):
+        return traj.times, {0.0: traj.l2, 1.0: traj.h1, 2.0: traj.h2}[s]
+    vals = np.array([norm(SpectralField(c), s, traj.domain) for c in traj.snapshots])
+    return traj.times[traj.snapshot_indices], vals
 
 
-def decay_fit(traj: Trajectory, spec: NormSpec, d: DomainConfig,
+def decay_fit(traj: Trajectory, s: float,
               window: tuple[float, float] | None = None) -> DecayFit:
-    """Fit log(norm) ~ intercept + slope * t on the window.
+    """Fit log ||u||_{H^s} ~ intercept + slope * t on the window, s in [0, 2].
 
     The default window is [0.2 T, T].  At least 10 samples must fall in
     the window and the norm must stay above underflow; both violations
     raise ValueError.
     """
-    times, values = _norm_series(traj, spec, d)
+    times, values = _norm_series(traj, s)
     if window is None:
         window = (0.2 * float(times[-1]), float(times[-1]))
     ta, tb = window
@@ -294,7 +253,6 @@ def decay_fit(traj: Trajectory, spec: NormSpec, d: DomainConfig,
         slope=float(slope),
         intercept=float(intercept),
         fit_rms=float(np.sqrt(np.mean(resid**2))),
-        norm_label=spec.label,
         n_samples=int(len(t)),
     )
 
@@ -310,8 +268,7 @@ class ThresholdReport:
     max_violation: float
 
 
-def threshold_time(traj: Trajectory, c1: float, d: DomainConfig,
-                   slack: float = 1e-10) -> ThresholdReport:
+def threshold_time(traj: Trajectory, c1: float, slack: float = 1e-10) -> ThresholdReport:
     """First time ||u||^2 drops under min(delta, delta pi^2 / L^2) / (2 c1).
 
     Past that time the first-order functional integral |Du|^2 + u^2 must
@@ -320,6 +277,7 @@ def threshold_time(traj: Trajectory, c1: float, d: DomainConfig,
     """
     if c1 <= 0:
         raise ValueError("c1 must be positive")
+    d = traj.domain
     thr = min(d.delta / (2.0 * c1), d.delta * np.pi**2 / (2.0 * c1 * d.L**2))
     l2sq = traj.l2**2
     hit = np.nonzero(l2sq <= thr)[0]

@@ -57,10 +57,8 @@ class SymbolTable:
 
 def symbol(d: DomainConfig) -> SymbolTable:
     """Assemble the per-mode symbol table for the domain."""
-    xi = d.xi[:, None]
     xi_o = d.xi_odd[:, None]
-    lam = d.lam[None, :]
-    m = 1j * (xi_o**3 + xi_o * lam) - d.delta * (xi**2 + lam)
+    m = 1j * (xi_o**3 + xi_o * d.lam[None, :]) - d.delta * mode_multipliers(d).d1
     return SymbolTable(domain=d, m=m)
 
 

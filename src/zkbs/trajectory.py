@@ -171,7 +171,7 @@ class _Recorder:
     the first `rows` boundaries and rows - 1 steps.  Callers add their
     own series, named at construction, as keyword values; nonlin_flux
     and step_iters always exist and stay zero unless written.  Built-in
-    series sum |c|^2 against per-mode weights that include the Parseval row weight.
+    series sum |c|^2 against mode_multipliers weights times the Parseval row weight.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
@@ -180,11 +180,10 @@ class _Recorder:
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
         self.mults = m = mode_multipliers(d)
-        W = d.parseval_weight[:, None] * np.ones(d.spectral_shape)
-        wh1 = 1.0 + m.d1
+        W = d.parseval_weight[:, None]
         # (series, modes) matrices, so that each record makes one contraction
-        self.stacked = np.stack([W, W * wh1, W * wh1**2, W * m.d1, W * m.d2,
-                                 W * m.e2]).reshape(6, -1)
+        self.stacked = np.stack([W * w for w in (m.hs(0), m.hs(1), m.hs(2), m.d1, m.d2,
+                                                 m.e2)]).reshape(6, -1)
         self.mid_stacked = np.stack([W * m.d1, W * m.d2, W * m.d3]).reshape(3, -1)
         self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed"),
                                 self.stacked))

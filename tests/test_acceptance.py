@@ -24,7 +24,6 @@ from zkbs import (
     duhamel_solve,
     eigenmode,
     gaussian_bump,
-    NormSpec,
     parseval_norm_sq,
     picard_solve,
     random_band,
@@ -204,14 +203,14 @@ def test_criterion_04_flux_orthogonality(default_run, library_runs):
 
 def test_criterion_05_decay_slopes(default_run, library_runs, desk_domain):
     d = desk_domain
-    eig = decay_fit(library_runs["eigenmode"], NormSpec(kind="hs", s=0.0), d)
+    eig = decay_fit(library_runs["eigenmode"], 0.0)
     eig_ok = abs(eig.slope + POINCARE_RATE) <= 1e-6
 
     bound = -POINCARE_RATE + 1e-3
     slopes = {}
     mono_ok = True
     for name, traj in {"default": default_run, **library_runs}.items():
-        fit = decay_fit(traj, NormSpec(kind="hs", s=0.0), d)
+        fit = decay_fit(traj, 0.0)
         slopes[name] = fit.slope
         slack = 1e-12 * max(1.0, float(traj.l2[0]))
         mono_ok = mono_ok and bool(np.all(np.diff(traj.l2) <= slack))
@@ -241,9 +240,8 @@ def test_criterion_06_steklov_inequality(default_run, library_runs, desk_domain)
 
 
 def test_criterion_07_h1_lyapunov_monotone(default_run, desk_domain):
-    thr = threshold_time(default_run, FROZEN["threshold_c1"], desk_domain,
-                         slack=1e-10)
-    tail = decay_fit(default_run, NormSpec(kind="hs", s=1.0), desk_domain)
+    thr = threshold_time(default_run, FROZEN["threshold_c1"], slack=1e-10)
+    tail = decay_fit(default_run, 1.0)
     ok = thr.t1 == 0.0 and len(thr.violations) == 0 and tail.slope < 0.0
     report(7, "gradient functional decays past threshold", ok,
            f"t1={thr.t1}, violations={len(thr.violations)}, "
@@ -308,8 +306,7 @@ def test_criterion_10_inactive_cutoff_consistency(desk_domain):
 
 def test_criterion_11_fractional_norm_envelopes(default_run, desk_domain):
     d = desk_domain
-    fits = {s: decay_fit(default_run, NormSpec(kind="hs", s=s), d)
-            for s in (0.0, 0.5, 1.0, 1.5, 2.0)}
+    fits = {s: decay_fit(default_run, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)}
     beta = {k: -fits[float(k)].slope for k in (0, 1, 2)}
     ok = True
     details = []

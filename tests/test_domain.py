@@ -7,7 +7,6 @@ from zkbs import (
     GridField,
     SpectralField,
     dealias_mask,
-    derivative,
     grid_quadrature,
     mixed_derivative,
     mode_inner,
@@ -157,25 +156,15 @@ class TestDerivatives:
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) <= 1e-11 * scale, (kx, kyord)
 
-    def test_axis_wrapper(self, small_domain, rng):
-        d = small_domain
-        s = to_spectral(random_real_field(d, rng), d)
-        assert np.array_equal(
-            derivative(s, "x", 2, d).values, mixed_derivative(s, 2, 0, d).values
-        )
-        assert np.array_equal(
-            derivative(s, "y", 3, d).values, mixed_derivative(s, 0, 3, d).values
-        )
-
     def test_rejects_unsupported_orders(self, small_domain, rng):
         d = small_domain
         s = to_spectral(random_real_field(d, rng), d)
         with pytest.raises(ValueError):
-            derivative(s, "x", 4, d)
+            mixed_derivative(s, 4, 0, d)
         with pytest.raises(ValueError):
             mixed_derivative(s, 2, 2, d)
         with pytest.raises(ValueError):
-            derivative(s, "z", 1, d)
+            mixed_derivative(s, -1, 1, d)
 
     def test_third_x_derivative_drops_nyquist(self, small_domain):
         # odd x orders on the Nyquist row, its own conjugate partner, must

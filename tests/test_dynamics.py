@@ -92,8 +92,6 @@ class TestRegularizedFlux:
             RegularizedFlux(h=0.0)
         with pytest.raises(ValueError, match="h"):
             RegularizedFlux(h=1.5)
-        assert RegularizedFlux(h=None).regularized is False
-        assert RegularizedFlux(h=1.0).regularized is True
 
     def test_unregularized_is_half_square(self, rng):
         flux = RegularizedFlux(h=None)
@@ -448,12 +446,13 @@ class TestSimulate:
         assert len(traj.mid_diss0) == 0 and len(traj.mid_rhs_h1) == 0
         assert list(traj.snapshot_indices) == [0]
 
-    def test_low_guard_factor_trips_early(self, medium_domain):
+    def test_low_guard_factor_trips_early(self, medium_domain, monkeypatch):
         # guard measures growth, so a sub-unity factor trips immediately
+        monkeypatch.setattr(zkbs.dynamics, "BLOWUP_GUARD", 0.5)
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
         traj = simulate(u0, 0.1, StepperConfig(scheme="etd2", dt=1e-3),
-                        RegularizedFlux(h=None), d, guard_factor=0.5)
+                        RegularizedFlux(h=None), d)
         assert traj.blowup_time is not None
 
     def test_snapshot_stride(self, medium_domain):
@@ -548,7 +547,7 @@ class TestOneStep:
         for k in range(10):
             u = traj.snapshots[k]
             n0 = nonlinear_term(SpectralField(u), flux, d).coeffs
-            u_next, iters = _advance(u, n0, tab, "picard", cfg, flux, d, traj.times[k + 1])
+            u_next, iters = _advance(u, n0, tab, cfg, flux, d, traj.times[k + 1])
             assert np.array_equal(traj.snapshots[k + 1], u_next)
             assert iters == traj.step_iters[k + 1]
 
@@ -603,11 +602,12 @@ class TestAuditSeries:
                                    RegularizedFlux(h=1.0), d)
         self.assert_lean_matches_full(full, lean)
 
-    def test_guard_truncated_run(self, small_domain):
+    def test_guard_truncated_run(self, small_domain, monkeypatch):
+        monkeypatch.setattr(zkbs.dynamics, "BLOWUP_GUARD", 0.5)
         d = small_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
         full, lean = lean_and_full(u0, 0.01, StepperConfig(dt=1e-3),
-                                   RegularizedFlux(h=None), d, guard_factor=0.5)
+                                   RegularizedFlux(h=None), d)
         assert full.blowup_time == pytest.approx(1e-3) and len(full.times) == 1
         self.assert_lean_matches_full(full, lean)
 

@@ -5,7 +5,6 @@ import pytest
 
 from zkbs import (
     GridField,
-    NormSpec,
     RegularizedFlux,
     SpectralField,
     StepperConfig,
@@ -48,15 +47,11 @@ def single_mode(d, j, l, amp=1.0):
 
 
 class TestNorms:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec(kind="hs", s=2.5)
-        with pytest.raises(ValueError):
-            NormSpec(kind="seminorm", k=4)
-        with pytest.raises(ValueError):
-            NormSpec(kind="besov")
-        assert NormSpec(kind="hs", s=0.5).label == "H^0.5"
-        assert NormSpec(kind="seminorm", k=2).label == "|D^2|"
+    def test_sobolev_exponent_validation(self, small_domain):
+        s = single_mode(small_domain, 1, 1)
+        for expo in (-0.5, 2.5, math.nan):
+            with pytest.raises(ValueError, match="Sobolev exponent"):
+                norm(s, expo, small_domain)
 
     def test_hs_norm_closed_form_on_single_mode(self, small_domain):
         d = small_domain
@@ -65,26 +60,13 @@ class TestNorms:
         lam = (np.pi * l / d.L) ** 2
         s = single_mode(d, j, l, amp)
         for expo in (0.0, 0.5, 1.0, 1.5, 2.0):
-            got = norm(s, NormSpec(kind="hs", s=expo), d)
+            got = norm(s, expo, d)
             want = amp * math.sqrt(d.X * d.L / 2.0) * (1 + xi**2 + lam) ** (expo / 2)
             assert np.isclose(got, want, rtol=1e-13), expo
 
-    def test_seminorm_closed_form_on_single_mode(self, small_domain):
-        d = small_domain
-        j, l, amp = 6, 2, 0.9
-        xi = np.pi * j / d.X
-        lam = (np.pi * l / d.L) ** 2
-        s = single_mode(d, j, l, amp)
-        for k in (1, 2, 3):
-            got = norm(s, NormSpec(kind="seminorm", k=k), d)
-            want = amp * math.sqrt(d.X * d.L / 2.0) * (xi**2 + lam) ** (k / 2)
-            assert np.isclose(got, want, rtol=1e-13), k
-
     def test_dk_seminorm_hand_integrals(self, small_domain):
-        # |D^3 u|^2 = u_xxx^2 + 3 u_xxy^2 + 3 u_xyy^2 + u_yyy^2 integrates
-        # to amp^2 (X L / 2)(xi^2 + lam)^3 when grouped with multiplicities,
-        # while the audit flavour keeps one term per mixed partial:
-        # xi^6 + xi^4 lam + xi^2 lam^2 + lam^3
+        # one term per mixed partial: |D^3 u|^2 = u_xxx^2 + u_xxy^2 + u_xyy^2
+        # + u_yyy^2 integrates to amp^2 (X L / 2)(xi^6 + xi^4 lam + xi^2 lam^2 + lam^3)
         d = small_domain
         j, l, amp = 5, 4, 1.2
         xi = np.pi * j / d.X
@@ -295,17 +277,16 @@ class TestDecayFit:
         xi = np.pi * j / d.X
         lam = (np.pi * l / d.L) ** 2
         traj = duhamel_solve(single_mode(d, j, l, 1.0), None, 1.0, 1e-3, S)
-        fit = decay_fit(traj, NormSpec(kind="hs", s=0.0), d)
+        fit = decay_fit(traj, 0.0)
         assert abs(fit.slope + d.delta * (xi**2 + lam)) <= 1e-8
         assert fit.fit_rms <= 1e-10
-        assert fit.norm_label == "H^0"
 
     def test_fractional_norm_uses_snapshots(self, small_domain):
         d = small_domain
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 2, 1, 1.0), None, 1.0, 1e-2, S,
                              snapshot_stride=2)
-        fit = decay_fit(traj, NormSpec(kind="hs", s=0.5), d)
+        fit = decay_fit(traj, 0.5)
         xi = np.pi * 2 / d.X
         lam = (np.pi / d.L) ** 2
         # H^s of a single mode is a constant multiple of L2, same slope
@@ -317,9 +298,9 @@ class TestDecayFit:
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 1, 1, 1.0), None, 0.1, 1e-3, S)
         with pytest.raises(ValueError, match="positive length"):
-            decay_fit(traj, NormSpec(), d, window=(0.5, 0.5))
+            decay_fit(traj, 0.0, window=(0.5, 0.5))
         with pytest.raises(ValueError, match="at least 10"):
-            decay_fit(traj, NormSpec(), d, window=(0.095, 0.1))
+            decay_fit(traj, 0.0, window=(0.095, 0.1))
 
     def test_underflow_raises(self, small_domain):
         d = small_domain
@@ -327,7 +308,7 @@ class TestDecayFit:
         traj = duhamel_solve(single_mode(d, 0, 1, 1.0), None, 1400.0, 1.0, S,
                              snapshot_stride=0)
         with pytest.raises(ValueError, match="underflow"):
-            decay_fit(traj, NormSpec(), d)
+            decay_fit(traj, 0.0)
 
 
 class TestThreshold:
@@ -335,7 +316,7 @@ class TestThreshold:
         d = small_domain
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 1, 1, 1e-3), None, 0.1, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"], d)
+        rep = threshold_time(traj, FROZEN["threshold_c1"])
         assert rep.t1 == 0.0
         assert rep.violations == []
 
@@ -351,7 +332,7 @@ class TestThreshold:
         assert l2sq0 > thr  # data starts above the threshold
         dt = 1e-3
         traj = duhamel_solve(single_mode(d, 0, 1, amp), None, 0.5, dt, S)
-        rep = threshold_time(traj, c1, d)
+        rep = threshold_time(traj, c1)
         rate = 2 * d.delta * np.pi**2 / d.L**2
         t1_exact = math.log(l2sq0 / thr) / rate
         assert rep.t1 is not None
@@ -363,7 +344,7 @@ class TestThreshold:
         S = symbol(d)
         amp = 16.0
         traj = duhamel_solve(single_mode(d, 0, 1, amp), None, 0.01, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"], d)
+        rep = threshold_time(traj, FROZEN["threshold_c1"])
         assert rep.t1 is None
 
     def test_growing_functional_reports_violations(self, small_domain):
@@ -374,7 +355,7 @@ class TestThreshold:
         f = single_mode(d, 2, 2, 1.0).coeffs
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, lambda t: f, 0.1, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"], d)
+        rep = threshold_time(traj, FROZEN["threshold_c1"])
         assert rep.t1 == 0.0
         assert len(rep.violations) > 0
         assert rep.max_violation > 0.0
@@ -384,7 +365,7 @@ class TestThreshold:
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 1, 1, 1.0), None, 0.01, 1e-3, S)
         with pytest.raises(ValueError):
-            threshold_time(traj, 0.0, d)
+            threshold_time(traj, 0.0)
 
 
 class TestCalibration:

@@ -1,4 +1,4 @@
-"""Property tests of the transform pairs and the discrete flux.
+"""Property tests of the transform pairs, the discrete flux and the recorded norms.
 
 hypothesis draws the geometry (at most 64 x 16 points), a seed for the
 random data and its scale; every invariant here must hold for all of them.
@@ -15,15 +15,20 @@ from zkbs import (
     RegularizedFlux,
     SpectralField,
     dealias_mask,
+    dk_seminorm_sq,
     grid_quadrature,
     mode_inner,
+    mode_multipliers,
     nonlinear_term,
+    norm,
     parseval_norm_sq,
     plan_domain,
+    symbol,
     to_grid,
     to_spectral,
 )
 from zkbs.domain import _band_to_grid, _band_to_spectral
+from zkbs.trajectory import _Recorder
 
 domains = st.builds(
     plan_domain,
@@ -102,3 +107,20 @@ def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
     want = np.where(mask, to_spectral(GridField(f), d).coeffs, 0.0)
     got = _band_to_spectral(f, d)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@props
+@given(domains, seeds, scales, st.floats(min_value=1e-3, max_value=10.0))
+def test_recorded_norms_and_symbol_read_the_one_weight_table(d, seed, scale, delta):
+    # the recorder's stacked contraction against the functionals that read
+    # the same mode_multipliers table one weight at a time
+    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
+    rec = _Recorder(d, 1.0, 1.0, 0)
+    rec.boundary(0, c)
+    u = SpectralField(c)
+    want = {"l2": norm(u, 0, d), "h1": norm(u, 1, d), "h2": norm(u, 2, d),
+            "diss_l2": dk_seminorm_sq(u, 1, d), "e2_mixed": dk_seminorm_sq(u, 2, d)}
+    for name, value in want.items():
+        assert math.isclose(rec.cols[name][0], value, rel_tol=1e-12), name
+    d = plan_domain(d.L, d.X, d.nx, d.ny, delta)
+    assert np.array_equal(symbol(d).m.real, -d.delta * mode_multipliers(d).d1)
