@@ -26,8 +26,9 @@ every stored integrand of interest vanishes on the walls.
 Transforms are a real FFT in x and an unnormalized type-I DST in y.  All
 functions here are pure: they read DomainConfig and return new fields.
 The public to_grid/to_spectral are the general, checked path.  The
-nonlinear step uses the private _band_to_grid/_band_to_spectral pair
-instead: it reads and writes only the 2/3-rule band, and does the y
+nonlinear step keeps its state as the (kx, ky) block of the 2/3-rule band,
+which the private _band_to_grid/_band_to_spectral pair reads and returns
+(_pad_band pads a block to the half spectrum).  The pair does the y
 transform as a product with the cached kept-band sine block rather than a
 DST.  That is faster at the desk size 256 x 64 and slower on tall grids,
 where the product's O(ny^2) per row outweighs the DST's O(ny log ny).
@@ -281,28 +282,31 @@ def dealias_mask(d: DomainConfig) -> np.ndarray:
 # core per step.  So the x synthesis is laid out transposed, and sine_band
 # is stored grid-major, (ny, ky), where the analysis multiplies by it directly.
 
-def _band_to_grid(coeffs: np.ndarray, d: DomainConfig) -> np.ndarray:
-    """to_grid of the dealiased part of coeffs, unchecked, as a raw array.
+def _band_to_grid(band: np.ndarray, d: DomainConfig) -> np.ndarray:
+    """to_grid of the kept-band block band, (kx, ky), unchecked, as a raw array.
 
-    Reads only the kept band: an inverse real FFT of coeffs[:kx, :ky] in x,
-    then a product with the cached sine block in y.
+    An inverse real FFT in x, then a product with the cached sine block in y.
     """
-    kx, ky = _kept_band(d)
-    band = coeffs[:kx, :ky] * (d.phase[:kx, None] * d.nx)
+    band = band * (d.phase[: len(band), None] * d.nx)
     csin = _sfft.irfft(band.T, n=d.nx, axis=1).T  # (nx, ky), F-ordered
     return csin @ d.sine_band().T
 
 
 def _band_to_spectral(values: np.ndarray, d: DomainConfig) -> np.ndarray:
-    """to_spectral of grid values followed by the dealias mask, unchecked.
+    """The kept-band (kx, ky) block of to_spectral of grid values, unchecked.
 
     A product with the cached sine block in y, then a real FFT in x that
-    keeps rows j < kx; every mode outside the kept band is zero.
+    keeps rows j < kx.
     """
-    kx, ky = _kept_band(d)
+    kx = _kept_band(d)[0]
     rows = _sfft.rfft(values @ d.sine_band(), axis=0)[:kx]
+    return rows * (d.phase[:kx, None] * (2.0 / ((d.ny + 1) * d.nx)))
+
+
+def _pad_band(band: np.ndarray, d: DomainConfig) -> np.ndarray:
+    """The half spectrum whose leading block is band and whose other modes are zero."""
     out = np.zeros(d.spectral_shape, dtype=complex)
-    out[:kx, :ky] = rows * (d.phase[:kx, None] * (2.0 / ((d.ny + 1) * d.nx)))
+    out[: band.shape[0], : band.shape[1]] = band
     return out
 
 

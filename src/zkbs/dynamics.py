@@ -46,9 +46,9 @@ from .domain import (
     SpectralField,
     _band_to_grid,
     _band_to_spectral,
-    dealias_mask,
+    _kept_band,
+    _pad_band,
     grid_quadrature,
-    mode_inner,
     parseval_norm_sq,
     to_spectral,
 )
@@ -246,32 +246,32 @@ class PicardDiagnostics:
     converged: bool
 
 
-def _nonlinear_core(coeffs: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
+def _nonlinear_core(band: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
                     t: float = 0.0):
-    """(grid values, N) of the dealiased part of coeffs, by the band transforms."""
+    """(grid values, N) of a kept-band block, N on the band too, by the band transforms."""
     # the finiteness test on g is the evaluation's one guard; it raises
     # BlowupError on any overflow before it, so the overflow stays silent
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _band_to_grid(coeffs, d)
+        vals = _band_to_grid(band, d)
         g = flux(vals)
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
-    return vals, -1j * d.xi_odd[:, None] * _band_to_spectral(g, d)
+    return vals, -1j * d.xi_odd[: len(band), None] * _band_to_spectral(g, d)
 
 
 def nonlinear_term(u: SpectralField, flux: RegularizedFlux, d: DomainConfig) -> SpectralField:
     """-d/dx g_h of the dealiased part of u, evaluated pseudospectrally and dealiased."""
-    _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex), flux, d)
-    return SpectralField(n)
+    kx, ky = _kept_band(d)
+    _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex)[:kx, :ky], flux, d)
+    return SpectralField(_pad_band(n, d))
 
 
 class _ETD2Tables(NamedTuple):
-    """exp(m dt), dt phi_1(m dt), dt phi_2(m dt) and the dealias mask."""
+    """exp(m dt), dt phi_1(m dt) and dt phi_2(m dt) on the kept band."""
 
     E: np.ndarray
     hp1: np.ndarray
     hp2: np.ndarray
-    mask: np.ndarray
 
     def predict(self, u: np.ndarray, n0: np.ndarray) -> np.ndarray:
         """Exponential Euler: E u + dt phi_1 n0."""
@@ -283,13 +283,14 @@ class _ETD2Tables(NamedTuple):
 
 
 def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
-    z = S.m * dt
-    return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z), dealias_mask(S.domain))
+    kx, ky = _kept_band(S.domain)
+    z = S.m[:kx, :ky] * dt
+    return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z))
 
 
 def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, cfg: StepperConfig,
              flux: RegularizedFlux, d: DomainConfig, t: float):
-    """One cfg.scheme step from u, given n0 = N(u); returns (new state, iterations).
+    """One cfg.scheme step from the band block u, given n0 = N(u); returns (new block, iterations).
 
     etd2 makes one corrector pass from the exponential Euler predictor; picard
     repeats it until iterates differ by < cfg.picard_tol.  t (the new state's
@@ -303,7 +304,7 @@ def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, cfg: StepperConfig
         iters += 1
         if cfg.scheme == "etd2":
             return cand, iters
-        change = math.sqrt(parseval_norm_sq(cand - u_next, d))
+        change = math.sqrt(parseval_norm_sq(_pad_band(cand - u_next, d), d))
         u_next = cand
         if change < cfg.picard_tol:
             return u_next, iters
@@ -319,10 +320,11 @@ def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
     """One exponential predictor-corrector step of size cfg.dt from the dealiased part of u."""
     d = S.domain
     tab = _etd2_tables(S, cfg.dt)
-    u0 = np.where(tab.mask, np.asarray(u.coeffs, dtype=complex), 0.0)
+    kx, ky = _kept_band(d)
+    u0 = np.asarray(u.coeffs, dtype=complex)[:kx, :ky]
     _, n0 = _nonlinear_core(u0, flux, d)
     u1, _ = _advance(u0, n0, tab, replace(cfg, scheme="etd2"), flux, d, t=0.0)
-    return SpectralField(u1)
+    return SpectralField(_pad_band(u1, d))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
@@ -331,8 +333,9 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     """Whole-window fixed point of v -> semigroup + Duhamel[nonlinear(v)].
 
     The window [0, t0] is cut into steps of cfg.dt (rounded to divide t0)
-    and the iterate is stored at every boundary.  Each sweep rebuilds the
-    trajectory from the current iterate's nonlinear term under the
+    and the iterate's kept band is stored at every boundary, an (n + 1, kx,
+    ky) stack, beside one of its nonlinear terms.  Each sweep rebuilds the
+    iterate in place, boundary by boundary, from those terms under the
     endpoint-pair exponential quadrature, so the fixed point is a
     second-order discretization of the flow.
 
@@ -347,11 +350,12 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     n = max(1, round(t0 / cfg.dt))
     dt = t0 / n
     tab = _etd2_tables(S, dt)
-
-    base = np.where(tab.mask, np.asarray(u0.coeffs, dtype=complex), 0.0)
+    kx, ky = _kept_band(d)
+    base = np.asarray(u0.coeffs, dtype=complex)[:kx, :ky]
+    row_weight = d.parseval_weight[:kx]
 
     # sweep 0: pure semigroup transport of the data
-    v = np.empty((n + 1,) + d.spectral_shape, dtype=complex)
+    v = np.empty((n + 1,) + base.shape, dtype=complex)
     v[0] = base
     for i in range(n):
         v[i + 1] = tab.E * v[i]
@@ -364,13 +368,14 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     for _ in range(cfg.picard_max_iter):
         for i in range(1, n + 1):
             _, nl[i] = _nonlinear_core(v[i], flux, d, t=i * dt)
-        w = np.empty_like(v)
-        w[0] = base
+        # nl holds every N of the old iterate, so v can be overwritten row by row
+        diff_sq = 0.0
         for i in range(n):
-            w[i + 1] = tab.correct(tab.predict(w[i], nl[i]), nl[i], nl[i + 1])
-        diff = math.sqrt(float(np.max(np.sum(np.abs(w - v) ** 2, axis=2) @ d.parseval_weight)))
+            w = tab.correct(tab.predict(v[i], nl[i]), nl[i], nl[i + 1])
+            diff_sq = max(diff_sq, float(row_weight @ np.sum(np.abs(w - v[i + 1]) ** 2, axis=1)))
+            v[i + 1] = w
+        diff = math.sqrt(diff_sq)
         diffs.append(diff)
-        v = w
         if diff < cfg.picard_tol:
             converged = True
             break
@@ -389,16 +394,17 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
             "contraction failed, reduce t0 (successive differences stalled at "
             f"{diffs_arr[-1]:.3e} after {len(diffs)} sweeps)"
         )
-    return SpectralField(v[n]), diag
+    return SpectralField(_pad_band(v[n], d)), diag
 
 
-def _flux_moments(coeffs: np.ndarray, vals: np.ndarray, n: np.ndarray,
+def _flux_moments(u: np.ndarray, vals: np.ndarray, n: np.ndarray, weight: np.ndarray,
                   d: DomainConfig, cube: bool) -> dict:
-    """Boundary series of simulate: integral g_h(u) u_x as the pairing of u with n = N(u),
-    exact by discrete Parseval for dealiased u and every h, and integral u^3 if cube."""
-    out = {"nonlin_flux": mode_inner(coeffs, n, d)}
+    """Boundary series of simulate: integral g_h(u) u_x as the pairing of the band blocks u
+    and n = N(u) under the Parseval weight, exact by discrete Parseval for every h, and
+    integral u^3 if cube."""
+    out = {"nonlin_flux": float(weight @ (np.conj(u) * n).real.ravel())}
     if cube:
-        out["cube"] = grid_quadrature(vals**3, d)
+        out["cube"] = grid_quadrature(vals * vals * vals, d)
     return out
 
 
@@ -429,15 +435,16 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     evaluates it and may stop later.
     """
     dt = cfg.dt
+    kx, ky = _kept_band(d)
     rec = _Recorder(d, T, dt, snapshot_stride,
                     boundary_series=("cube",) if audit_series else (),
                     interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
-                                     if audit_series else ()))
+                                     if audit_series else ()), shape=(kx, ky))
     tab = _etd2_tables(symbol(d), dt)
-    lap = -rec.mults.d1  # spectral Laplacian multiplier
+    lap = -rec.mults.d1[:kx, :ky]  # spectral Laplacian multiplier
     rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
 
-    u = np.where(tab.mask, to_spectral(u0, d).coeffs, 0.0)
+    u = to_spectral(u0, d).coeffs[:kx, :ky]
 
     blowup_time = None
     rows = 0  # boundaries whose series are complete
@@ -447,7 +454,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
             raise BlowupError("non-finite initial L2 norm", 0.0)
         guard = BLOWUP_GUARD * rec.cols["l2"][0]
         vals, n0 = _nonlinear_core(u, flux, d, t=0.0)
-        rec.put(0, **_flux_moments(u, vals, n0, d, audit_series))
+        rec.put(0, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
@@ -470,7 +477,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
             u = u_next
             vals, n0 = _nonlinear_core(u, flux, d, t=rec.times[i + 1])
-            rec.put(i + 1, **_flux_moments(u, vals, n0, d, audit_series))
+            rec.put(i + 1, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t

@@ -22,7 +22,7 @@ from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
-from .domain import DomainConfig, mode_multipliers
+from .domain import DomainConfig, _pad_band, mode_multipliers
 
 __all__ = ["Trajectory", "EnergyReport", "attach_refinement_order"]
 
@@ -171,20 +171,24 @@ class _Recorder:
     the first `rows` boundaries and rows - 1 steps.  Callers add their
     own series, named at construction, as keyword values; nonlin_flux
     and step_iters always exist and stay zero unless written.  Built-in
-    series sum |c|^2 against mode_multipliers weights times the Parseval row weight.
+    series sum |c|^2 against mode_multipliers weights times the Parseval row weight,
+    sliced once to the recorded state's leading `shape` block (simulate records its
+    kept band); snapshots are padded to the full half spectrum.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
-                 boundary_series: tuple = (), interval_series: tuple = ()):
+                 boundary_series: tuple = (), interval_series: tuple = (),
+                 shape: tuple[int, int] | None = None):
         n = _resolve_steps(T, dt)
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
         self.mults = m = mode_multipliers(d)
-        W = d.parseval_weight[:, None]
-        # (series, modes) matrices, so that each record makes one contraction
-        self.stacked = np.stack([W * w for w in (m.hs(0), m.hs(1), m.hs(2), m.d1, m.d2,
-                                                 m.e2)]).reshape(6, -1)
-        self.mid_stacked = np.stack([W * m.d1, W * m.d2, W * m.d3]).reshape(3, -1)
+        rows, cols = shape or d.spectral_shape
+        W = d.parseval_weight[:rows, None]
+        def stack(*ws):  # a (series, modes) matrix, so that each record makes one contraction
+            return np.stack([W * w[:rows, :cols] for w in ws]).reshape(len(ws), -1)
+        self.stacked = stack(m.hs(0), m.hs(1), m.hs(2), m.d1, m.d2, m.e2)
+        self.mid_stacked = stack(m.d1, m.d2, m.d3)
         self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed"),
                                 self.stacked))
         self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
@@ -201,7 +205,7 @@ class _Recorder:
         self.put(i, **values)
         if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
             self.snapshot_indices.append(i)
-            self.snapshots.append(coeffs.copy())
+            self.snapshots.append(_pad_band(coeffs, self.domain))
 
     def put(self, i: int, **values) -> None:
         for name, value in values.items():

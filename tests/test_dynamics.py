@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from zkbs.cli import PROFILES
 import zkbs.domain
 import zkbs.dynamics
 from zkbs.trajectory import Trajectory
+from zkbs.domain import _kept_band, _pad_band
 from zkbs.dynamics import _advance, _etd2_tables
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
@@ -356,6 +358,24 @@ class TestPicard:
                              symbol(d))
         assert info.value.t == pytest.approx(0.0125 / 12)
 
+    def test_window_memory_is_about_two_band_stacks(self, small_domain):
+        # the iterate and its nonlinear terms are the only (n + 1)-deep
+        # arrays: a sweep rebuilds the iterate in place, with no third stack
+        d = small_domain
+        S = symbol(d)
+        u0 = to_spectral(gaussian_bump(d), d)
+        t0, dt = 0.2, 1e-3
+        kx, ky = _kept_band(d)
+        stack_bytes = (round(t0 / dt) + 1) * kx * ky * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            _, diag = picard_solve(u0, t0, StepperConfig(dt=dt), RegularizedFlux(h=None), S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.converged and diag.n_steps == 200
+        assert peak <= 2.5 * stack_bytes
+
     def test_rejects_nonpositive_horizon(self, small_domain):
         d = small_domain
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
@@ -544,12 +564,42 @@ class TestOneStep:
         assert traj.step_iters[1] == first.step_iters[1]
         # every later step is that same step taken from the previous state
         tab = _etd2_tables(symbol(d), cfg.dt)
+        kx, ky = _kept_band(d)
         for k in range(10):
             u = traj.snapshots[k]
             n0 = nonlinear_term(SpectralField(u), flux, d).coeffs
-            u_next, iters = _advance(u, n0, tab, cfg, flux, d, traj.times[k + 1])
-            assert np.array_equal(traj.snapshots[k + 1], u_next)
+            u_next, iters = _advance(u[:kx, :ky], n0[:kx, :ky], tab, cfg, flux, d,
+                                     traj.times[k + 1])
+            assert np.array_equal(traj.snapshots[k + 1], _pad_band(u_next, d))
             assert iters == traj.step_iters[k + 1]
+
+
+class TestSmallestGrid:
+    """On the smallest legal grid, 8 x 4, the kept band is (3, 3) of the (5, 4) half spectrum."""
+
+    def test_public_fields_are_zero_outside_the_band(self, rng):
+        d = plan_domain(L=math.pi, X=4.0, nx=8, ny=4, delta=0.5)
+        kx, ky = _kept_band(d)
+        assert (kx, ky) == (3, 3)
+        S = symbol(d)
+        flux = RegularizedFlux(h=None)
+        cfg = StepperConfig(dt=1e-3)
+        # random samples touch every mode, so only the step's band zeroes the rest
+        u0 = GridField(0.5 * rng.standard_normal(d.shape))
+        s0 = to_spectral(u0, d)
+        assert np.all(s0.coeffs[:, -1] != 0.0)
+        traj = simulate(u0, 0.01, cfg, flux, d)
+        fields = {
+            "simulate": traj.snapshots[-1],
+            "etd2_step": etd2_step(s0, cfg, flux, S).coeffs,
+            "nonlinear_term": nonlinear_term(s0, flux, d).coeffs,
+            "picard_solve": picard_solve(s0, 0.01, cfg, flux, S)[0].coeffs,
+        }
+        outside = ~dealias_mask(d)
+        for name, c in fields.items():
+            assert c.shape == (5, 4), name
+            assert np.all(c[outside] == 0.0), name
+            assert np.any(c[:kx, :ky] != 0.0), name
 
 
 AUDIT_ONLY = ("cube", "mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")

@@ -27,7 +27,7 @@ from zkbs import (
     to_grid,
     to_spectral,
 )
-from zkbs.domain import _band_to_grid, _band_to_spectral
+from zkbs.domain import _band_to_grid, _band_to_spectral, _kept_band
 from zkbs.trajectory import _Recorder
 
 domains = st.builds(
@@ -99,12 +99,12 @@ def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
 def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
     # the step's band kernel against to_grid/to_spectral, its oracle
     rng = np.random.default_rng(seed)
-    mask = dealias_mask(d)
-    c = np.where(mask, half_spectrum_coeffs(d, rng, scale), 0.0)
+    kx, ky = _kept_band(d)
+    c = np.where(dealias_mask(d), half_spectrum_coeffs(d, rng, scale), 0.0)
     want = to_grid(SpectralField(c), d).values
-    assert np.max(np.abs(_band_to_grid(c, d) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(_band_to_grid(c[:kx, :ky], d) - want)) <= 1e-12 * np.max(np.abs(want))
     f = scale * rng.standard_normal(d.shape)
-    want = np.where(mask, to_spectral(GridField(f), d).coeffs, 0.0)
+    want = to_spectral(GridField(f), d).coeffs[:kx, :ky]
     got = _band_to_spectral(f, d)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -124,3 +124,24 @@ def test_recorded_norms_and_symbol_read_the_one_weight_table(d, seed, scale, del
         assert math.isclose(rec.cols[name][0], value, rel_tol=1e-12), name
     d = plan_domain(d.L, d.X, d.nx, d.ny, delta)
     assert np.array_equal(symbol(d).m.real, -d.delta * mode_multipliers(d).d1)
+
+
+@props
+@given(domains, seeds, scales)
+def test_band_recorder_matches_the_full_recorder_on_band_data(d, seed, scale):
+    # simulate records its kept band with weights sliced to it; on data
+    # supported on the band that must sum what the full-shape recorder sums
+    rng = np.random.default_rng(seed)
+    kx, ky = _kept_band(d)
+    c, mid = (np.where(dealias_mask(d), half_spectrum_coeffs(d, rng, scale), 0.0)
+              for _ in range(2))
+    full = _Recorder(d, 1.0, 1.0, 0)
+    band = _Recorder(d, 1.0, 1.0, 0, shape=(kx, ky))
+    for rec, crop in ((full, np.s_[:, :]), (band, np.s_[:kx, :ky])):
+        rec.boundary(0, c[crop])
+        rec.interval(0, mid[crop])
+    for name in full.weights:
+        assert math.isclose(band.cols[name][0], full.cols[name][0], rel_tol=1e-13), name
+    for name in full.mid_weights:
+        assert math.isclose(band.mid[name][0], full.mid[name][0], rel_tol=1e-13), name
+    assert np.array_equal(band.snapshots[0], full.snapshots[0])
