@@ -17,10 +17,10 @@ smoothly in between; both bounds |g_h'| <= 2/h and |g_h'| <= 2|u| hold
 everywhere.  The unregularized flux u^2/2 is selected with h = None.
 
 The vectorized flux RegularizedFlux.__call__ evaluates the band part from
-a degree-70 Chebyshev interpolant of the h-independent integral
+a piecewise Chebyshev table of the h-independent integral
 R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma, s = h|u| - 1 in [0, 1],
-built once at import; it matches the adaptive-quadrature oracle g_h to
-about 2e-14 * max(1, |g_h|) (measured at h = 1, 0.5, 0.1 and 0.01).
+built once at import and within 1.2e-15 of R, so its agreement with the
+adaptive-quadrature oracle g_h is bounded by the oracle's (see g_h).
 
 One table build (_etd2_tables) and one step (_advance) serve both
 per-step schemes: etd2, the exponential predictor-corrector of Cox &
@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import dct
 
 from .domain import (
     DomainConfig,
@@ -111,34 +112,55 @@ def eta(x):
 # eta(sigma) + eta(1 - sigma) = 1 reduce the flux to
 #     g_h(u) = (1/2 + J(s)) / h^2,  s = h |u| - 1 in [0, 1],
 #     J(s) = s + s^2/2 + R(s),  R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma.
-# R depends on s alone, so it is tabulated once at import as a Chebyshev
-# interpolant of its Gauss-Legendre values (Trefethen, Approximation Theory
-# and Approximation Practice, SIAM 2013).  At degree 70 the trailing
-# coefficients are at rounding (~7e-15) and R is within 1.2e-14 of adaptive
-# quadrature; higher degrees fit sample rounding and worsen R' near s = 1.
+# R depends on s alone, so it is tabulated once at import as a piecewise
+# Chebyshev interpolant (Trefethen, Approximation Theory and Approximation
+# Practice, SIAM 2013): 24 pieces of degree 11, each through Gauss-Legendre
+# values at its Chebyshev-Lobatto points, all fitted by one DCT-I.  Pieces
+# share their seam samples, so R is continuous there to rounding, and the
+# table is within 1.2e-15 of the Gauss rule (one degree-70 interpolant: 1.1e-14).
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 
 def _remainder_gauss(s):
     """R(s) by a 96-node Gauss-Legendre rule on [0, s]; samples the table."""
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    half = 0.5 * np.asarray(s, dtype=float)[:, None]
-    sigma = half * (nodes + 1.0)
-    return half[:, 0] * np.sum((1.0 - sigma) * eta(sigma) * weights, axis=-1)
+    half = 0.5 * np.asarray(s, dtype=float)[..., None]
+    sigma = half * (_GAUSS_NODES + 1.0)
+    return half[..., 0] * np.sum((1.0 - sigma) * eta(sigma) * _GAUSS_WEIGHTS, axis=-1)
 
 
-_REMAINDER = np.polynomial.Chebyshev.interpolate(
-    _remainder_gauss, 70, domain=[0.0, 1.0])
-# subtracting the interpolant's own value at 0 makes R(0) = 0 exactly, so
-# g_h has no jump at |u| = 1/h
-_REMAINDER_AT_0 = _REMAINDER(np.zeros(1))[0]
+_PIECES, _DEGREE = 24, 11
+_LOBATTO = np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
+# (degree + 1, pieces): row k holds every piece's T_k coefficient
+_REMAINDER_COEFFS = dct(_remainder_gauss(
+    (np.arange(_PIECES) + 0.5 * (_LOBATTO[:, None] + 1.0)) / _PIECES), type=1, axis=0) / _DEGREE
+_REMAINDER_COEFFS[[0, -1]] *= 0.5
+
+
+def _remainder(s):
+    """R(s) for s in [0, 1] from the piecewise table by Clenshaw's recurrence."""
+    t = _PIECES * s
+    # truncation is floor for t >= 0 and keeps an s rounded below 0 on piece 0
+    piece = np.minimum(t.astype(np.intp), _PIECES - 1)
+    x = 2.0 * (t - piece) - 1.0
+    x2 = 2.0 * x
+    b1, b2 = _REMAINDER_COEFFS[_DEGREE][piece], 0.0
+    for row in _REMAINDER_COEFFS[_DEGREE - 1:0:-1]:
+        b1, b2 = row[piece] + x2 * b1 - b2, b1
+    return _REMAINDER_COEFFS[0][piece] + x * b1 - b2
+
+
+# subtracting the table's own value at 0 makes R(0) = 0 exactly, so g_h has
+# no jump at |u| = 1/h
+_REMAINDER_AT_0 = _remainder(np.zeros(1))[0]
 
 
 def _band_integral(s):
-    """J(s) for s in [0, 1] from the tabulated remainder."""
-    return s + 0.5 * s * s + (_REMAINDER(s) - _REMAINDER_AT_0)
+    """J(s) for s in [0, 1] from the piecewise table of R."""
+    return s + 0.5 * s * s + (_remainder(s) - _REMAINDER_AT_0)
 
 
-# J(1) from the same interpolant, so g_h has no jump at |u| = 2/h either
+# J(1) from the same table, so g_h has no jump at |u| = 2/h either
 _BAND_AT_1 = _band_integral(np.ones(1))[0]
 
 
@@ -189,8 +211,8 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
     the glue region integrates the defining integrand with scipy's
     adaptive rule at absolute tolerance 1e-12.  This is the reference
     for the vectorized RegularizedFlux.__call__, which evaluates the band
-    from the tabulated Chebyshev interpolant of R(s) and agrees with this
-    to within 1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]).
+    from the piecewise Chebyshev table of R(s) and agrees with this to
+    within 1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]).
     """
     if flux.h is None:
         return 0.5 * float(u) ** 2

@@ -287,6 +287,24 @@ class TestOtherCommands:
         assert "[ok] picard_matches_etd2" in out
         assert (tmp_path / "o" / "picard.json").is_file()
 
+    def test_picard_matches_etd2_on_huge_exact_solution(self, tmp_path, capsys):
+        # an eigenmode does no flux work, so Picard and ETD2 differ by rounding
+        # only, which at amplitude 1e50 is far above any absolute threshold
+        text = SMALL.replace("generator = gaussian_bump", "generator = eigenmode")
+        cfg = write_cfg(tmp_path, text.replace("amplitude = 0.5", "amplitude = 1e50"))
+        code = main(["picard", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "[ok] picard_matches_etd2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("profile, old_abs", [("default", 1e-6), ("strict", 1e-7)])
+    def test_picard_desk_threshold_is_tighter_than_the_old_absolute_one(
+            self, tmp_path, capsys, profile, old_abs):
+        code = main(["picard", "--out", str(tmp_path / "o"), "--tolerance-profile", profile])
+        assert code == 0, capsys.readouterr()
+        report = json.loads((tmp_path / "o" / "picard.json").read_text())
+        check, = (c for c in report["checks"] if c["name"] == "picard_matches_etd2")
+        assert check["passed"] and 0.0 < check["threshold"] < old_abs
+
 
 @pytest.mark.parametrize("command", sorted(FIGURES))
 def test_every_line_is_a_check_and_main_writes_every_report(tmp_path, capsys, command):
@@ -409,3 +427,18 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_dynamics_import_builds_one_gauss_legendre_rule():
+    # the flux table samples every piece from one 96-node rule built at import
+    code = (
+        "import numpy.polynomial.legendre as leg\n"
+        "calls = []\n"
+        "real = leg.leggauss\n"
+        "leg.leggauss = lambda deg: calls.append(deg) or real(deg)\n"
+        "import zkbs.dynamics\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[96]"

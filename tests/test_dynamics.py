@@ -184,6 +184,39 @@ class TestTabulatedFlux:
         tol = 16 * np.finfo(float).eps * max(1.0, g[1])
         assert np.max(np.abs(np.diff(g))) <= tol
 
+    def test_table_matches_gauss_rule(self):
+        s = np.linspace(0.0, 1.0, 100_001)
+        err = np.abs(zkbs.dynamics._remainder(s) - zkbs.dynamics._remainder_gauss(s))
+        assert np.max(err) <= 2e-15
+
+    @given(h=cutoff_scales, seam=st.integers(min_value=1, max_value=23), sign=signs)
+    def test_continuous_across_table_seams(self, h, seam, sign):
+        # nine neighbouring floats around |u| = (1 + seam/24) / h, where the table
+        # passes from piece seam - 1 to piece seam, differ by a few ulps of max(1, g_h)
+        flux = RegularizedFlux(h=h)
+        c = (1.0 + seam / 24) / h
+        u = c + np.arange(-4, 5) * np.spacing(c)
+        t = 24 * (h * u - 1.0)
+        assert t[0] < seam <= t[-1]  # the window crosses the seam
+        g = flux(sign * u)
+        tol = 16 * np.finfo(float).eps * max(1.0, g[4])
+        assert np.max(np.abs(np.diff(g))) <= tol
+
+    @pytest.mark.parametrize("h", [None, 0.5])
+    def test_call_contract_on_mixed_data(self, h):
+        # parabola (|u| <= 2), band (2 < |u| < 4) and tail (|u| >= 4) together
+        flux = RegularizedFlux(h=h)
+        u = np.array([[-6.0, -3.0, -2.0, -0.5], [0.0, 1.9, 2.5, 4.5]])
+        g = flux(u)
+        assert g.shape == u.shape
+        assert np.array_equal(g.ravel(), [flux(float(v)) for v in u.ravel()])
+        inside = np.abs(u) <= 2.0
+        assert np.array_equal(g[inside], 0.5 * u[inside] ** 2)
+        for scalar in (3.0, np.float64(3.0), np.array(3.0)):
+            assert type(flux(scalar)) is float
+        empty = flux(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
 
 class TestNonlinearTerm:
     def test_matches_direct_product_on_banded_data(self, small_domain, rng):
