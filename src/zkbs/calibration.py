@@ -113,7 +113,7 @@ def smoothing_run(t_end: float = 0.1, dt: float = 1e-3):
         c[j, lsel] = blk if j != 0 else blk.real  # the x-mean row is real
     u = to_grid(SpectralField(c), d)
     u = type(u)(0.3 * u.values / np.max(np.abs(u.values)))
-    traj = simulate(u, t_end, StepperConfig(scheme="etd2", dt=dt),
+    traj = simulate(u, t_end, StepperConfig(dt=dt),
                     RegularizedFlux(h=None), d, audit_series=False)
     return traj, d
 

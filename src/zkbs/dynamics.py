@@ -22,20 +22,19 @@ R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma, s = h|u| - 1 in [0, 1],
 built once at import and within 1.2e-15 of R, so its agreement with the
 adaptive-quadrature oracle g_h is bounded by the oracle's (see g_h).
 
-One table build (_etd2_tables) and one step (_advance) serve both
-per-step schemes: etd2, the exponential predictor-corrector of Cox &
-Matthews (2002), is one corrector pass from the exponential Euler
-predictor, and picard repeats that pass until it converges.
-picard_solve uses the same tables for the whole-window iteration
-v -> S(t) u0 + Duhamel[-d/dx g_h(v)] that mirrors the contraction
-argument behind local existence, reporting the successive-difference
-ratios.
+Time stepping has one table build (_etd2_tables) and one step
+(_advance): the exponential predictor-corrector ETD2 of Cox & Matthews
+(2002), one corrector pass from the exponential Euler predictor, shared
+by etd2_step and simulate.  picard_solve uses the same tables for the
+whole-window iteration v -> S(t) u0 + Duhamel[-d/dx g_h(v)] that mirrors
+the contraction argument behind local existence, reporting the
+successive-difference ratios.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +49,6 @@ from .domain import (
     _kept_band,
     _pad_band,
     grid_quadrature,
-    parseval_norm_sq,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
@@ -240,16 +238,13 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping options shared by the production schemes."""
+    """The ETD2 step size, and picard_solve's tolerance and sweep limit."""
 
-    scheme: str = "etd2"          # "etd2" | "picard"
     dt: float = 1e-3
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
 
     def __post_init__(self):
-        if self.scheme not in ("etd2", "picard"):
-            raise ValueError("scheme must be 'etd2' or 'picard'")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
         if not (self.picard_tol > 0) or self.picard_max_iter < 1:
@@ -310,31 +305,15 @@ def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
     return _ETD2Tables(np.exp(z), dt * phi(1, z), dt * phi(2, z))
 
 
-def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, cfg: StepperConfig,
-             flux: RegularizedFlux, d: DomainConfig, t: float):
-    """One cfg.scheme step from the band block u, given n0 = N(u); returns (new block, iterations).
+def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, flux: RegularizedFlux,
+             d: DomainConfig, t: float) -> np.ndarray:
+    """One ETD2 step from the band block u, given n0 = N(u); returns the new block.
 
-    etd2 makes one corrector pass from the exponential Euler predictor; picard
-    repeats it until iterates differ by < cfg.picard_tol.  t (the new state's
-    time) is stamped on a BlowupError or ContractionError.
+    t (the new state's time) is stamped on a BlowupError.
     """
     a = tab.predict(u, n0)
-    u_next, iters = a, 0
-    while True:
-        _, n1 = _nonlinear_core(u_next, flux, d, t=t)
-        cand = tab.correct(a, n0, n1)
-        iters += 1
-        if cfg.scheme == "etd2":
-            return cand, iters
-        change = math.sqrt(parseval_norm_sq(_pad_band(cand - u_next, d), d))
-        u_next = cand
-        if change < cfg.picard_tol:
-            return u_next, iters
-        if iters >= cfg.picard_max_iter:
-            raise ContractionError(
-                "contraction failed, reduce t0 (per-step fixed point "
-                f"stalled at {change:.3e}, t = {t:.6g})"
-            )
+    _, n1 = _nonlinear_core(a, flux, d, t=t)
+    return tab.correct(a, n0, n1)
 
 
 def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
@@ -345,7 +324,7 @@ def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
     kx, ky = _kept_band(d)
     u0 = np.asarray(u.coeffs, dtype=complex)[:kx, :ky]
     _, n0 = _nonlinear_core(u0, flux, d)
-    u1, _ = _advance(u0, n0, tab, replace(cfg, scheme="etd2"), flux, d, t=0.0)
+    u1 = _advance(u0, n0, tab, flux, d, t=0.0)
     return SpectralField(_pad_band(u1, d))
 
 
@@ -434,17 +413,17 @@ def _flux_moments(u: np.ndarray, vals: np.ndarray, n: np.ndarray, weight: np.nda
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
              audit_series: bool = True) -> Trajectory:
-    """Integrate the full equation and record diagnostics every step.
+    """Integrate the full equation by ETD2 steps and record diagnostics every step.
 
     Every run records, per boundary, the L2/H1/H2 norms, the two
-    dissipation integrals, the mixed second-derivative energy, the
-    nonlinear flux integral g_h(u) u_x and iteration counts, and per
-    interval the dissipation integrals mid_diss0/1/2 on the averaged
-    state.  With audit_series (the default) it also records the series
-    that only the energy audits read: integral u^3 per boundary and, on
-    the averaged state (midpoint rule), the nonlinear work mid_rhs_h1,
-    mid_rhs_h2 and integral u^2 (u_xx + u_yy), at the cost of a third
-    nonlinear evaluation and one more band synthesis per step.  With
+    dissipation integrals, the mixed second-derivative energy and the
+    nonlinear flux integral g_h(u) u_x, and per interval the dissipation
+    integrals mid_diss0/1/2 on the averaged state.  With audit_series
+    (the default) it also records the series that only the energy audits
+    read: integral u^3 per boundary and, on the averaged state (midpoint
+    rule), the nonlinear work mid_rhs_h1, mid_rhs_h2 and integral
+    u^2 (u_xx + u_yy), at the cost of a third nonlinear evaluation and one
+    more band synthesis per step.  With
     audit_series=False those four Trajectory fields are None and every
     other field is bit-identical.  Snapshots are stored every
     snapshot_stride steps (0 keeps only the endpoints).
@@ -480,8 +459,8 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
-            u_next, iters = _advance(u, n0, tab, cfg, flux, d, t + dt)
-            rec.boundary(i + 1, u_next, step_iters=iters)
+            u_next = _advance(u, n0, tab, flux, d, t + dt)
+            rec.boundary(i + 1, u_next)
             norm_next = rec.cols["l2"][i + 1]
             if not math.isfinite(norm_next) or norm_next > guard:
                 raise BlowupError("L2 norm left the trust region", t + dt)
@@ -503,4 +482,4 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t
-    return rec.trajectory(cfg.scheme, rows, blowup_time, h=flux.h)
+    return rec.trajectory(rows, blowup_time, h=flux.h)

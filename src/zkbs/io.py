@@ -36,7 +36,7 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"ZKBS"
 SNAPSHOT_VERSION = 1
-CSV_COLUMNS = ("t", "l2", "h1", "h2", "diss_l2", "diss_h1", "nonlin_flux", "step_iters")
+CSV_COLUMNS = ("t", "l2", "h1", "h2", "diss_l2", "diss_h1", "nonlin_flux")
 
 
 def write_snapshot(path, values: np.ndarray) -> None:
@@ -77,7 +77,6 @@ def write_diagnostics_csv(path, traj: Trajectory) -> None:
                 f"{traj.diss_l2[i]:.17g}",
                 f"{traj.diss_h1[i]:.17g}",
                 f"{traj.nonlin_flux[i]:.17g}",
-                f"{int(traj.step_iters[i])}",
             )
             fh.write(",".join(row) + "\n")
 

@@ -146,7 +146,7 @@ def duhamel_solve(
         rec.interval(i, 0.5 * (u + u_next))
         u = u_next
         rec.boundary(i + 1, u)
-    return rec.trajectory("duhamel", rec.n_steps + 1)
+    return rec.trajectory(rec.n_steps + 1)
 
 
 def _forcing_pairings(traj: Trajectory, which: str, f0, f1, f2):

@@ -30,7 +30,6 @@ __all__ = ["Trajectory", "EnergyReport", "attach_refinement_order"]
 @dataclass(eq=False)
 class Trajectory:
     domain: DomainConfig
-    scheme: str
     times: np.ndarray                 # (n+1,) step boundaries, strictly increasing
     l2: np.ndarray                    # (n+1,) L2 norm
     h1: np.ndarray                    # (n+1,) full H1 norm
@@ -39,7 +38,6 @@ class Trajectory:
     diss_h1: np.ndarray               # (n+1,) integral u_xx^2 + 2 u_xy^2 + u_yy^2
     e2_mixed: np.ndarray              # (n+1,) integral u_xx^2 + u_xy^2 + u_yy^2
     nonlin_flux: np.ndarray           # (n+1,) integral g_h(u) u_x
-    step_iters: np.ndarray            # (n+1,) iterations spent entering this boundary
     mid_diss0: np.ndarray             # (n,) integral |Du|^2 at averaged states
     mid_diss1: np.ndarray             # (n,) integral u_xx^2 + 2 u_xy^2 + u_yy^2, averaged states
     mid_diss2: np.ndarray             # (n,) third-order dissipation integral, averaged states
@@ -146,8 +144,8 @@ def _resolve_steps(T: float, dt: float) -> int:
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide the final time")
-    # a _Recorder keeps at most 16 float64 series, 10 per boundary and 6 per step
-    need = 16 * 8 * (n + 1)
+    # a _Recorder keeps at most 15 float64 series, 9 per boundary and 6 per step
+    need = 15 * 8 * (n + 1)
     if need > _memory_bytes():
         raise ValueError(f"{n} steps cannot be recorded: their series need "
                          f"{need / 2**30:.3g} GiB, more than the machine's memory")
@@ -170,8 +168,8 @@ class _Recorder:
     only) and the truncation of a run that blew up: trajectory() keeps
     the first `rows` boundaries and rows - 1 steps.  Callers add their
     own series, named at construction, as keyword values; nonlin_flux
-    and step_iters always exist and stay zero unless written.  Built-in
-    series sum |c|^2 against mode_multipliers weights times the Parseval row weight,
+    always exists and stays zero unless written.  Built-in series sum
+    |c|^2 against mode_multipliers weights times the Parseval row weight,
     sliced once to the recorded state's leading `shape` block (simulate records its
     kept band); snapshots are padded to the full half spectrum.
     """
@@ -194,7 +192,6 @@ class _Recorder:
         self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
         self.cols = {name: np.zeros(n + 1) for name in
                      (*self.weights, "nonlin_flux", *boundary_series)}
-        self.cols["step_iters"] = np.zeros(n + 1, dtype=int)
         self.mid = {name: np.zeros(n) for name in (*self.mid_weights, *interval_series)}
         self.snapshot_indices, self.snapshots = [], []
 
@@ -216,12 +213,12 @@ class _Recorder:
         for name, value in (*zip(self.mid_weights, sums), *values.items()):
             self.mid[name][i] = value
 
-    def trajectory(self, scheme: str, rows: int, blowup_time: float | None = None,
+    def trajectory(self, rows: int, blowup_time: float | None = None,
                    h: float | None = None) -> Trajectory:
         indices = np.array(self.snapshot_indices, dtype=int)
         kept = int(np.sum(indices < rows))  # boundaries arrive in order
         return Trajectory(
-            domain=self.domain, scheme=scheme, times=self.times[:rows],
+            domain=self.domain, times=self.times[:rows],
             snapshot_indices=indices[:kept], snapshots=self.snapshots[:kept],
             blowup_time=blowup_time, h=h,
             **{name: col[:rows] for name, col in self.cols.items()},

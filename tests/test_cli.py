@@ -26,9 +26,6 @@ sigma_x = 2.0
 t_end = 0.05
 """
 
-# the per-step fixed point stalls at the first step
-STALLED = "scheme = picard\npicard_max_iter = 1\namplitude = 3\n"
-
 # the grid values overflow in the first step
 BLOWUP = "generator = traveling_mode\namplitude = 1e120\n"
 
@@ -55,7 +52,7 @@ class TestConfigParsing:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg == RunConfig()
-        assert cfg.h is None and cfg.scheme == "etd2"
+        assert cfg.h is None
 
     def test_file_values_and_comments(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SMALL))
@@ -138,24 +135,12 @@ class TestExitCodes:
 
     def test_bad_flag_choice_is_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL)
-        code = main(["simulate", "--config", cfg, "--scheme", "rk4"])
+        code = main(["simulate", "--config", cfg, "--tolerance-profile", "lax"])
         assert code == 3
 
     def test_bad_h_override_is_3(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
         assert main(["simulate", "--config", cfg, "--h", "2.5"]) == 3
-
-    @pytest.mark.parametrize("command,report", [
-        ("simulate", "summary.json"), ("audit", "audit.json"), ("decay", "decay.json")])
-    def test_stalled_contraction_is_1_with_a_report(self, tmp_path, capsys, command, report):
-        cfg = write_cfg(tmp_path, SMALL + STALLED)
-        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert out.startswith("[FAIL] stepper: contraction failed")
-        summary = json.loads((tmp_path / "o" / report).read_text())
-        assert summary["experiment"] == command and summary["passed"] is False
-        assert summary["error"] in out
 
     @pytest.mark.parametrize("command,report", [
         ("audit", "audit.json"), ("decay", "decay.json"), ("picard", "picard.json")])
@@ -355,9 +340,9 @@ def test_module_entry_point(tmp_path):
 # command, config lines, extra flags, exit code, text its one line must name;
 # {file} is a regular file, so a directory cannot be made under it
 ROBUSTNESS = [
-    pytest.param("simulate", STALLED, [], 1, "contraction failed", id="stalled-simulate"),
-    pytest.param("audit", STALLED, [], 1, "contraction failed", id="stalled-audit"),
-    pytest.param("decay", STALLED, [], 1, "contraction failed", id="stalled-decay"),
+    pytest.param("picard", "picard_max_iter = 1\n", [], 1,
+                 "[FAIL] contraction_ratios_below_one: value='contraction failed",
+                 id="stalled-picard"),
     pytest.param("simulate", "", ["--out", "{file}/x"], 3, "{file}/x", id="out-unusable"),
     pytest.param("audit", "", ["--identities", "foo"], 3, "'foo'", id="identities-unknown"),
     pytest.param("audit", "", ["--identities", ""], 3, "--identities", id="identities-empty"),
@@ -378,6 +363,9 @@ ROBUSTNESS = [
     pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
                  id="snapshot_stride-negative"),
     pytest.param("simulate", "dealias = false\n", [], 3, "dealias", id="dealias-removed"),
+    pytest.param("simulate", "scheme = picard\n", [], 3, "scheme", id="scheme-removed"),
+    pytest.param("simulate", "", ["--scheme", "picard"], 3, "--scheme",
+                 id="scheme-flag-removed"),
     pytest.param("decay", "t_end = 0.005\n", [], 1, "decay window", id="decay-fit-window"),
 ]
 

@@ -39,8 +39,7 @@ from zkbs.cli import PROFILES
 import zkbs.domain
 import zkbs.dynamics
 from zkbs.trajectory import Trajectory
-from zkbs.domain import _kept_band, _pad_band
-from zkbs.dynamics import _advance, _etd2_tables
+from zkbs.domain import _kept_band
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
 # multiple lies in (1, 2) on the transition band and beyond 2 on the tail
@@ -250,7 +249,7 @@ class TestEtd2:
         mask = dealias_mask(d)
         base = np.where(mask, s0.coeffs, 0.0)
         flux = RegularizedFlux(h=None)
-        cfg = StepperConfig(scheme="etd2", dt=1e-3)
+        cfg = StepperConfig(dt=1e-3)
 
         def rhs(t, y):
             c = y.reshape(d.spectral_shape)
@@ -268,7 +267,7 @@ class TestEtd2:
         for dt in (1e-3, 5e-4):
             u = SpectralField(base)
             for _ in range(round(T / dt)):
-                u = etd2_step(u, StepperConfig(scheme="etd2", dt=dt), flux, S)
+                u = etd2_step(u, StepperConfig(dt=dt), flux, S)
             errs[dt] = np.max(np.abs(u.coeffs - ref))
         assert errs[1e-3] <= 1e-6
         # second-order error against the adaptively solved system
@@ -280,7 +279,7 @@ class TestEtd2:
         flux = RegularizedFlux(h=None)
         finals = {}
         for dt in (4e-3, 2e-3, 1e-3):
-            traj = simulate(u0, 0.2, StepperConfig(scheme="etd2", dt=dt), flux, d)
+            traj = simulate(u0, 0.2, StepperConfig(dt=dt), flux, d)
             finals[dt] = traj.snapshots[-1]
         e1 = np.max(np.abs(finals[4e-3] - finals[1e-3]))
         e2 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
@@ -336,7 +335,7 @@ class TestPicard:
     def test_zero_data_converges_immediately(self, small_domain):
         d = small_domain
         S = symbol(d)
-        cfg = StepperConfig(scheme="picard", dt=1e-3)
+        cfg = StepperConfig(dt=1e-3)
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         field, diag = picard_solve(u0, 0.01, cfg, RegularizedFlux(h=None), S)
         assert diag.converged
@@ -347,7 +346,7 @@ class TestPicard:
         d = medium_domain
         S = symbol(d)
         u0 = to_spectral(banded_field(d, rng, amplitude=0.1), d)
-        cfg = StepperConfig(scheme="picard", dt=1e-3, picard_tol=1e-12)
+        cfg = StepperConfig(dt=1e-3, picard_tol=1e-12)
         flux = RegularizedFlux(h=None)
         first = {}
         for t0 in (0.0125, 0.025, 0.05):
@@ -365,9 +364,9 @@ class TestPicard:
         flux = RegularizedFlux(h=None)
         t0 = 0.05
         field, _ = picard_solve(
-            u0, t0, StepperConfig(scheme="picard", dt=1e-3, picard_tol=1e-12),
+            u0, t0, StepperConfig(dt=1e-3, picard_tol=1e-12),
             flux, S)
-        traj = simulate(u0g, t0, StepperConfig(scheme="etd2", dt=1e-3), flux, d)
+        traj = simulate(u0g, t0, StepperConfig(dt=1e-3), flux, d)
         diff = math.sqrt(parseval_norm_sq(field.coeffs - traj.snapshots[-1], d))
         assert diff <= 1e-6
 
@@ -375,7 +374,7 @@ class TestPicard:
         d = medium_domain
         S = symbol(d)
         u0 = to_spectral(banded_field(d, rng, amplitude=0.5), d)
-        cfg = StepperConfig(scheme="picard", dt=1e-3, picard_tol=1e-16,
+        cfg = StepperConfig(dt=1e-3, picard_tol=1e-16,
                             picard_max_iter=2)
         with pytest.raises(ContractionError, match="reduce t0"):
             picard_solve(u0, 0.05, cfg, RegularizedFlux(h=None), S)
@@ -421,35 +420,16 @@ class TestSimulate:
     def test_l2_monotone_and_flux_orthogonal(self, medium_domain):
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        traj = simulate(u0, 0.2, StepperConfig(scheme="etd2", dt=1e-3),
+        traj = simulate(u0, 0.2, StepperConfig(dt=1e-3),
                         RegularizedFlux(h=None), d)
         assert np.all(np.diff(traj.l2) <= 1e-12 * traj.l2[0])
         bound = 1e-10 * np.maximum(1.0, traj.l2**3)
         assert np.all(np.abs(traj.nonlin_flux) <= bound)
 
-    def test_picard_scheme_runs_and_reports_iterations(self, medium_domain):
-        d = medium_domain
-        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
-        traj = simulate(u0, 0.02, StepperConfig(scheme="picard", dt=1e-3,
-                                                picard_tol=1e-11),
-                        RegularizedFlux(h=None), d)
-        assert traj.scheme == "picard"
-        assert np.all(traj.step_iters[1:] >= 1)
-
-    def test_schemes_agree_to_tolerance(self, medium_domain):
-        d = medium_domain
-        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
-        flux = RegularizedFlux(h=None)
-        a = simulate(u0, 0.02, StepperConfig(scheme="etd2", dt=1e-3), flux, d)
-        b = simulate(u0, 0.02, StepperConfig(scheme="picard", dt=1e-3,
-                                             picard_tol=1e-13), flux, d)
-        diff = np.max(np.abs(a.snapshots[-1] - b.snapshots[-1]))
-        assert diff <= 1e-9
-
     def test_blowup_truncates_trajectory(self, medium_domain, rng):
         d = medium_domain
         u0 = GridField(2000.0 * banded_field(d, rng).values)
-        traj = simulate(u0, 5.0, StepperConfig(scheme="etd2", dt=1e-1),
+        traj = simulate(u0, 5.0, StepperConfig(dt=1e-1),
                         RegularizedFlux(h=None), d)
         assert traj.blowup_time is not None
         n = len(traj.times)
@@ -467,7 +447,7 @@ class TestSimulate:
             warnings.simplefilter("error")
             traj = simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
         assert traj.blowup_time == 0.0
-        for series in (traj.times, traj.l2, traj.nonlin_flux, traj.step_iters,
+        for series in (traj.times, traj.l2, traj.nonlin_flux,
                        traj.mid_diss0, traj.mid_u2lap):
             assert len(series) == 0
         assert traj.snapshots == [] and len(traj.snapshot_indices) == 0
@@ -495,7 +475,6 @@ class TestSimulate:
         assert list(traj.times) == [0.0]
         assert list(traj.l2) == [ref.l2[0]]
         assert list(traj.nonlin_flux) == [ref.nonlin_flux[0]]
-        assert list(traj.step_iters) == [0]
         assert len(traj.mid_diss0) == 0 and len(traj.mid_rhs_h1) == 0
         assert list(traj.snapshot_indices) == [0]
 
@@ -504,17 +483,17 @@ class TestSimulate:
         monkeypatch.setattr(zkbs.dynamics, "BLOWUP_GUARD", 0.5)
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        traj = simulate(u0, 0.1, StepperConfig(scheme="etd2", dt=1e-3),
+        traj = simulate(u0, 0.1, StepperConfig(dt=1e-3),
                         RegularizedFlux(h=None), d)
         assert traj.blowup_time is not None
 
     def test_snapshot_stride(self, medium_domain):
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
-        traj = simulate(u0, 0.02, StepperConfig(scheme="etd2", dt=1e-3),
+        traj = simulate(u0, 0.02, StepperConfig(dt=1e-3),
                         RegularizedFlux(h=None), d, snapshot_stride=5)
         assert list(traj.snapshot_indices) == [0, 5, 10, 15, 20]
-        traj = simulate(u0, 0.02, StepperConfig(scheme="etd2", dt=1e-3),
+        traj = simulate(u0, 0.02, StepperConfig(dt=1e-3),
                         RegularizedFlux(h=None), d, snapshot_stride=0)
         assert list(traj.snapshot_indices) == [0, 20]
 
@@ -522,7 +501,7 @@ class TestSimulate:
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
         with pytest.raises(ValueError, match="divide"):
-            simulate(u0, 0.0205, StepperConfig(scheme="etd2", dt=1e-3),
+            simulate(u0, 0.0205, StepperConfig(dt=1e-3),
                      RegularizedFlux(h=None), d)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
@@ -541,7 +520,7 @@ class TestSimulate:
         # two fluxes are the same function and the runs agree bit for bit
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        cfg = StepperConfig(scheme="etd2", dt=1e-3)
+        cfg = StepperConfig(dt=1e-3)
         plain = simulate(u0, 0.1, cfg, RegularizedFlux(h=None), d)
         reg = simulate(u0, 0.1, cfg, RegularizedFlux(h=1.0), d)
         assert np.array_equal(plain.l2, reg.l2)
@@ -552,7 +531,7 @@ class TestSimulate:
         # so the regularized trajectory genuinely departs from u^2/2
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 3.0)
-        cfg = StepperConfig(scheme="etd2", dt=1e-3)
+        cfg = StepperConfig(dt=1e-3)
         plain = simulate(u0, 0.1, cfg, RegularizedFlux(h=None), d)
         reg = simulate(u0, 0.1, cfg, RegularizedFlux(h=1.0), d)
         assert reg.blowup_time is None
@@ -572,39 +551,19 @@ class TestSimulate:
 
 
 class TestOneStep:
-    """simulate, etd2_step and the Picard scheme take the same step."""
+    """simulate and etd2_step take the same step."""
 
     def test_simulate_equals_repeated_etd2_step(self, small_domain):
         d = small_domain
         S = symbol(d)
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        cfg = StepperConfig(scheme="etd2", dt=1e-3)
+        cfg = StepperConfig(dt=1e-3)
         flux = RegularizedFlux(h=None)
         traj = simulate(u0, 0.01, cfg, flux, d)
         u = SpectralField(np.where(dealias_mask(d), to_spectral(u0, d).coeffs, 0.0))
         for _ in range(10):
             u = etd2_step(u, cfg, flux, S)
         assert np.array_equal(traj.snapshots[-1], u.coeffs)
-
-    def test_picard_scheme_repeats_its_first_step(self, small_domain):
-        d = small_domain
-        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        cfg = StepperConfig(scheme="picard", dt=1e-3)
-        flux = RegularizedFlux(h=None)
-        traj = simulate(u0, 0.01, cfg, flux, d, snapshot_stride=1)
-        first = simulate(u0, 1e-3, cfg, flux, d)
-        assert np.array_equal(traj.snapshots[1], first.snapshots[-1])
-        assert traj.step_iters[1] == first.step_iters[1]
-        # every later step is that same step taken from the previous state
-        tab = _etd2_tables(symbol(d), cfg.dt)
-        kx, ky = _kept_band(d)
-        for k in range(10):
-            u = traj.snapshots[k]
-            n0 = nonlinear_term(SpectralField(u), flux, d).coeffs
-            u_next, iters = _advance(u[:kx, :ky], n0[:kx, :ky], tab, cfg, flux, d,
-                                     traj.times[k + 1])
-            assert np.array_equal(traj.snapshots[k + 1], _pad_band(u_next, d))
-            assert iters == traj.step_iters[k + 1]
 
 
 class TestSmallestGrid:
@@ -648,7 +607,7 @@ class TestAuditSeries:
     """audit_series=False drops the audit-only series and changes nothing else."""
 
     def assert_lean_matches_full(self, full, lean):
-        assert lean.domain is full.domain and lean.scheme == full.scheme
+        assert lean.domain is full.domain
         assert lean.blowup_time == full.blowup_time
         for field in dataclasses.fields(Trajectory):
             a, b = getattr(full, field.name), getattr(lean, field.name)
@@ -667,14 +626,6 @@ class TestAuditSeries:
         full, lean = lean_and_full(u0, 0.02, StepperConfig(dt=1e-3),
                                    RegularizedFlux(h=None), d, snapshot_stride=5)
         assert len(full.snapshots) == 5
-        self.assert_lean_matches_full(full, lean)
-
-    def test_picard_scheme(self, small_domain):
-        d = small_domain
-        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        cfg = StepperConfig(scheme="picard", dt=1e-3)
-        full, lean = lean_and_full(u0, 0.01, cfg, RegularizedFlux(h=None), d)
-        assert np.all(full.step_iters[1:] >= 2)
         self.assert_lean_matches_full(full, lean)
 
     def test_active_cutoff(self, small_domain):

@@ -176,7 +176,7 @@ def run():
     d = plan_domain(math.pi, 16 * math.pi, 128, 32, 0.5)
     u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
     flux = RegularizedFlux(h=None)
-    mk = lambda dt: simulate(u0, 0.2, StepperConfig(scheme="etd2", dt=dt),
+    mk = lambda dt: simulate(u0, 0.2, StepperConfig(dt=dt),
                              flux, d)
     return mk(2e-3), mk(1e-3)
 
@@ -186,7 +186,7 @@ def lean_run():
     """The coarse run of `run`, recorded without the audit series."""
     d = plan_domain(math.pi, 16 * math.pi, 128, 32, 0.5)
     u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-    return simulate(u0, 0.2, StepperConfig(scheme="etd2", dt=2e-3),
+    return simulate(u0, 0.2, StepperConfig(dt=2e-3),
                     RegularizedFlux(h=None), d, audit_series=False)
 
 

@@ -69,8 +69,7 @@ class TestDiagnosticsCsv:
         assert set(back) == set(CSV_COLUMNS)
         assert np.array_equal(back["t"], short_traj.times)
         assert np.array_equal(back["l2"], short_traj.l2)
-        assert np.array_equal(back["step_iters"],
-                              np.asarray(short_traj.step_iters, dtype=float))
+        assert np.array_equal(back["nonlin_flux"], short_traj.nonlin_flux)
 
     def test_rewrite_is_byte_identical(self, tmp_path, short_traj):
         a = tmp_path / "a.csv"

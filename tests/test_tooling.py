@@ -1,11 +1,18 @@
-"""Checks that read the package's source instead of running it."""
+"""Checks that read the package's source and README instead of running a solve."""
 
+import argparse
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "zkbs"
+from zkbs.cli import RunConfig, _build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zkbs"
+README = (ROOT / "README.md").read_text()
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +42,20 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_readme_config_keys_are_run_config_fields():
+    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    known = {f.name for f in fields(RunConfig)}
+    assert keys and set(keys) <= known, set(keys) - known
+
+
+def test_readme_common_flags_are_simulate_flags():
+    sentence = re.search(r"Common flags:(.*?)\.\s", README, re.S).group(1)
+    named = set(re.findall(r"`(--[a-z-]+)", sentence))
+    subparsers, = (a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    accepted = set(subparsers.choices["simulate"]._option_string_actions)
+    assert named and named <= accepted, named - accepted
