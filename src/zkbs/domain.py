@@ -23,24 +23,30 @@ holds w_j.  Grid quadrature uses the tensor weights dx * dy with
 dx = 2X/nx and dy = L/(ny + 1); these are trapezoid-consistent because
 every stored integrand of interest vanishes on the walls.
 
-Transforms are a real FFT in x and an unnormalized type-I DST in y.  All
-functions here are pure: they read DomainConfig and return new fields.
-The public to_grid/to_spectral are the general, checked path.  The
-nonlinear step keeps its state as the (kx, ky) block of the 2/3-rule band,
-which the private _band_to_grid/_band_to_spectral pair reads and returns
-(_pad_band pads a block to the half spectrum).  The pair does the y
-transform as a product with the cached kept-band sine block rather than a
-DST.  That is faster at the desk size 256 x 64 and slower on tall grids,
-where the product's O(ny^2) per row outweighs the DST's O(ny log ny).
+Transforms are a real FFT in x and an unnormalized type-I DST in y, all
+from numpy.fft.  The DST-I of n values is minus the imaginary part of the
+real FFT of their odd extension, of length 2(n + 1) (_dst1); pocketfft
+computes it the same way, so on numpy >= 2.0 the results equal scipy.fft's
+bit for bit.  The public functions are pure: they read DomainConfig and
+return new fields.  The public to_grid/to_spectral are the general,
+checked path.  The nonlinear step keeps its state as the (kx, ky) block
+of the 2/3-rule band, which the private _band_to_grid/_band_to_spectral
+pair reads and returns (_pad_band pads a block to the half spectrum).
+The pair does the y transform as a product with the cached kept-band
+sine block rather than a DST.  That is faster at the desk size 256 x 64
+and slower on tall grids, where the product's O(ny^2) per row outweighs
+the DST's O(ny log ny).  A run passes the synthesis one _GridWork, whose
+padded half spectrum and grid buffer every evaluation writes into, so
+the step does not allocate them anew.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as _sfft
 
 __all__ = [
     "DomainConfig",
@@ -215,24 +221,38 @@ def _check_spectral(coeffs: np.ndarray, d: DomainConfig, what: str) -> None:
         raise ValueError(f"{what} is not a real field's spectrum: rows 0, nx/2 not real")
 
 
+def _dst1(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized type-I DST along axis: 2 sum_j a_j sin(pi (j + 1)(k + 1) / (n + 1)).
+
+    With n = a.shape[axis], it is minus the imaginary part of the real FFT
+    of the odd extension (0, a, 0, -reversed a), of length 2(n + 1).
+    """
+    a = np.moveaxis(a, axis, -1)
+    n = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1 : n + 1] = a
+    ext[..., n + 2 :] = -a[..., ::-1]
+    return np.moveaxis(-np.fft.rfft(ext)[..., 1 : n + 1].imag, -1, axis)
+
+
 def to_spectral(f: GridField, d: DomainConfig) -> SpectralField:
     """Forward transform: collocation samples to mode amplitudes."""
     _check_shape(f.values, d.shape, "grid field")
-    csin = _sfft.dst(f.values, type=1, axis=1) / (d.ny + 1)
-    coeffs = d.phase[:, None] * _sfft.rfft(csin, axis=0) / d.nx
+    csin = _dst1(f.values) / (d.ny + 1)
+    coeffs = d.phase[:, None] * np.fft.rfft(csin, axis=0) / d.nx
     return SpectralField(coeffs)
 
 
 def _x_synthesis(coeffs: np.ndarray, d: DomainConfig) -> np.ndarray:
     """Inverse x transform; returns per-x sine (or cosine) coefficients."""
-    return _sfft.irfft(coeffs * d.phase[:, None] * d.nx, n=d.nx, axis=0)
+    return np.fft.irfft(coeffs * d.phase[:, None] * d.nx, n=d.nx, axis=0)
 
 
 def to_grid(s: SpectralField, d: DomainConfig) -> GridField:
     """Inverse transform: mode amplitudes to real collocation samples."""
     _check_spectral(s.coeffs, d, "spectral field")
     csin = _x_synthesis(s.coeffs, d)
-    return GridField(_sfft.dst(csin, type=1, axis=1) / 2.0)
+    return GridField(_dst1(csin) / 2.0)
 
 
 def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> GridField:
@@ -249,7 +269,7 @@ def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> Gri
     if ky % 2 == 0:
         c = c * (-d.lam[None, :]) ** (ky // 2)
         csin = _x_synthesis(c, d)
-        return GridField(_sfft.dst(csin, type=1, axis=1) / 2.0)
+        return GridField(_dst1(csin) / 2.0)
     # odd y order: sin -> cos, one sign flip per full second derivative
     sign = -1.0 if ky == 3 else 1.0
     c = c * (sign * d.ky[None, :] ** ky)
@@ -282,14 +302,31 @@ def dealias_mask(d: DomainConfig) -> np.ndarray:
 # core per step.  So the x synthesis is laid out transposed, and sine_band
 # is stored grid-major, (ny, ky), where the analysis multiplies by it directly.
 
-def _band_to_grid(band: np.ndarray, d: DomainConfig) -> np.ndarray:
+class _GridWork(NamedTuple):
+    """One run's buffers for _band_to_grid; the grid values it returns live in grid."""
+
+    half: np.ndarray  # (ky, nx/2 + 1) transposed half spectrum, zero past column kx
+    grid: np.ndarray  # (nx, ny) grid values
+
+
+def _grid_work(d: DomainConfig) -> _GridWork:
+    return _GridWork(np.zeros((_kept_band(d)[1], d.nx // 2 + 1), dtype=complex),
+                     np.empty(d.shape))
+
+
+def _band_to_grid(band: np.ndarray, d: DomainConfig, work: _GridWork | None = None) -> np.ndarray:
     """to_grid of the kept-band block band, (kx, ky), unchecked, as a raw array.
 
-    An inverse real FFT in x, then a product with the cached sine block in y.
+    The scaled band goes into the zero-padded half spectrum (numpy's own
+    padding of a short input is a slow copy), then an inverse real FFT in x,
+    then a product with the cached sine block in y.  With work, both land
+    in its buffers, and the result is work.grid, overwritten by the next call.
     """
-    band = band * (d.phase[: len(band), None] * d.nx)
-    csin = _sfft.irfft(band.T, n=d.nx, axis=1).T  # (nx, ky), F-ordered
-    return csin @ d.sine_band().T
+    if work is None:
+        work = _grid_work(d)
+    np.multiply(band.T, d.phase[: len(band)] * d.nx, out=work.half[:, : len(band)])
+    csin = np.fft.irfft(work.half, n=d.nx, axis=1).T  # (nx, ky), F-ordered
+    return np.matmul(csin, d.sine_band().T, out=work.grid)
 
 
 def _band_to_spectral(values: np.ndarray, d: DomainConfig) -> np.ndarray:
@@ -299,7 +336,7 @@ def _band_to_spectral(values: np.ndarray, d: DomainConfig) -> np.ndarray:
     keeps rows j < kx.
     """
     kx = _kept_band(d)[0]
-    rows = _sfft.rfft(values @ d.sine_band(), axis=0)[:kx]
+    rows = np.fft.rfft(values @ d.sine_band(), axis=0)[:kx]
     return rows * (d.phase[:kx, None] * (2.0 / ((d.ny + 1) * d.nx)))
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct
 
 from .domain import (
     DomainConfig,
@@ -46,6 +45,8 @@ from .domain import (
     SpectralField,
     _band_to_grid,
     _band_to_spectral,
+    _grid_work,
+    _GridWork,
     _kept_band,
     _pad_band,
     grid_quadrature,
@@ -113,7 +114,8 @@ def eta(x):
 # R depends on s alone, so it is tabulated once at import as a piecewise
 # Chebyshev interpolant (Trefethen, Approximation Theory and Approximation
 # Practice, SIAM 2013): 24 pieces of degree 11, each through Gauss-Legendre
-# values at its Chebyshev-Lobatto points, all fitted by one DCT-I.  Pieces
+# values at its Chebyshev-Lobatto points, all fitted by one DCT-I (a product
+# with the (degree + 1)^2 cosine matrix).  Pieces
 # share their seam samples, so R is continuous there to rounding, and the
 # table is within 1.2e-15 of the Gauss rule (one degree-70 interpolant: 1.1e-14).
 
@@ -129,9 +131,14 @@ def _remainder_gauss(s):
 
 _PIECES, _DEGREE = 24, 11
 _LOBATTO = np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
+# DCT-I matrix w_n cos(pi k n / degree), w = 1 at the ends and 2 inside; k n
+# is reduced modulo its period 2 degree (exactly: both are integers)
+_DCT1 = np.cos(np.pi * (np.outer(np.arange(_DEGREE + 1), np.arange(_DEGREE + 1))
+                        % (2 * _DEGREE)) / _DEGREE)
+_DCT1[:, 1:-1] *= 2.0
 # (degree + 1, pieces): row k holds every piece's T_k coefficient
-_REMAINDER_COEFFS = dct(_remainder_gauss(
-    (np.arange(_PIECES) + 0.5 * (_LOBATTO[:, None] + 1.0)) / _PIECES), type=1, axis=0) / _DEGREE
+_REMAINDER_COEFFS = _DCT1 @ _remainder_gauss(
+    (np.arange(_PIECES) + 0.5 * (_LOBATTO[:, None] + 1.0)) / _PIECES) / _DEGREE
 _REMAINDER_COEFFS[[0, -1]] *= 0.5
 
 
@@ -176,13 +183,15 @@ class RegularizedFlux:
         """Pointwise flux values; vectorized over arrays."""
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
+        # equal to 0.5 * arr**2 bit for bit, with one grid-sized allocation, not two
+        out = arr * arr
+        out *= 0.5
         if self.h is None:
-            out = 0.5 * arr**2
             return float(out) if scalar else out
         h = self.h
         arr = np.atleast_1d(arr)
+        out = np.atleast_1d(out)
         a = np.abs(arr)
-        out = 0.5 * arr**2
         band = (a > 1.0 / h) & (a < 2.0 / h)
         if np.any(band):
             out[band] = (0.5 + _band_integral(h * a[band] - 1.0)) / h**2
@@ -206,11 +215,14 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
     """Scalar flux value with adaptive quadrature on the transition band.
 
     Closed forms cover |u| <= 1/h (parabola) and |u| >= 2/h (linear tail);
-    the glue region integrates the defining integrand with scipy's
-    adaptive rule at absolute tolerance 1e-12.  This is the reference
-    for the vectorized RegularizedFlux.__call__, which evaluates the band
-    from the piecewise Chebyshev table of R(s) and agrees with this to
-    within 1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]).
+    the glue region between the band's break points 1/h and min(|u|, 2/h)
+    integrates the defining integrand with scipy's adaptive rule at
+    absolute and relative tolerance 1e-14.  This is the reference for the
+    vectorized RegularizedFlux.__call__, which evaluates the band from the
+    piecewise Chebyshev table of R(s) and agrees with this to within
+    1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]), while this
+    oracle lies within 2.5e-15 * max(1, |g_h|) of the table at h = 1, 0.5,
+    0.1 and 1e-3.
     """
     if flux.h is None:
         return 0.5 * float(u) ** 2
@@ -222,15 +234,17 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
 
     val = 0.5 / h**2
     hi = min(a, 2.0 / h)
-    band, _ = quad(
+    # full_output: near 1e-14 quad often reports that rounding limits its
+    # error estimate, which is expected here and would otherwise warn
+    val += quad(
         lambda th: th * eta(2.0 - h * th) + (2.0 / h) * eta(h * th - 1.0),
         1.0 / h,
         hi,
-        epsabs=1e-12,
-        epsrel=1e-13,
+        epsabs=1e-14,
+        epsrel=1e-14,
         limit=200,
-    )
-    val += band
+        full_output=1,
+    )[0]
     if a > 2.0 / h:
         val += (2.0 / h) * (a - 2.0 / h)
     return val
@@ -264,12 +278,16 @@ class PicardDiagnostics:
 
 
 def _nonlinear_core(band: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
-                    t: float = 0.0):
-    """(grid values, N) of a kept-band block, N on the band too, by the band transforms."""
+                    t: float = 0.0, work: _GridWork | None = None):
+    """(grid values, N) of a kept-band block, N on the band too, by the band transforms.
+
+    With work, the grid values are work.grid, which the next call with the
+    same work overwrites.
+    """
     # the finiteness test on g is the evaluation's one guard; it raises
     # BlowupError on any overflow before it, so the overflow stays silent
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _band_to_grid(band, d)
+        vals = _band_to_grid(band, d, work)
         g = flux(vals)
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
@@ -306,13 +324,13 @@ def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
 
 
 def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, flux: RegularizedFlux,
-             d: DomainConfig, t: float) -> np.ndarray:
+             d: DomainConfig, t: float, work: _GridWork | None = None) -> np.ndarray:
     """One ETD2 step from the band block u, given n0 = N(u); returns the new block.
 
     t (the new state's time) is stamped on a BlowupError.
     """
     a = tab.predict(u, n0)
-    _, n1 = _nonlinear_core(a, flux, d, t=t)
+    _, n1 = _nonlinear_core(a, flux, d, t=t, work=work)
     return tab.correct(a, n0, n1)
 
 
@@ -354,6 +372,7 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     kx, ky = _kept_band(d)
     base = np.asarray(u0.coeffs, dtype=complex)[:kx, :ky]
     row_weight = d.parseval_weight[:kx]
+    work = _grid_work(d)
 
     # sweep 0: pure semigroup transport of the data
     v = np.empty((n + 1,) + base.shape, dtype=complex)
@@ -363,12 +382,12 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
 
     # every iterate starts from base, so N(v[0]) is the same in every sweep
     nl = np.empty_like(v)
-    _, nl[0] = _nonlinear_core(base, flux, d)
+    _, nl[0] = _nonlinear_core(base, flux, d, work=work)
     diffs: list[float] = []
     converged = False
     for _ in range(cfg.picard_max_iter):
         for i in range(1, n + 1):
-            _, nl[i] = _nonlinear_core(v[i], flux, d, t=i * dt)
+            _, nl[i] = _nonlinear_core(v[i], flux, d, t=i * dt, work=work)
         # nl holds every N of the old iterate, so v can be overwritten row by row
         diff_sq = 0.0
         for i in range(n):
@@ -442,6 +461,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                     interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
                                      if audit_series else ()), shape=(kx, ky))
     tab = _etd2_tables(symbol(d), dt)
+    work = _grid_work(d)  # vals and vals_avg live in work.grid; lap_avg gets its own array
     lap = -rec.mults.d1[:kx, :ky]  # spectral Laplacian multiplier
     rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
 
@@ -454,12 +474,12 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
         if not math.isfinite(rec.cols["l2"][0]):
             raise BlowupError("non-finite initial L2 norm", 0.0)
         guard = BLOWUP_GUARD * rec.cols["l2"][0]
-        vals, n0 = _nonlinear_core(u, flux, d, t=0.0)
+        vals, n0 = _nonlinear_core(u, flux, d, t=0.0, work=work)
         rec.put(0, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
-            u_next = _advance(u, n0, tab, flux, d, t + dt)
+            u_next = _advance(u, n0, tab, flux, d, t + dt, work)
             rec.boundary(i + 1, u_next)
             norm_next = rec.cols["l2"][i + 1]
             if not math.isfinite(norm_next) or norm_next > guard:
@@ -467,7 +487,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
             uavg = 0.5 * (u + u_next)
             if audit_series:
-                vals_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt)
+                vals_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt, work=work)
                 pair = (np.conj(uavg) * n_avg).real
                 rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ pair.ravel())
                 lap_avg = _band_to_grid(lap * uavg, d)
@@ -477,7 +497,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                 rec.interval(i, uavg)
 
             u = u_next
-            vals, n0 = _nonlinear_core(u, flux, d, t=rec.times[i + 1])
+            vals, n0 = _nonlinear_core(u, flux, d, t=rec.times[i + 1], work=work)
             rec.put(i + 1, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
             rows = i + 2
     except BlowupError as exc:

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zkbs.domain
+import zkbs.dynamics
 from zkbs import (
     GridField,
     SpectralField,
@@ -271,3 +276,46 @@ class TestDealiasAndWeights:
             vals = np.sin(np.pi * l * d.y / d.L) ** 2
             got = float(np.sum(vals)) * d.dy
             assert np.isclose(got, d.L / 2.0, rtol=1e-14), l
+
+
+class TestNumpyTransforms:
+    """The numpy-only transform path against scipy.fft, which the package no longer imports."""
+
+    @settings(deadline=None)
+    @given(shape=st.one_of(st.sampled_from(((64, 16), (256, 64))),
+                           st.tuples(st.integers(1, 40), st.integers(1, 70))),
+           axis=st.sampled_from((0, 1)), seed=st.integers(0, 2**32 - 1))
+    def test_dst1_matches_scipy_type_1(self, shape, axis, seed):
+        # the test grid, the desk grid, and small shapes of every aspect
+        a = np.random.default_rng(seed).standard_normal(shape)
+        want = scipy.fft.dst(a, type=1, axis=axis)
+        got = zkbs.domain._dst1(a, axis=axis)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 2 * np.spacing(np.max(np.abs(want)))
+
+    def test_flux_table_matches_the_scipy_dct_build(self):
+        dyn = zkbs.dynamics
+        samples = dyn._remainder_gauss(
+            (np.arange(dyn._PIECES) + 0.5 * (dyn._LOBATTO[:, None] + 1.0)) / dyn._PIECES)
+        want = scipy.fft.dct(samples, type=1, axis=0) / dyn._DEGREE
+        want[[0, -1]] *= 0.5
+        assert np.max(np.abs(dyn._REMAINDER_COEFFS - want)) <= 2e-16
+
+    @settings(deadline=None)
+    @given(h=st.sampled_from((None, 0.5)), seeds=st.lists(st.integers(0, 2**32 - 1),
+                                                           min_size=1, max_size=3))
+    def test_grid_work_gives_the_fresh_result(self, small_domain, h, seeds):
+        # one work reused over several bands, as a run reuses it over its steps
+        d = small_domain
+        kx, ky = zkbs.domain._kept_band(d)
+        flux = zkbs.dynamics.RegularizedFlux(h=h)
+        work = zkbs.domain._grid_work(d)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            band = 0.5 * (rng.standard_normal((kx, ky)) + 1j * rng.standard_normal((kx, ky)))
+            band[0] = band[0].real
+            vals, n = zkbs.dynamics._nonlinear_core(band, flux, d, work=work)
+            fresh_vals, fresh_n = zkbs.dynamics._nonlinear_core(band, flux, d)
+            assert vals is work.grid
+            assert np.array_equal(vals, fresh_vals)
+            assert np.array_equal(n, fresh_n)

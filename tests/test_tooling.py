@@ -33,6 +33,40 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - used)
 
 
+def scipy_imports(source: str) -> list[str | None]:
+    """The function that holds each scipy import, in order; None for one at module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import):
+                found.extend(func for a in child.names if a.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom):
+                if (child.module or "").split(".")[0] == "scipy":
+                    found.append(func)
+            else:
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scan_finds_every_scipy_import():
+    source = "import os, scipy.fft\nif os:\n    from scipy import linalg\n" \
+             "class A:\n    def f(self):\n        from scipy.integrate import quad\n" \
+             "        import numpy\n"
+    assert scipy_imports(source) == [None, None, "f"]
+
+
+def test_scipy_is_imported_only_by_the_g_h_oracle():
+    # the solver runs on numpy alone: no module imports scipy at load time
+    found = [(path.name, func) for path in sorted(SRC.glob("*.py"))
+             for func in scipy_imports(path.read_text())]
+    assert found == [("dynamics.py", "g_h")]
+
+
 def test_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, sys\nfrom math import pi, tau\n" \
              "__all__ = ['tau']\nprint(sys.argv)\n"
