@@ -129,7 +129,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
     Every check that needs no stepping runs here: finite floats, the
     geometry, the stepper, the flux, the initial data (by building it),
-    dt dividing t_end and a non-negative snapshot stride.
+    dt dividing t_end, a non-negative snapshot stride and a non-negative seed.
     """
     values: dict = {}
     if path is not None:
@@ -154,6 +154,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"{key} must be finite, got {val!r}")
         if cfg.snapshot_stride < 0:
             raise ConfigError(f"snapshot_stride must be >= 0, got {cfg.snapshot_stride}")
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         cfg.stepper()
         cfg.flux()
         _resolve_steps(cfg.t_end, cfg.dt)
@@ -417,8 +419,7 @@ def cmd_simulate(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
 # ---------------------------------------------------------------- audit
 
 
-def cmd_audit(cfg: RunConfig, tol: dict, out: Path,
-              identities: list[str]) -> tuple[Checks, dict]:
+def cmd_audit(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     d = cfg.domain()
     u0 = cfg.initial(d)
     checks = Checks()
@@ -431,7 +432,7 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path,
                                    flux, d))
 
     table = {}
-    for ident in identities:
+    for ident in NONLINEAR_IDENTITIES:
         if ident == "combined_3_23" and cfg.h is not None:
             checks.not_applicable(ident, _U2_FLUX_ONLY)
             continue
@@ -579,15 +580,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _identities(raw: str) -> list[str]:
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    if not names or not set(names) <= set(NONLINEAR_IDENTITIES):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated subset of {','.join(NONLINEAR_IDENTITIES)}, "
-            f"got {raw!r}")
-    return names
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zkbs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -603,9 +595,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance-profile", choices=sorted(PROFILES),
                        default="default")
-        if name == "audit":
-            p.add_argument("--identities", type=_identities,
-                           default=",".join(NONLINEAR_IDENTITIES))
     return parser
 
 
@@ -624,9 +613,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         out = _outdir(cfg, args.out)
         run, report_file = COMMANDS[args.command]
-        extra = {"identities": args.identities} if args.command == "audit" else {}
         try:
-            checks, figures = run(cfg, PROFILES[args.tolerance_profile], out, **extra)
+            checks, figures = run(cfg, PROFILES[args.tolerance_profile], out)
             report = {"experiment": args.command, "profile": args.tolerance_profile,
                       "checks": checks.items, "passed": checks.passed, **figures}
             code = 0 if checks.passed else 1

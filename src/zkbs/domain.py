@@ -84,7 +84,6 @@ class DomainConfig:
     ky: np.ndarray = field(repr=False, default=None)        # (ny,) pi l / L
     phase: np.ndarray = field(repr=False, default=None)     # (nx/2 + 1,) (-1)^j
     parseval_weight: np.ndarray = field(repr=False, default=None)  # (nx/2 + 1,) w_j
-    _cos_mat: np.ndarray = field(repr=False, default=None)
     _sin_band: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -111,16 +110,6 @@ class DomainConfig:
     @property
     def dy(self) -> float:
         return self.L / (self.ny + 1)
-
-    def cos_matrix(self) -> np.ndarray:
-        # Synthesis of cos(pi l y / L) on the interior grid; only needed for
-        # odd-order y derivatives, built lazily.
-        if self._cos_mat is None:
-            n1 = self.ny + 1
-            k = np.arange(1, self.ny + 1)
-            l = np.arange(1, self.ny + 1)
-            self._cos_mat = np.cos(np.pi * np.outer(k, l) / n1)
-        return self._cos_mat
 
     def sine_band(self) -> np.ndarray:
         # sin(pi l y_k / L) for grid rows k = 1 .. ny and kept sine indices
@@ -273,8 +262,11 @@ def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> Gri
     # odd y order: sin -> cos, one sign flip per full second derivative
     sign = -1.0 if ky == 3 else 1.0
     c = c * (sign * d.ky[None, :] ** ky)
-    ccos = _x_synthesis(c, d)
-    return GridField(ccos @ d.cos_matrix().T)
+    # sum_l c_l cos(pi l k / (ny + 1)) is the real part of the real FFT of
+    # (0, c, 0, ..., 0), of length 2 (ny + 1), the length _dst1 uses
+    ext = np.zeros((d.nx, 2 * (d.ny + 1)))
+    ext[:, 1 : d.ny + 1] = _x_synthesis(c, d)
+    return GridField(np.fft.rfft(ext)[:, 1 : d.ny + 1].real)
 
 
 def _kept_band(d: DomainConfig) -> tuple[int, int]:

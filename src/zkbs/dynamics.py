@@ -49,7 +49,6 @@ from .domain import (
     _GridWork,
     _kept_band,
     _pad_band,
-    grid_quadrature,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
@@ -279,19 +278,18 @@ class PicardDiagnostics:
 
 def _nonlinear_core(band: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
                     t: float = 0.0, work: _GridWork | None = None):
-    """(grid values, N) of a kept-band block, N on the band too, by the band transforms.
+    """(G, N) of a kept-band block: G the kept-band analysis of g_h(u), N = -d/dx G.
 
-    With work, the grid values are work.grid, which the next call with the
-    same work overwrites.
+    work, if given, holds the synthesis buffers (see _band_to_grid).
     """
     # the finiteness test on g is the evaluation's one guard; it raises
     # BlowupError on any overflow before it, so the overflow stays silent
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _band_to_grid(band, d, work)
-        g = flux(vals)
+        g = flux(_band_to_grid(band, d, work))
     if not np.all(np.isfinite(g)):
         raise BlowupError("non-finite grid values in nonlinear term", t)
-    return vals, -1j * d.xi_odd[: len(band), None] * _band_to_spectral(g, d)
+    G = _band_to_spectral(g, d)
+    return G, -1j * d.xi_odd[: len(band), None] * G
 
 
 def nonlinear_term(u: SpectralField, flux: RegularizedFlux, d: DomainConfig) -> SpectralField:
@@ -417,17 +415,6 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
     return SpectralField(_pad_band(v[n], d)), diag
 
 
-def _flux_moments(u: np.ndarray, vals: np.ndarray, n: np.ndarray, weight: np.ndarray,
-                  d: DomainConfig, cube: bool) -> dict:
-    """Boundary series of simulate: integral g_h(u) u_x as the pairing of the band blocks u
-    and n = N(u) under the Parseval weight, exact by discrete Parseval for every h, and
-    integral u^3 if cube."""
-    out = {"nonlin_flux": float(weight @ (np.conj(u) * n).real.ravel())}
-    if cube:
-        out["cube"] = grid_quadrature(vals * vals * vals, d)
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
 def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
              d: DomainConfig, snapshot_stride: int = 0,
@@ -439,12 +426,17 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     nonlinear flux integral g_h(u) u_x, and per interval the dissipation
     integrals mid_diss0/1/2 on the averaged state.  With audit_series
     (the default) it also records the series that only the energy audits
-    read: integral u^3 per boundary and, on the averaged state (midpoint
-    rule), the nonlinear work mid_rhs_h1, mid_rhs_h2 and integral
-    u^2 (u_xx + u_yy), at the cost of a third nonlinear evaluation and one
-    more band synthesis per step.  With
-    audit_series=False those four Trajectory fields are None and every
-    other field is bit-identical.  Snapshots are stored every
+    read, at the cost of a third nonlinear evaluation per step: the
+    nonlinear work mid_rhs_h1 and mid_rhs_h2 on the averaged state
+    (midpoint rule) and, for h = None only (combined_3_23, their one
+    reader, holds for u^2/2 alone), integral u^3 per boundary and
+    integral u^2 (u_xx + u_yy) on the averaged state.  Every integral of
+    a product is a pairing of band blocks under the Parseval weight,
+    exact by discrete Parseval: g_h(u) u_x is <u, N>, and with G the band
+    analysis of u^2/2 that N = -d/dx G is made from, u^3 and
+    u^2 (u_xx + u_yy) are 2 <u, G> and 2 <u_xx + u_yy, G>.  With
+    audit_series=False the four audit-only Trajectory fields are None and
+    every other field is bit-identical.  Snapshots are stored every
     snapshot_stride steps (0 keeps only the endpoints).
 
     On blowup (a non-finite initial L2 norm, an L2 norm above BLOWUP_GUARD
@@ -456,14 +448,28 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     """
     dt = cfg.dt
     kx, ky = _kept_band(d)
+    u2_pairings = audit_series and flux.h is None
     rec = _Recorder(d, T, dt, snapshot_stride,
-                    boundary_series=("cube",) if audit_series else (),
-                    interval_series=(("mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")
-                                     if audit_series else ()), shape=(kx, ky))
+                    boundary_series=("cube",) if u2_pairings else (),
+                    interval_series=(("mid_rhs_h1", "mid_rhs_h2") if audit_series else ())
+                    + (("mid_u2lap",) if u2_pairings else ()), shape=(kx, ky))
     tab = _etd2_tables(symbol(d), dt)
-    work = _grid_work(d)  # vals and vals_avg live in work.grid; lap_avg gets its own array
+    work = _grid_work(d)
     lap = -rec.mults.d1[:kx, :ky]  # spectral Laplacian multiplier
     rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
+    l2_weight = rec.weights["l2"]
+
+    def pairing(a, b):
+        """integral a b of two real fields from their band blocks."""
+        return float(l2_weight @ (np.conj(a) * b).real.ravel())
+
+    def boundary_flux(i, u):
+        """N(u) at boundary i, whose pairings with u give the boundary's series."""
+        G, n = _nonlinear_core(u, flux, d, t=rec.times[i], work=work)
+        rec.put(i, nonlin_flux=pairing(u, n))
+        if u2_pairings:
+            rec.put(i, cube=2.0 * pairing(u, G))
+        return n
 
     u = to_spectral(u0, d).coeffs[:kx, :ky]
 
@@ -474,8 +480,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
         if not math.isfinite(rec.cols["l2"][0]):
             raise BlowupError("non-finite initial L2 norm", 0.0)
         guard = BLOWUP_GUARD * rec.cols["l2"][0]
-        vals, n0 = _nonlinear_core(u, flux, d, t=0.0, work=work)
-        rec.put(0, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
+        n0 = boundary_flux(0, u)
         rows = 1
         for i in range(rec.n_steps):
             t = rec.times[i]
@@ -487,18 +492,17 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
             uavg = 0.5 * (u + u_next)
             if audit_series:
-                vals_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt, work=work)
-                pair = (np.conj(uavg) * n_avg).real
-                rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ pair.ravel())
-                lap_avg = _band_to_grid(lap * uavg, d)
-                rec.interval(i, uavg, mid_rhs_h1=rhs_h1, mid_rhs_h2=rhs_h2,
-                             mid_u2lap=grid_quadrature(vals_avg**2 * lap_avg, d))
+                G_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt, work=work)
+                products = (np.conj(uavg) * n_avg).real
+                rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ products.ravel())
+                u2lap = ({"mid_u2lap": 2.0 * pairing(lap * uavg, G_avg)}
+                         if u2_pairings else {})
+                rec.interval(i, uavg, mid_rhs_h1=rhs_h1, mid_rhs_h2=rhs_h2, **u2lap)
             else:
                 rec.interval(i, uavg)
 
             u = u_next
-            vals, n0 = _nonlinear_core(u, flux, d, t=rec.times[i + 1], work=work)
-            rec.put(i + 1, **_flux_moments(u, vals, n0, rec.weights["l2"], d, audit_series))
+            n0 = boundary_flux(i + 1, u)
             rows = i + 2
     except BlowupError as exc:
         blowup_time = exc.t

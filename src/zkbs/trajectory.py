@@ -43,10 +43,10 @@ class Trajectory:
     mid_diss2: np.ndarray             # (n,) third-order dissipation integral, averaged states
     snapshot_indices: np.ndarray      # indices into times
     snapshots: list                   # spectral coefficient arrays, complex (nx/2 + 1, ny)
-    cube: np.ndarray | None = None            # (n+1,) integral u^3 (nonlinear runs)
+    cube: np.ndarray | None = None            # (n+1,) integral u^3 (audit runs, h = None)
     mid_rhs_h1: np.ndarray | None = None      # (n,) 2 integral u u_x (u_xx + u_yy)
     mid_rhs_h2: np.ndarray | None = None      # (n,) second-order forcing pairing
-    mid_u2lap: np.ndarray | None = None       # (n,) integral u^2 (u_xx + u_yy)
+    mid_u2lap: np.ndarray | None = None       # (n,) integral u^2 (u_xx + u_yy) (as cube)
     blowup_time: float | None = None
     h: float | None = None            # the flux's cutoff scale; None for u^2/2 and linear runs
 

@@ -324,11 +324,33 @@ class TestBandKernel:
                     monkeypatch.setattr(module, name, counted("public", getattr(module, name)))
         d = small_domain
         n = 5
-        traj = simulate(gaussian_bump(d), n * 1e-3, StepperConfig(dt=1e-3),
-                        RegularizedFlux(h=None), d, audit_series=False)
-        assert traj.n_steps == n
-        # N(u0) before the loop, then a corrector and the new boundary's N per step
-        assert calls == {"synthesis": 1 + 2 * n, "analysis": 1 + 2 * n, "public": 1}
+        # N(u0) before the loop, then a corrector and the new boundary's N per
+        # step; audit mode adds the averaged state's N, whose G gives the u^2/2
+        # audit integrals without a further synthesis
+        for audit_series, per_step in ((False, 2), (True, 3)):
+            calls.update(synthesis=0, analysis=0, public=0)
+            traj = simulate(gaussian_bump(d), n * 1e-3, StepperConfig(dt=1e-3),
+                            RegularizedFlux(h=None), d, audit_series=audit_series)
+            assert traj.n_steps == n
+            assert calls == {"synthesis": 1 + per_step * n, "analysis": 1 + per_step * n,
+                             "public": 1}, audit_series
+
+    def test_u2_audit_integrals_match_the_grid_sums(self, medium_domain):
+        # oracle: integral u^3 and integral u^2 (u_xx + u_yy) summed on the grid
+        # from public transforms, the latter at the averaged states
+        d = medium_domain
+        traj = simulate(random_band(d, 11, amplitude=2.0), 0.005, StepperConfig(dt=1e-3),
+                        RegularizedFlux(h=None), d, snapshot_stride=1)
+        assert traj.blowup_time is None
+        grids = [to_grid(SpectralField(c), d).values for c in traj.snapshots]
+        scale = max(1.0, float(np.max(traj.l2)) ** 3)
+        for i, u in enumerate(grids):
+            assert abs(traj.cube[i] - grid_quadrature(u**3, d)) <= 1e-12 * scale
+        for i in range(traj.n_steps):
+            avg = SpectralField(0.5 * (traj.snapshots[i] + traj.snapshots[i + 1]))
+            lap = mixed_derivative(avg, 2, 0, d).values + mixed_derivative(avg, 0, 2, d).values
+            want = grid_quadrature(to_grid(avg, d).values ** 2 * lap, d)
+            assert abs(traj.mid_u2lap[i] - want) <= 1e-12 * scale * max(1.0, np.max(np.abs(lap)))
 
 
 class TestPicard:
@@ -606,12 +628,14 @@ def lean_and_full(u0, T, cfg, flux, d, **kwargs):
 class TestAuditSeries:
     """audit_series=False drops the audit-only series and changes nothing else."""
 
-    def assert_lean_matches_full(self, full, lean):
+    def assert_lean_matches_full(self, full, lean, u2_only=()):
         assert lean.domain is full.domain
         assert lean.blowup_time == full.blowup_time
         for field in dataclasses.fields(Trajectory):
             a, b = getattr(full, field.name), getattr(lean, field.name)
-            if field.name in AUDIT_ONLY:
+            if field.name in u2_only:
+                assert a is None and b is None, field.name
+            elif field.name in AUDIT_ONLY:
                 assert a is not None and b is None, field.name
             elif field.name == "snapshots":
                 assert len(a) == len(b)
@@ -629,12 +653,14 @@ class TestAuditSeries:
         self.assert_lean_matches_full(full, lean)
 
     def test_active_cutoff(self, small_domain):
+        # integral u^3 and integral u^2 (u_xx + u_yy) are pairings with
+        # G = u^2/2, so only a u^2/2 run records them
         d = small_domain
         u0 = random_band(d, 3, amplitude=8.0)
         assert np.mean(np.abs(u0.values) > 1.0) > 0.5
         full, lean = lean_and_full(u0, 0.01, StepperConfig(dt=1e-3),
                                    RegularizedFlux(h=1.0), d)
-        self.assert_lean_matches_full(full, lean)
+        self.assert_lean_matches_full(full, lean, u2_only=("cube", "mid_u2lap"))
 
     def test_guard_truncated_run(self, small_domain, monkeypatch):
         monkeypatch.setattr(zkbs.dynamics, "BLOWUP_GUARD", 0.5)

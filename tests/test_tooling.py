@@ -93,3 +93,30 @@ def test_readme_common_flags_are_simulate_flags():
                    if isinstance(a, argparse._SubParsersAction))
     accepted = set(subparsers.choices["simulate"]._option_string_actions)
     assert named and named <= accepted, named - accepted
+
+
+def calls_by_function(source: str, names: set[str]) -> list[tuple[str | None, str]]:
+    """(enclosing top-level function or None, callee) for each call of a name in names."""
+    found = []
+    for node in ast.parse(source).body:
+        func = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found.extend((func, call.func.id) for call in ast.walk(node)
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                     and call.func.id in names)
+    return found
+
+
+def test_scan_finds_every_call_and_its_function():
+    source = "x = f(1)\ndef a():\n    def b():\n        return g(f)\n    return f(g(2))\n" \
+             "class C:\n    def m(self):\n        return h(3)\n"
+    assert calls_by_function(source, {"f", "g"}) == [(None, "f"), ("a", "f"), ("a", "g"),
+                                                      ("a", "g")]
+
+
+def test_step_transforms_only_inside_the_nonlinear_core():
+    # every integral of a product in the step is a kept-band pairing, so the
+    # band transforms serve the nonlinear term alone and no grid quadrature is taken
+    source = (SRC / "dynamics.py").read_text()
+    found = calls_by_function(source, {"_band_to_grid", "_band_to_spectral", "grid_quadrature"})
+    assert sorted(found) == [("_nonlinear_core", "_band_to_grid"),
+                             ("_nonlinear_core", "_band_to_spectral")]
