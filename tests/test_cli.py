@@ -337,8 +337,10 @@ ROBUSTNESS = [
                  "[FAIL] every_window_converged: value=[0.05] threshold=[]",
                  id="stalled-later-picard-window"),
     pytest.param("simulate", "", ["--out", "{file}/x"], 3, "{file}/x", id="out-unusable"),
-    pytest.param("audit", "", ["--identities", "mass_3_3"], 3, "--identities",
-                 id="identities-flag-removed"),
+    # --identities is gone, so any value of it, a known name or none, is refused
+    pytest.param("audit", "", ["--identities", "foo"], 3, "--identities foo",
+                 id="identities-unknown"),
+    pytest.param("audit", "", ["--identities", ""], 3, "--identities", id="identities-empty"),
     pytest.param("simulate", "t_end = inf\n", [], 3, "t_end", id="t_end-inf"),
     pytest.param("simulate", "", ["--t-end", "inf"], 3, "t_end", id="t_end-inf-flag"),
     pytest.param("simulate", "dt = nan\n", [], 3, "dt", id="dt-nan"),
