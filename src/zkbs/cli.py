@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as zio
-from .calibration import FROZEN
 from .domain import (
     DomainConfig,
     GridField,
@@ -46,13 +45,14 @@ from .dynamics import (
 )
 from .functionals import (
     NONLINEAR_IDENTITIES,
+    THRESHOLD_C1,
     audit_identity,
     decay_fit,
     threshold_time,
 )
 from .initial_data import make_initial
 from .semigroup import apply_semigroup, audit_linear_identity, duhamel_solve, symbol
-from .trajectory import Trajectory, _resolve_steps, attach_refinement_order
+from .trajectory import Trajectory, _memory_bytes, _resolve_steps, attach_refinement_order
 
 __all__ = ["RunConfig", "load_config", "main", "PROFILES"]
 
@@ -129,7 +129,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
     Every check that needs no stepping runs here: finite floats, the
     geometry, the stepper, the flux, the initial data (by building it),
-    dt dividing t_end, a non-negative snapshot stride and a non-negative seed.
+    dt dividing t_end, a non-negative snapshot stride, a non-negative seed,
+    and a grid whose one (nx, ny) float64 array fits in the machine's memory.
     """
     values: dict = {}
     if path is not None:
@@ -159,6 +160,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         cfg.stepper()
         cfg.flux()
         _resolve_steps(cfg.t_end, cfg.dt)
+        need = 8 * cfg.nx * cfg.ny
+        if need > _memory_bytes():
+            raise ConfigError(f"a {cfg.nx} x {cfg.ny} grid cannot be held: one array of it "
+                              f"needs {need / 2**30:.3g} GiB, more than the machine's memory")
         cfg.initial(cfg.domain())
     except ConfigError:
         raise
@@ -498,7 +503,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
         checks.add(f"h{s:g}_slope_envelope", fits[s].slope <= envelope,
                    fits[s].slope, envelope)
 
-    thr = threshold_time(traj, FROZEN["threshold_c1"], slack=tol["lyap_slack"])
+    thr = threshold_time(traj, THRESHOLD_C1, slack=tol["lyap_slack"])
     t1_str = "not reached" if thr.t1 is None else f"{thr.t1:.6g}"
     checks.add("h1_lyapunov_monotone_past_threshold", len(thr.violations) == 0,
                {"t1": t1_str, "violations": len(thr.violations)}, 0)

@@ -56,7 +56,6 @@ __all__ = [
     "to_spectral",
     "to_grid",
     "mixed_derivative",
-    "dealias_mask",
     "parseval_norm_sq",
     "mode_inner",
     "grid_quadrature",
@@ -210,18 +209,18 @@ def _check_spectral(coeffs: np.ndarray, d: DomainConfig, what: str) -> None:
         raise ValueError(f"{what} is not a real field's spectrum: rows 0, nx/2 not real")
 
 
-def _dst1(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized type-I DST along axis: 2 sum_j a_j sin(pi (j + 1)(k + 1) / (n + 1)).
+def _dst1(a: np.ndarray) -> np.ndarray:
+    """Unnormalized type-I DST along the last axis, of length n = a.shape[-1].
 
-    With n = a.shape[axis], it is minus the imaginary part of the real FFT
-    of the odd extension (0, a, 0, -reversed a), of length 2(n + 1).
+    2 sum_j a_j sin(pi (j + 1)(k + 1) / (n + 1)) is minus the imaginary
+    part of the real FFT of the odd extension (0, a, 0, -reversed a), of
+    length 2(n + 1).
     """
-    a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
     ext = np.zeros(a.shape[:-1] + (2 * (n + 1),))
     ext[..., 1 : n + 1] = a
     ext[..., n + 2 :] = -a[..., ::-1]
-    return np.moveaxis(-np.fft.rfft(ext)[..., 1 : n + 1].imag, -1, axis)
+    return -np.fft.rfft(ext)[..., 1 : n + 1].imag
 
 
 def to_spectral(f: GridField, d: DomainConfig) -> SpectralField:
@@ -280,14 +279,6 @@ def _kept_band(d: DomainConfig) -> tuple[int, int]:
     return (d.nx - 1) // 3 + 1, (2 * d.ny + 1) // 3
 
 
-def dealias_mask(d: DomainConfig) -> np.ndarray:
-    """Boolean keep-mask implementing the 2/3 rule on both axes (_kept_band)."""
-    kx, ky = _kept_band(d)
-    mask = np.zeros(d.spectral_shape, dtype=bool)
-    mask[:kx, :ky] = True
-    return mask
-
-
 # Both band products below keep OpenBLAS (0.3.31) on one thread at the
 # desk size 256 x 64: it runs a C-ordered matrix times a transposed
 # (F-ordered) one on two threads, whose idle spinning then costs a second
@@ -306,16 +297,14 @@ def _grid_work(d: DomainConfig) -> _GridWork:
                      np.empty(d.shape))
 
 
-def _band_to_grid(band: np.ndarray, d: DomainConfig, work: _GridWork | None = None) -> np.ndarray:
+def _band_to_grid(band: np.ndarray, d: DomainConfig, work: _GridWork) -> np.ndarray:
     """to_grid of the kept-band block band, (kx, ky), unchecked, as a raw array.
 
-    The scaled band goes into the zero-padded half spectrum (numpy's own
+    The scaled band goes into work's zero-padded half spectrum (numpy's own
     padding of a short input is a slow copy), then an inverse real FFT in x,
-    then a product with the cached sine block in y.  With work, both land
-    in its buffers, and the result is work.grid, overwritten by the next call.
+    then a product with the cached sine block in y into work.grid, which is
+    returned and overwritten by the next call.
     """
-    if work is None:
-        work = _grid_work(d)
     np.multiply(band.T, d.phase[: len(band)] * d.nx, out=work.half[:, : len(band)])
     csin = np.fft.irfft(work.half, n=d.nx, axis=1).T  # (nx, ky), F-ordered
     return np.matmul(csin, d.sine_band().T, out=work.grid)

@@ -24,8 +24,8 @@ adaptive-quadrature oracle g_h is bounded by the oracle's (see g_h).
 
 Time stepping has one table build (_etd2_tables) and one step
 (_advance): the exponential predictor-corrector ETD2 of Cox & Matthews
-(2002), one corrector pass from the exponential Euler predictor, shared
-by etd2_step and simulate.  picard_solve uses the same tables for the
+(2002), one corrector pass from the exponential Euler predictor, which
+simulate takes every step.  picard_solve uses the same tables for the
 whole-window iteration v -> S(t) u0 + Duhamel[-d/dx g_h(v)] that mirrors
 the contraction argument behind local existence, reporting the
 successive-difference ratios.
@@ -62,8 +62,6 @@ __all__ = [
     "BlowupError",
     "ContractionError",
     "PicardDiagnostics",
-    "nonlinear_term",
-    "etd2_step",
     "picard_solve",
     "simulate",
 ]
@@ -277,10 +275,10 @@ class PicardDiagnostics:
 
 
 def _nonlinear_core(band: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
-                    t: float = 0.0, work: _GridWork | None = None):
+                    work: _GridWork, t: float = 0.0):
     """(G, N) of a kept-band block: G the kept-band analysis of g_h(u), N = -d/dx G.
 
-    work, if given, holds the synthesis buffers (see _band_to_grid).
+    work holds the synthesis buffers (see _band_to_grid).
     """
     # the finiteness test on g is the evaluation's one guard; it raises
     # BlowupError on any overflow before it, so the overflow stays silent
@@ -290,13 +288,6 @@ def _nonlinear_core(band: np.ndarray, flux: RegularizedFlux, d: DomainConfig,
         raise BlowupError("non-finite grid values in nonlinear term", t)
     G = _band_to_spectral(g, d)
     return G, -1j * d.xi_odd[: len(band), None] * G
-
-
-def nonlinear_term(u: SpectralField, flux: RegularizedFlux, d: DomainConfig) -> SpectralField:
-    """-d/dx g_h of the dealiased part of u, evaluated pseudospectrally and dealiased."""
-    kx, ky = _kept_band(d)
-    _, n = _nonlinear_core(np.asarray(u.coeffs, dtype=complex)[:kx, :ky], flux, d)
-    return SpectralField(_pad_band(n, d))
 
 
 class _ETD2Tables(NamedTuple):
@@ -322,26 +313,14 @@ def _etd2_tables(S: SymbolTable, dt: float) -> _ETD2Tables:
 
 
 def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, flux: RegularizedFlux,
-             d: DomainConfig, t: float, work: _GridWork | None = None) -> np.ndarray:
+             d: DomainConfig, t: float, work: _GridWork) -> np.ndarray:
     """One ETD2 step from the band block u, given n0 = N(u); returns the new block.
 
     t (the new state's time) is stamped on a BlowupError.
     """
     a = tab.predict(u, n0)
-    _, n1 = _nonlinear_core(a, flux, d, t=t, work=work)
+    _, n1 = _nonlinear_core(a, flux, d, work, t=t)
     return tab.correct(a, n0, n1)
-
-
-def etd2_step(u: SpectralField, cfg: StepperConfig, flux: RegularizedFlux,
-              S: SymbolTable) -> SpectralField:
-    """One exponential predictor-corrector step of size cfg.dt from the dealiased part of u."""
-    d = S.domain
-    tab = _etd2_tables(S, cfg.dt)
-    kx, ky = _kept_band(d)
-    u0 = np.asarray(u.coeffs, dtype=complex)[:kx, :ky]
-    _, n0 = _nonlinear_core(u0, flux, d)
-    u1 = _advance(u0, n0, tab, flux, d, t=0.0)
-    return SpectralField(_pad_band(u1, d))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
@@ -380,12 +359,12 @@ def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
 
     # every iterate starts from base, so N(v[0]) is the same in every sweep
     nl = np.empty_like(v)
-    _, nl[0] = _nonlinear_core(base, flux, d, work=work)
+    _, nl[0] = _nonlinear_core(base, flux, d, work)
     diffs: list[float] = []
     converged = False
     for _ in range(cfg.picard_max_iter):
         for i in range(1, n + 1):
-            _, nl[i] = _nonlinear_core(v[i], flux, d, t=i * dt, work=work)
+            _, nl[i] = _nonlinear_core(v[i], flux, d, work, t=i * dt)
         # nl holds every N of the old iterate, so v can be overwritten row by row
         diff_sq = 0.0
         for i in range(n):
@@ -465,7 +444,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
     def boundary_flux(i, u):
         """N(u) at boundary i, whose pairings with u give the boundary's series."""
-        G, n = _nonlinear_core(u, flux, d, t=rec.times[i], work=work)
+        G, n = _nonlinear_core(u, flux, d, work, t=rec.times[i])
         rec.put(i, nonlin_flux=pairing(u, n))
         if u2_pairings:
             rec.put(i, cube=2.0 * pairing(u, G))
@@ -492,7 +471,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
 
             uavg = 0.5 * (u + u_next)
             if audit_series:
-                G_avg, n_avg = _nonlinear_core(uavg, flux, d, t=t + 0.5 * dt, work=work)
+                G_avg, n_avg = _nonlinear_core(uavg, flux, d, work, t=t + 0.5 * dt)
                 products = (np.conj(uavg) * n_avg).real
                 rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ products.ravel())
                 u2lap = ({"mid_u2lap": 2.0 * pairing(lap * uavg, G_avg)}

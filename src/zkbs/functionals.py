@@ -268,6 +268,13 @@ class ThresholdReport:
     max_violation: float
 
 
+# The threshold constant c1 of |integral u u_x (u_xx + u_yy)| <= c1 (integral
+# |D^2 u|^2 + u^2) integral u^2, known only to exist: the largest ratio on the
+# desk grid's validation corpus (tests/test_functionals.py) is 5.71e-6, rounded
+# up and frozen here.
+THRESHOLD_C1 = 8e-6
+
+
 def threshold_time(traj: Trajectory, c1: float, slack: float = 1e-10) -> ThresholdReport:
     """First time ||u||^2 drops under min(delta, delta pi^2 / L^2) / (2 c1).
 

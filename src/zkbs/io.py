@@ -11,11 +11,16 @@ Snapshot layout (little-endian throughout):
 The diagnostics CSV always carries exactly the columns below, one row
 per step boundary, every float printed with repr-faithful %.17g so a
 rerun with identical configuration is byte-identical.
+
+JSON reports are strict JSON: a non-finite float (a residual or a norm
+that overflowed) is written as one of the strings "nan", "inf" and
+"-inf", never as a bare NaN or Infinity token.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -92,5 +97,17 @@ def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 
+def _strict(value):
+    """value with every non-finite float inside it replaced by "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")

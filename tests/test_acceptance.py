@@ -36,8 +36,8 @@ from zkbs import (
     traveling_mode,
     write_diagnostics_csv,
 )
-from zkbs.calibration import FROZEN
 from zkbs.cli import _closed_form_grid as closed_form, _mode_coeffs as mode_coeffs
+from zkbs.functionals import THRESHOLD_C1
 
 T_END = 2.0
 DT = 1e-3
@@ -240,7 +240,7 @@ def test_criterion_06_steklov_inequality(default_run, library_runs, desk_domain)
 
 
 def test_criterion_07_h1_lyapunov_monotone(default_run, desk_domain):
-    thr = threshold_time(default_run, FROZEN["threshold_c1"], slack=1e-10)
+    thr = threshold_time(default_run, THRESHOLD_C1, slack=1e-10)
     tail = decay_fit(default_run, 1.0)
     ok = thr.t1 == 0.0 and len(thr.violations) == 0 and tail.slope < 0.0
     report(7, "gradient functional decays past threshold", ok,

@@ -348,6 +348,11 @@ ROBUSTNESS = [
                  id="steps-overflow"),
     pytest.param("simulate", "t_end = 1e3\ndt = 1e-10\n", [], 3, "10000000000000 steps",
                  id="steps-unrecordable"),
+    # no machine holds one array of either grid, and it is refused before one is made
+    pytest.param("simulate", f"nx = {2**40}\nny = 4\n", [], 3, "grid cannot be held",
+                 id="grid-too-large-nx"),
+    pytest.param("simulate", f"nx = {2**24}\nny = {2**24}\n", [], 3, "grid cannot be held",
+                 id="grid-too-large-square"),
     pytest.param("simulate", "generator = traveling_mode\namplitude = 1e120\n", [], 2,
                  "blowup", id="first-step-blowup"),
     *(pytest.param(command, BLOWUP, [], 2, "blowup", id=f"first-step-blowup-{command}")
@@ -383,6 +388,19 @@ def test_bad_input_exits_with_its_code_and_one_line(tmp_path, command, lines, fl
     assert len(reasons) == len(named), reasons
     for reason, text in zip(reasons, named):
         assert text.replace("{file}", fill) in reason
+
+
+def test_overflowing_audit_report_is_strict_json(tmp_path):
+    # the overflowed u^2 (u_xx + u_yy) series makes combined_3_23's residuals
+    # non-finite; the report spells them as strings, not bare NaN tokens
+    cfg = write_cfg(tmp_path, SMALL + "generator = eigenmode\namplitude = 1e103\n")
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((tmp_path / "o" / "audit.json").read_text(), parse_constant=refuse)
+    assert report["identities"]["combined_3_23"]["max_residual_coarse"] == "nan"
 
 
 def test_overflowing_flux_bound_passes_silently(tmp_path):

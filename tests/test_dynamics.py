@@ -16,15 +16,12 @@ from zkbs import (
     RegularizedFlux,
     SpectralField,
     StepperConfig,
-    dealias_mask,
     eigenmode,
     eta,
-    etd2_step,
     g_h,
     gaussian_bump,
     grid_quadrature,
     mixed_derivative,
-    nonlinear_term,
     parseval_norm_sq,
     picard_solve,
     plan_domain,
@@ -39,7 +36,7 @@ from zkbs.cli import PROFILES
 import zkbs.domain
 import zkbs.dynamics
 from zkbs.trajectory import Trajectory
-from zkbs.domain import _kept_band
+from zkbs.domain import _grid_work, _kept_band, _pad_band
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
 # multiple lies in (1, 2) on the transition band and beyond 2 on the tail
@@ -62,9 +59,9 @@ class NanFromCall:
 
 
 def banded_field(d, rng, amplitude=0.5):
+    kx, ky = _kept_band(d)
     c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
-    c = np.where(dealias_mask(d), c, 0.0)
-    u = to_grid(SpectralField(c), d)
+    u = to_grid(SpectralField(_pad_band(c[:kx, :ky], d)), d)
     return GridField(amplitude * u.values / np.max(np.abs(u.values)))
 
 
@@ -217,58 +214,60 @@ class TestTabulatedFlux:
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
+def band_nonlinearity(u, d):
+    """N = -d/dx (u^2/2) of grid data u from the step's core, on the (kx, ky) block."""
+    kx, ky = _kept_band(d)
+    return zkbs.dynamics._nonlinear_core(to_spectral(u, d).coeffs[:kx, :ky],
+                                         RegularizedFlux(h=None), d, _grid_work(d))[1]
+
+
 class TestNonlinearTerm:
     def test_matches_direct_product_on_banded_data(self, small_domain, rng):
         # for dealiased data, -d/dx g(u) must equal -u u_x on the kept modes
         d = small_domain
+        kx, ky = _kept_band(d)
         u = banded_field(d, rng)
-        s = to_spectral(u, d)
-        got = nonlinear_term(s, RegularizedFlux(h=None), d).coeffs
-        ux = mixed_derivative(s, 1, 0, d).values
+        got = band_nonlinearity(u, d)
+        ux = mixed_derivative(to_spectral(u, d), 1, 0, d).values
         want = to_spectral(GridField(-u.values * ux), d).coeffs
-        mask = dealias_mask(d)
         scale = max(np.max(np.abs(want)), 1.0)
-        assert np.max(np.abs((got - want)[mask])) <= 1e-11 * scale
-        assert np.max(np.abs(got[~mask])) == 0.0
+        assert got.shape == (kx, ky)
+        assert np.max(np.abs(got - want[:kx, :ky])) <= 1e-11 * scale
 
     def test_x_independent_data_has_zero_nonlinearity(self, small_domain):
         d = small_domain
         u = GridField(np.outer(np.ones(d.nx), np.sin(np.pi * d.y / d.L)))
-        got = nonlinear_term(to_spectral(u, d), RegularizedFlux(h=None), d)
-        assert np.max(np.abs(got.coeffs)) <= 1e-15
+        assert np.max(np.abs(band_nonlinearity(u, d))) <= 1e-15
 
 
 class TestEtd2:
     def test_matches_full_system_oracle(self):
         # integrate the semi-discrete system itself with an adaptive solver
+        # on the band the step keeps; simulate's snapshots are zero outside it
         d = plan_domain(L=math.pi, X=2 * math.pi, nx=16, ny=8, delta=0.5)
         S = symbol(d)
+        kx, ky = _kept_band(d)
         rng = np.random.default_rng(21)
         u0 = banded_field(d, rng, amplitude=0.4)
-        s0 = to_spectral(u0, d)
-        mask = dealias_mask(d)
-        base = np.where(mask, s0.coeffs, 0.0)
+        base = to_spectral(u0, d).coeffs[:kx, :ky]
         flux = RegularizedFlux(h=None)
-        cfg = StepperConfig(dt=1e-3)
 
         def rhs(t, y):
-            c = y.reshape(d.spectral_shape)
+            c = _pad_band(y.reshape(kx, ky), d)
             vals = to_grid(SpectralField(c), d).values
             ghat = to_spectral(GridField(flux(vals)), d).coeffs
-            n = np.where(mask, -1j * d.xi_odd[:, None] * ghat, 0.0)
-            return (S.m * c + n).ravel()
+            return (S.m * c - 1j * d.xi_odd[:, None] * ghat)[:kx, :ky].ravel()
 
         T = 0.05
         sol = solve_ivp(rhs, (0.0, T), base.ravel(), method="DOP853",
                         rtol=1e-12, atol=1e-14)
-        ref = sol.y[:, -1].reshape(d.spectral_shape)
+        ref = _pad_band(sol.y[:, -1].reshape(kx, ky), d)
 
         errs = {}
         for dt in (1e-3, 5e-4):
-            u = SpectralField(base)
-            for _ in range(round(T / dt)):
-                u = etd2_step(u, StepperConfig(dt=dt), flux, S)
-            errs[dt] = np.max(np.abs(u.coeffs - ref))
+            traj = simulate(u0, T, StepperConfig(dt=dt), flux, d, audit_series=False)
+            assert traj.blowup_time is None
+            errs[dt] = np.max(np.abs(traj.snapshots[-1] - ref))
         assert errs[1e-3] <= 1e-6
         # second-order error against the adaptively solved system
         assert 3.0 <= errs[1e-3] / errs[5e-4] <= 5.0
@@ -572,22 +571,6 @@ class TestSimulate:
         assert np.max(np.diff(traj.l2)) <= slack
 
 
-class TestOneStep:
-    """simulate and etd2_step take the same step."""
-
-    def test_simulate_equals_repeated_etd2_step(self, small_domain):
-        d = small_domain
-        S = symbol(d)
-        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
-        cfg = StepperConfig(dt=1e-3)
-        flux = RegularizedFlux(h=None)
-        traj = simulate(u0, 0.01, cfg, flux, d)
-        u = SpectralField(np.where(dealias_mask(d), to_spectral(u0, d).coeffs, 0.0))
-        for _ in range(10):
-            u = etd2_step(u, cfg, flux, S)
-        assert np.array_equal(traj.snapshots[-1], u.coeffs)
-
-
 class TestSmallestGrid:
     """On the smallest legal grid, 8 x 4, the kept band is (3, 3) of the (5, 4) half spectrum."""
 
@@ -605,15 +588,14 @@ class TestSmallestGrid:
         traj = simulate(u0, 0.01, cfg, flux, d)
         fields = {
             "simulate": traj.snapshots[-1],
-            "etd2_step": etd2_step(s0, cfg, flux, S).coeffs,
-            "nonlinear_term": nonlinear_term(s0, flux, d).coeffs,
             "picard_solve": picard_solve(s0, 0.01, cfg, flux, S)[0].coeffs,
         }
-        outside = ~dealias_mask(d)
         for name, c in fields.items():
             assert c.shape == (5, 4), name
-            assert np.all(c[outside] == 0.0), name
+            assert np.all(c[kx:] == 0.0) and np.all(c[:, ky:] == 0.0), name
             assert np.any(c[:kx, :ky] != 0.0), name
+        # the step's nonlinear term is the (kx, ky) block alone
+        assert band_nonlinearity(u0, d).shape == (kx, ky)
 
 
 AUDIT_ONLY = ("cube", "mid_rhs_h1", "mid_rhs_h2", "mid_u2lap")

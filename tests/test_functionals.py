@@ -16,25 +16,99 @@ from zkbs import (
     duhamel_solve,
     eigenmode,
     gaussian_bump,
+    grid_quadrature,
     interpolation_ratio,
     lyapunov_h1,
     lyapunov_h2,
+    mixed_derivative,
     norm,
     parseval_norm_sq,
     plan_domain,
+    random_band,
     simulate,
     steklov_check,
     symbol,
     threshold_time,
+    to_grid,
     to_spectral,
+    traveling_mode,
 )
-from zkbs.calibration import (
-    FROZEN,
-    measure_quadratic_comparison,
-    measure_threshold_constant,
-    smoothing_run,
-    validation_corpus,
-)
+from zkbs.functionals import THRESHOLD_C1
+
+# Bounds for constants that are only known to exist, each measured once on the
+# corpus or run below and rounded up (measured: 0.0937 and 2.36e-5); the
+# threshold constant c1 (measured: 5.71e-6) is functionals.THRESHOLD_C1, which
+# the decay command reads.
+# integral u^4 <= C * (integral |Du|^2 + u^2) * (integral u^2)
+QUADRATIC_COMPARISON_C = 0.11
+# H2 norm at t = 0.1 of the fixed rough-data smoothing run
+H2_SMOOTHING_BOUND = 1e-4
+
+
+def validation_corpus(d):
+    """Deterministic mix of eigenmodes, packets and random band fields."""
+    fields = [
+        eigenmode(d, l=1, amplitude=1.0),
+        eigenmode(d, l=3, amplitude=0.7),
+        traveling_mode(d, j=2, l=1, amplitude=1.0),
+        traveling_mode(d, j=5, l=2, amplitude=0.4),
+        gaussian_bump(d, x0=0.0, sigma_x=2.0, l=1, amplitude=1.0),
+        gaussian_bump(d, x0=5.0, sigma_x=3.0, l=2, amplitude=0.6),
+        # concentrated fields keep the cubic pairing away from zero
+        gaussian_bump(d, x0=0.0, sigma_x=0.8, l=3, amplitude=1.5),
+        gaussian_bump(d, x0=-4.0, sigma_x=0.6, l=1, amplitude=2.0),
+    ]
+    for seed in (11, 29, 47, 101):
+        fields.append(random_band(d, seed=seed, jmax=8, lmax=5, amplitude=0.8))
+    fields.append(random_band(d, seed=7, jmax=20, lmax=12, amplitude=1.2))
+    return [to_spectral(f, d) for f in fields]
+
+
+def measure_quadratic_comparison(d):
+    """Largest observed integral u^4 / (lyapunov_h1 * ||u||^2)."""
+    worst = 0.0
+    for s in validation_corpus(d):
+        vals = to_grid(s, d).values
+        num = grid_quadrature(vals**4, d)
+        den = lyapunov_h1(s, d) * parseval_norm_sq(s.coeffs, d)
+        worst = max(worst, num / den)
+    return worst
+
+
+def measure_threshold_constant(d):
+    """Largest observed |integral u u_x (u_xx + u_yy)| / (E2 * ||u||^2)."""
+    worst = 0.0
+    for s in validation_corpus(d):
+        u = to_grid(s, d).values
+        ux = mixed_derivative(s, 1, 0, d).values
+        lap = mixed_derivative(s, 2, 0, d).values + mixed_derivative(s, 0, 2, d).values
+        num = abs(grid_quadrature(u * ux * lap, d))
+        den = (dk_seminorm_sq(s, 2, d) + parseval_norm_sq(s.coeffs, d)) * parseval_norm_sq(s.coeffs, d)
+        worst = max(worst, num / den)
+    return worst
+
+
+def smoothing_run(t_end=0.1, dt=1e-3):
+    """Fixed rough-data run behind H2_SMOOTHING_BOUND.
+
+    Data sits on the y-frequency shell l in [900, 1200] (|j| <= 5 in x) of
+    a tall thin grid, so the second-derivative norm exceeds the first by
+    three orders of magnitude at t = 0; the bound certifies that the flow
+    lands in a small H2 ball by t_end anyway.  Returns (trajectory,
+    domain); the trajectory is recorded without the audit series.
+    """
+    d = plan_domain(L=math.pi, X=2 * math.pi, nx=32, ny=2047, delta=0.5)
+    rng = np.random.default_rng(2024)
+    c = np.zeros(d.spectral_shape, dtype=complex)
+    lsel = slice(899, 1200)  # sine indices for l = 900 .. 1200
+    for j in range(0, 6):
+        blk = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+        c[j, lsel] = blk if j != 0 else blk.real  # the x-mean row is real
+    u = to_grid(SpectralField(c), d)
+    u = type(u)(0.3 * u.values / np.max(np.abs(u.values)))
+    traj = simulate(u, t_end, StepperConfig(dt=dt),
+                    RegularizedFlux(h=None), d, audit_series=False)
+    return traj, d
 
 
 def single_mode(d, j, l, amp=1.0):
@@ -316,7 +390,7 @@ class TestThreshold:
         d = small_domain
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 1, 1, 1e-3), None, 0.1, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"])
+        rep = threshold_time(traj, THRESHOLD_C1)
         assert rep.t1 == 0.0
         assert rep.violations == []
 
@@ -325,7 +399,7 @@ class TestThreshold:
         # pi^2 t / L^2}, so the entry time inverts the exponential exactly
         d = desk_domain
         S = symbol(d)
-        c1 = FROZEN["threshold_c1"]
+        c1 = THRESHOLD_C1
         thr = min(d.delta / (2 * c1), d.delta * np.pi**2 / (2 * c1 * d.L**2))
         amp = 16.0
         l2sq0 = amp**2 * d.X * d.L  # single j = 0 column carries full weight
@@ -344,7 +418,7 @@ class TestThreshold:
         S = symbol(d)
         amp = 16.0
         traj = duhamel_solve(single_mode(d, 0, 1, amp), None, 0.01, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"])
+        rep = threshold_time(traj, THRESHOLD_C1)
         assert rep.t1 is None
 
     def test_growing_functional_reports_violations(self, small_domain):
@@ -355,7 +429,7 @@ class TestThreshold:
         f = single_mode(d, 2, 2, 1.0).coeffs
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, lambda t: f, 0.1, 1e-3, S)
-        rep = threshold_time(traj, FROZEN["threshold_c1"])
+        rep = threshold_time(traj, THRESHOLD_C1)
         assert rep.t1 == 0.0
         assert len(rep.violations) > 0
         assert rep.max_violation > 0.0
@@ -370,11 +444,12 @@ class TestThreshold:
 
 class TestCalibration:
     def test_quadratic_comparison_regression(self, desk_domain):
-        assert measure_quadratic_comparison(desk_domain) <= FROZEN[
-            "quadratic_comparison_C"]
+        measured = measure_quadratic_comparison(desk_domain)
+        assert measured <= QUADRATIC_COMPARISON_C, f"measured {measured:.6g}"
 
     def test_threshold_constant_regression(self, desk_domain):
-        assert measure_threshold_constant(desk_domain) <= FROZEN["threshold_c1"]
+        measured = measure_threshold_constant(desk_domain)
+        assert measured <= THRESHOLD_C1, f"measured {measured:.6g}"
 
     def test_smoothing_diagnostic(self):
         # rough data: second-derivative energy a thousandfold above first;
@@ -383,6 +458,6 @@ class TestCalibration:
         assert traj.blowup_time is None
         ratio = traj.h2[0] / traj.h1[0]
         assert ratio >= 1e3
-        assert traj.h2[-1] <= FROZEN["h2_smoothing_bound"]
+        assert traj.h2[-1] <= H2_SMOOTHING_BOUND, f"measured {traj.h2[-1]:.6g}"
         # H2 along the run never exceeds its rough start
         assert np.max(traj.h2) <= traj.h2[0]

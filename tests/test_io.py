@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ class TestJson:
         q = tmp_path / "t.json"
         write_json(q, {"a": {"y": [1, 2], "z": 1}, "b": 2})
         assert p.read_bytes() == q.read_bytes()
+
+    def test_non_finite_floats_are_strings(self, tmp_path):
+        p = tmp_path / "n.json"
+        write_json(p, {"a": [math.nan, (math.inf, -math.inf)],
+                       "b": {"c": np.float64(math.nan), "d": 1.5}})
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert json.loads(p.read_text(), parse_constant=refuse) == {
+            "a": ["nan", ["inf", "-inf"]], "b": {"c": "nan", "d": 1.5}}
 
 
 def test_snapshot_magic_is_stable():

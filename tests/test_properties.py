@@ -14,12 +14,10 @@ from zkbs import (
     GridField,
     RegularizedFlux,
     SpectralField,
-    dealias_mask,
     dk_seminorm_sq,
     grid_quadrature,
     mode_inner,
     mode_multipliers,
-    nonlinear_term,
     norm,
     parseval_norm_sq,
     plan_domain,
@@ -27,7 +25,8 @@ from zkbs import (
     to_grid,
     to_spectral,
 )
-from zkbs.domain import _band_to_grid, _band_to_spectral, _kept_band
+from zkbs.domain import _band_to_grid, _band_to_spectral, _grid_work, _kept_band, _pad_band
+from zkbs.dynamics import _nonlinear_core
 from zkbs.trajectory import _Recorder
 
 domains = st.builds(
@@ -87,11 +86,11 @@ def test_hermitian_amplitudes_synthesize_a_real_field(d, seed, scale):
 @props
 @given(domains, seeds, scales)
 def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
-    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
-    c = np.where(dealias_mask(d), c, 0.0)
-    n = nonlinear_term(SpectralField(c), RegularizedFlux(h=None), d)
+    kx, ky = _kept_band(d)
+    c = _pad_band(half_spectrum_coeffs(d, np.random.default_rng(seed), scale)[:kx, :ky], d)
+    _, n = _nonlinear_core(c[:kx, :ky], RegularizedFlux(h=None), d, _grid_work(d))
     size = parseval_norm_sq(c, d) ** 1.5
-    assert abs(mode_inner(c, n.coeffs, d)) <= 1e-12 * size
+    assert abs(mode_inner(c, _pad_band(n, d), d)) <= 1e-12 * size
 
 
 @props
@@ -100,9 +99,10 @@ def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
     # the step's band kernel against to_grid/to_spectral, its oracle
     rng = np.random.default_rng(seed)
     kx, ky = _kept_band(d)
-    c = np.where(dealias_mask(d), half_spectrum_coeffs(d, rng, scale), 0.0)
-    want = to_grid(SpectralField(c), d).values
-    assert np.max(np.abs(_band_to_grid(c[:kx, :ky], d) - want)) <= 1e-12 * np.max(np.abs(want))
+    c = half_spectrum_coeffs(d, rng, scale)[:kx, :ky]
+    want = to_grid(SpectralField(_pad_band(c, d)), d).values
+    got = _band_to_grid(c, d, _grid_work(d))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     f = scale * rng.standard_normal(d.shape)
     want = to_spectral(GridField(f), d).coeffs[:kx, :ky]
     got = _band_to_spectral(f, d)
@@ -133,8 +133,7 @@ def test_band_recorder_matches_the_full_recorder_on_band_data(d, seed, scale):
     # supported on the band that must sum what the full-shape recorder sums
     rng = np.random.default_rng(seed)
     kx, ky = _kept_band(d)
-    c, mid = (np.where(dealias_mask(d), half_spectrum_coeffs(d, rng, scale), 0.0)
-              for _ in range(2))
+    c, mid = (_pad_band(half_spectrum_coeffs(d, rng, scale)[:kx, :ky], d) for _ in range(2))
     full = _Recorder(d, 1.0, 1.0, 0)
     band = _Recorder(d, 1.0, 1.0, 0, shape=(kx, ky))
     for rec, crop in ((full, np.s_[:, :]), (band, np.s_[:kx, :ky])):

@@ -120,3 +120,42 @@ def test_step_transforms_only_inside_the_nonlinear_core():
     found = calls_by_function(source, {"_band_to_grid", "_band_to_spectral", "grid_quadrature"})
     assert sorted(found) == [("_nonlinear_core", "_band_to_grid"),
                              ("_nonlinear_core", "_band_to_spectral")]
+
+
+# public names that no module or bench script reads, each kept for a reader outside them
+UNREAD_PUBLIC = {
+    "steklov_check": "the paper's Steklov inequality monitor (acceptance criterion 06)",
+    "interpolation_ratio": "the paper's interpolation inequality monitor",
+    "lyapunov_h2": "the paper's second-order decay functional",
+    "read_snapshot": "reader for the snapshot files the CLI writes",
+    "read_diagnostics_csv": "reader for the diagnostics CSV the CLI writes",
+}
+
+
+def all_names(source: str) -> list[str]:
+    """The names a module lists in __all__."""
+    return [name for node in ast.parse(source).body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads, bare or as an attribute (__all__ strings do not count)."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_scan_finds_listed_and_read_names():
+    source = "import m\n__all__ = ['f', 'g']\ndef f():\n    return m.h(g)\ng = 1\n"
+    assert all_names(source) == ["f", "g"]
+    assert read_names(source) == {"m", "h", "g"}
+
+
+def test_every_public_name_has_a_reader_in_the_package_or_the_bench():
+    # a name that only tests call belongs in the tests
+    sources = [p.read_text() for p in (*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"))]
+    read = set().union(*map(read_names, sources))
+    listed = {name for path in MODULES for name in all_names(path.read_text())}
+    assert sorted(listed - read) == sorted(UNREAD_PUBLIC)
