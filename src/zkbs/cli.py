@@ -30,6 +30,7 @@ from .domain import (
     DomainConfig,
     GridField,
     SpectralField,
+    _kept_band,
     parseval_norm_sq,
     plan_domain,
     to_grid,
@@ -130,7 +131,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     Every check that needs no stepping runs here: finite floats, the
     geometry, the stepper, the flux, the initial data (by building it),
     dt dividing t_end, a non-negative snapshot stride, a non-negative seed,
-    and a grid whose one (nx, ny) float64 array fits in the machine's memory.
+    and a grid on which every subcommand's working set fits in the
+    machine's memory (_working_set_bytes).
     """
     values: dict = {}
     if path is not None:
@@ -160,16 +162,56 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         cfg.stepper()
         cfg.flux()
         _resolve_steps(cfg.t_end, cfg.dt)
-        need = 8 * cfg.nx * cfg.ny
+        need = _working_set_bytes(cfg)
         if need > _memory_bytes():
-            raise ConfigError(f"a {cfg.nx} x {cfg.ny} grid cannot be held: one array of it "
-                              f"needs {need / 2**30:.3g} GiB, more than the machine's memory")
+            raise ConfigError(f"a {cfg.nx} x {cfg.ny} grid cannot be held: the arrays a run "
+                              f"on it holds at once need {need / 2**30:.3g} GiB, more than "
+                              "the machine's memory")
         cfg.initial(cfg.domain())
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+# the time windows of cmd_picard, one whole-window Picard solve each
+_PICARD_WINDOWS = (0.0125, 0.025, 0.05)
+
+
+def _working_set_bytes(cfg: RunConfig) -> int:
+    """Bytes of the largest set of grid- and spectrum-sized arrays any subcommand holds at once.
+
+    Counted in complex half spectra, 16 (nx/2 + 1) ny bytes (about one
+    float64 grid array), from the arrays each subcommand keeps live at its
+    peak, and checked against tracemalloc peaks on 512 x 128, 256 x 512,
+    2048 x 32 and 128 x 1024 grids (the measured count in brackets):
+      linear-verify  40 [37]: in a forced duhamel_solve, the recorder's
+        weight tables (8), z, E, phi_1..3 and the three weights (8, and 2
+        more while a weight is formed), three forcing samples, u, u+ and
+        the average (6) and two snapshots, beside cmd_linear_verify's own 10.5;
+      simulate, decay  16 [14] + snapshots + sine block: the step's tables,
+        weights and band blocks, the grid buffer and flux output, and the
+        transforms' odd extension with its FFT (4 grids);
+      audit  22 [19.7] + sine block: the fine run beside the coarse one;
+      picard  13 [10.9] + window stacks + sine block.
+    A snapshot is one half spectrum (decay keeps at least as many as
+    simulate), the window stacks are Picard's two (n + 1, kx, ky) complex
+    stacks on its last window, and the (ny, ky) sine block grows as ny^2.
+    The recorder's per-step series are sized apart, in _resolve_steps.
+    """
+    kx, ky = _kept_band(cfg)  # reads nx and ny only
+    spec = 16 * (cfg.nx // 2 + 1) * cfg.ny
+    sine = 8 * cfg.ny * ky
+    n = round(cfg.t_end / cfg.dt)
+    # cmd_decay's stride; cmd_simulate's is snapshot_stride, which keeps no more
+    stride = cfg.snapshot_stride or max(1, n // 128)
+    snapshots = n // stride + 1 + (n % stride > 0)  # the last boundary is always kept
+    window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
+    return max(40 * spec,
+               (16 + snapshots) * spec + sine,
+               22 * spec + sine,
+               13 * spec + 2 * (window + 1) * 16 * kx * ky + sine)
 
 
 PROFILES = {
@@ -298,6 +340,30 @@ def _forced_mode_oracle(m: np.ndarray, u0: np.ndarray, forcing, T: float) -> np.
     return np.exp(m * T) * u0 + (np.exp(m[:, None] * (T - s)) * forcing(s)) @ weights
 
 
+# time shapes of the forced solves: F(t) from amplitudes F and per-mode phases th
+_FORCING_SHAPES = {
+    "constant": lambda F, t, th: F,
+    "cubic": lambda F, t, th: F * (0.3 - 1.2 * t + 0.8 * t**3),
+    "smooth": lambda F, t, th: F * np.sin(3.0 * t + th) * np.exp(-t),
+}
+
+
+def _active_forcing(shape, F: np.ndarray, th: np.ndarray, idx):
+    """t -> the spectrum that is shape(F, t, th) on the modes idx and zero elsewhere.
+
+    The shape is evaluated on those modes only, and every call overwrites
+    and returns the same array (duhamel_solve copies each sample).
+    """
+    buf = np.zeros(F.shape, dtype=complex)
+    F_active, th_active = F[idx], th[idx]
+
+    def forcing(t: float) -> np.ndarray:
+        buf[idx] = shape(F_active, t, th_active)
+        return buf
+
+    return forcing
+
+
 def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     d = cfg.domain()
     S = symbol(d)
@@ -349,17 +415,11 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dic
         f0c[j, l] = b if j else b.real
         theta[j, l] = rng.uniform(0.0, 2.0 * math.pi)
 
-    # forcing F(t) from amplitudes F and per-mode phases th, for the whole
-    # spectrum at one time (duhamel_solve) and for the active modes at every
-    # quadrature node (the oracle)
-    shapes = {
-        "constant": lambda F, t, th: F,
-        "cubic": lambda F, t, th: F * (0.3 - 1.2 * t + 0.8 * t**3),
-        "smooth": lambda F, t, th: F * np.sin(3.0 * t + th) * np.exp(-t),
-    }
+    # each forcing shape on the active modes, at one time (duhamel_solve)
+    # and at every quadrature node (the oracle)
     idx = tuple(np.array(active).T)
-    for name, shape in shapes.items():
-        traj = duhamel_solve(SpectralField(u0c), lambda t, sh=shape: sh(f0c, t, theta),
+    for name, shape in _FORCING_SHAPES.items():
+        traj = duhamel_solve(SpectralField(u0c), _active_forcing(shape, f0c, theta, idx),
                              T, cfg.dt, S, snapshot_stride=0)
         got = traj.snapshots[-1][idx]
         refs = _forced_mode_oracle(S.m[idx], u0c[idx], lambda s, sh=shape: sh(
@@ -527,7 +587,7 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     stepper = cfg.stepper()
     flux = cfg.flux()
     checks = Checks()
-    grid = [0.0125, 0.025, 0.05]
+    grid = _PICARD_WINDOWS
     rows = []
     stalled = []  # the windows whose contraction failed
     first = None  # (field, diagnostics) of window 0 when it converged

@@ -28,6 +28,7 @@ import numpy as np
 from .domain import (
     DomainConfig,
     SpectralField,
+    _check_shape,
     _check_spectral,
     mode_inner,
     mode_multipliers,
@@ -103,10 +104,13 @@ def duhamel_solve(
     """Forced linear solve by exponential quadrature.
 
     Args:
-        u0: initial amplitudes.
+        u0: initial amplitudes, the half spectrum of a real field.
         forcing: None, or a callable t -> complex (nx/2 + 1, ny) array of
             forcing amplitudes, the half spectrum of a real field; it is
             sampled once at each step boundary and each step midpoint.
+            Each sample is copied as soon as it is returned and checked
+            there (shape, real-field rows, finite entries), so the
+            callable may return the same array, overwritten, every call.
         T: final time; dt must divide it.
         dt: step size.
         S: symbol table (carries the domain).
@@ -114,9 +118,11 @@ def duhamel_solve(
             the first and last).
 
     Returns a Trajectory whose dense scalar series feed
-    audit_linear_identity.
+    audit_linear_identity.  The step writes into buffers allocated once
+    per solve, so it makes no spectrum-sized temporary.
     """
     d = S.domain
+    _check_spectral(u0.coeffs, d, "initial amplitudes")
     rec = _Recorder(d, T, dt, snapshot_stride)
     z = S.m * dt
     E = np.exp(z)
@@ -125,26 +131,36 @@ def duhamel_solve(
     w_mid = dt * (4.0 * p2 - 8.0 * p3)
     w_right = dt * (4.0 * p3 - p2)
 
-    def sample(t: float) -> np.ndarray:
-        f = np.asarray(forcing(t), dtype=complex)
-        _check_spectral(f, d, "forcing sample")
-        if not np.all(np.isfinite(f)):
+    # three forcing samples are live per step (left, mid, right); sample k
+    # goes to buffer k % 3, so a step's right end stays put as the next left end
+    samples = [np.empty(d.spectral_shape, dtype=complex) for _ in range(3)]
+
+    def sample(k: int, t: float) -> np.ndarray:
+        f = np.asarray(forcing(t))
+        _check_shape(f, d.spectral_shape, "forcing sample")  # before copyto can broadcast
+        out = samples[k % 3]
+        np.copyto(out, f)
+        _check_spectral(out, d, "forcing sample")
+        if not np.isfinite(out.view(float)).all():
             raise ValueError("forcing sample contains non-finite entries")
-        return f
+        return out
 
     u = np.array(u0.coeffs, dtype=complex)
+    u_next, avg = np.empty_like(u), np.empty_like(u)  # avg also holds each w * f product
     rec.boundary(0, u)
     # each boundary is sampled once: a step's right end is the next one's left end
-    f_right = None if forcing is None else sample(rec.times[0])
+    f_right = None if forcing is None else sample(0, rec.times[0])
     for i in range(rec.n_steps):
-        if forcing is None:
-            u_next = E * u
-        else:
-            f_left, f_mid, f_right = (f_right, sample(rec.times[i] + 0.5 * dt),
-                                      sample(rec.times[i + 1]))
-            u_next = E * u + w_left * f_left + w_mid * f_mid + w_right * f_right
-        rec.interval(i, 0.5 * (u + u_next))
-        u = u_next
+        # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
+        np.multiply(E, u, out=u_next)
+        if forcing is not None:
+            f_left, f_mid, f_right = (f_right, sample(2 * i + 1, rec.times[i] + 0.5 * dt),
+                                      sample(2 * i + 2, rec.times[i + 1]))
+            for w, f in ((w_left, f_left), (w_mid, f_mid), (w_right, f_right)):
+                np.add(u_next, np.multiply(w, f, out=avg), out=u_next)
+        np.multiply(np.add(u, u_next, out=avg), 0.5, out=avg)
+        rec.interval(i, avg)
+        u, u_next = u_next, u
         rec.boundary(i + 1, u)
     return rec.trajectory(rec.n_steps + 1)
 

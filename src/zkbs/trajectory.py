@@ -194,9 +194,18 @@ class _Recorder:
                      (*self.weights, "nonlin_flux", *boundary_series)}
         self.mid = {name: np.zeros(n) for name in (*self.mid_weights, *interval_series)}
         self.snapshot_indices, self.snapshots = [], []
+        self._re2, self._im2 = np.empty((2, rows, cols))  # squares of the recorded state
+        self._re2_flat = self._re2.reshape(-1)
+
+    def _sum_squares(self, coeffs: np.ndarray) -> np.ndarray:
+        """re^2 + im^2 of coeffs, flattened, in the recorder's buffer (no temporaries)."""
+        np.square(coeffs.real, out=self._re2)
+        np.square(coeffs.imag, out=self._im2)
+        np.add(self._re2, self._im2, out=self._re2)
+        return self._re2_flat
 
     def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
-        sums = self.stacked @ (coeffs.real**2 + coeffs.imag**2).ravel()
+        sums = self.stacked @ self._sum_squares(coeffs)
         for name, value in zip(self.weights, sums):
             self.cols[name][i] = sqrt(value) if name in ("l2", "h1", "h2") else value
         self.put(i, **values)
@@ -209,7 +218,7 @@ class _Recorder:
             self.cols[name][i] = value
 
     def interval(self, i: int, uavg: np.ndarray, **values) -> None:
-        sums = self.mid_stacked @ (uavg.real**2 + uavg.imag**2).ravel()
+        sums = self.mid_stacked @ self._sum_squares(uavg)
         for name, value in (*zip(self.mid_weights, sums), *values.items()):
             self.mid[name][i] = value
 

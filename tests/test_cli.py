@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -457,3 +458,71 @@ def test_dynamics_import_builds_one_gauss_legendre_rule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[96]"
+
+
+@pytest.mark.parametrize("name", sorted(zkbs.cli._FORCING_SHAPES))
+def test_active_mode_forcing_is_the_full_spectrum_formula(name):
+    # linear-verify evaluates each forcing shape on its active modes only;
+    # there it must give the full-spectrum formula's values bit for bit,
+    # and zero elsewhere, as the formula does on the zero amplitudes
+    d = RunConfig().domain()
+    shape = zkbs.cli._FORCING_SHAPES[name]
+    rng = np.random.default_rng(5)
+    idx = tuple(np.array([(j, l) for j in range(7) for l in range(3)]).T)
+    F = np.zeros(d.spectral_shape, dtype=complex)
+    theta = np.zeros(d.spectral_shape)
+    F[idx] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    theta[idx] = rng.uniform(0.0, 2.0 * np.pi, 21)
+    forcing = zkbs.cli._active_forcing(shape, F, theta, idx)
+    inactive = np.ones(d.spectral_shape, dtype=bool)
+    inactive[idx] = False
+    for t in (0.0, 1e-3, 0.3335, 0.9995, 1.0):
+        got, want = forcing(t), shape(F, t, theta)
+        assert got.shape == d.spectral_shape
+        assert np.array_equal(got[idx].view(np.uint64), want[idx].view(np.uint64)), t
+        assert not np.any(got[inactive]) and not np.any(want[inactive])
+
+
+def test_working_set_beyond_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, SMALL)
+    need = zkbs.cli._working_set_bytes(load_config(cfg))
+    monkeypatch.setattr(zkbs.cli, "_memory_bytes", lambda: need - 1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "64 x 16 grid cannot be held" in err[0], err
+    monkeypatch.setattr(zkbs.cli, "_memory_bytes", lambda: need)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_a_grid_that_fits_once_but_not_as_a_run_is_refused_unallocated(tmp_path,
+                                                                      monkeypatch):
+    # one 16384 x 16384 float64 array (2 GiB) fits in 7.8 GiB; the run's
+    # grid, spectra and sine block do not, and nothing of them is made
+    monkeypatch.setattr(zkbs.cli, "_memory_bytes", lambda: 7.8 * 2**30)
+    cfg = write_cfg(tmp_path, SMALL + "nx = 16384\nny = 16384\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="grid cannot be held"):
+            load_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_working_set_bounds_every_subcommands_measured_peak(tmp_path, capsys):
+    # the counted working set against the peak of what each subcommand
+    # allocates (tracemalloc sees numpy's arrays); with every step's snapshot
+    # kept, decay's count is the largest, and the bound is loose by at most 2x
+    cfg = write_cfg(tmp_path, SMALL + "nx = 128\nny = 64\nsnapshot_stride = 1\n")
+    need = zkbs.cli._working_set_bytes(load_config(cfg))
+    peaks = {}
+    for command in zkbs.cli.COMMANDS:
+        tracemalloc.start()
+        try:
+            main([command, "--config", cfg, "--out", str(tmp_path / command)])
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert max(peaks.values()) <= need <= 2 * max(peaks.values()), (need, peaks)

@@ -18,6 +18,8 @@ from zkbs import (
     to_grid,
     to_spectral,
 )
+from zkbs.domain import _kept_band
+from zkbs.trajectory import _Recorder
 
 
 def single_mode(d, j, l, amp=1.0, theta=0.0):
@@ -220,6 +222,40 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="finite"):
             duhamel_solve(u0, lambda t: bad, 0.01, 1e-3, symbol(d))
 
+    def test_rejects_initial_amplitudes_of_no_real_field(self, small_domain):
+        d = small_domain
+        c = np.zeros(d.spectral_shape, dtype=complex)
+        c[0, 0] = 1.0 + 1.0j
+        with pytest.raises(ValueError, match="initial amplitudes.*real field"):
+            duhamel_solve(SpectralField(c), None, 0.01, 1e-3, symbol(d))
+
+    def test_rejects_forcing_of_wrong_shape_before_broadcasting_it(self, small_domain):
+        # one row of amplitudes would broadcast over the half spectrum
+        d = small_domain
+        u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
+        row = np.ones(d.ny, dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            duhamel_solve(u0, lambda t: row, 0.01, 1e-3, symbol(d))
+
+    def test_forcing_may_reuse_one_output_buffer(self, small_domain):
+        # samples are copied where they are taken, so a callable that
+        # overwrites and returns one array solves as one that returns fresh ones
+        d = small_domain
+        S = symbol(d)
+        rng = np.random.default_rng(8)
+        u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
+        f0 = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
+        buf = np.empty_like(f0)
+
+        def reused(t):
+            return np.multiply(f0, math.cos(5.0 * t), out=buf)
+
+        fresh, once = (duhamel_solve(u0, forcing, 0.1, 1e-3, S)
+                       for forcing in (lambda t: f0 * math.cos(5.0 * t), reused))
+        assert len(fresh.snapshots) == fresh.n_steps + 1
+        for a, b in zip(fresh.snapshots, once.snapshots, strict=True):
+            assert np.array_equal(a, b)
+
     def test_rejects_forcing_of_no_real_field(self, small_domain):
         # an imaginary x-mean row is not the spectrum of a real field; it
         # must be refused where it enters, not solved silently
@@ -229,6 +265,89 @@ class TestDuhamel:
         bad[0, 1] = 1.0j
         with pytest.raises(ValueError, match="real field"):
             duhamel_solve(u0, lambda t: bad, 0.01, 1e-3, symbol(d))
+
+
+def expression_form_solve(u0, forcing, T, dt, S):
+    """duhamel_solve's step and recorder sums written as array expressions.
+
+    Every product and sum makes a fresh temporary, in the order that
+    duhamel_solve's in-place step takes them.  Returns the states, the
+    boundary sums (l2^2, h1^2, h2^2, diss_l2, diss_h1, e2_mixed) and the
+    interval sums (mid_diss0/1/2).
+    """
+    rec = _Recorder(S.domain, T, dt, 1)
+    z = S.m * dt
+    p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
+    E = np.exp(z)
+    w_left = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    w_mid = dt * (4.0 * p2 - 8.0 * p3)
+    w_right = dt * (4.0 * p3 - p2)
+
+    def sums(stacked, c):
+        return stacked @ (c.real**2 + c.imag**2).ravel()
+
+    u = np.array(u0.coeffs, dtype=complex)
+    states, bsums, msums = [u], [sums(rec.stacked, u)], []
+    f_right = None if forcing is None else forcing(rec.times[0])
+    for i in range(rec.n_steps):
+        if forcing is None:
+            u_next = E * u
+        else:
+            f_left, f_mid, f_right = (f_right, forcing(rec.times[i] + 0.5 * dt),
+                                      forcing(rec.times[i + 1]))
+            u_next = E * u + w_left * f_left + w_mid * f_mid + w_right * f_right
+        msums.append(sums(rec.mid_stacked, 0.5 * (u + u_next)))
+        u = u_next
+        states.append(u)
+        bsums.append(sums(rec.stacked, u))
+    return states, np.array(bsums).T, np.array(msums).T
+
+
+class TestInPlaceStep:
+    """The buffered step and recorder against their expression forms, bit for bit."""
+
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced", "homogeneous"])
+    def test_every_snapshot_and_series_matches_the_expression_form(self, small_domain,
+                                                                   forced):
+        d = small_domain
+        S = symbol(d)
+        rng = np.random.default_rng(21)
+        u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
+        f0 = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
+
+        def forcing(t):
+            return f0 * (math.sin(3.0 * t) + 0.5)
+
+        forcing = forcing if forced else None
+        traj = duhamel_solve(u0, forcing, 0.05, 1e-3, S)
+        states, bsums, msums = expression_form_solve(u0, forcing, 0.05, 1e-3, S)
+        assert len(traj.snapshots) == len(states) == 51
+        for got, want in zip(traj.snapshots, states, strict=True):
+            assert np.array_equal(got, want)
+        for name, want in zip(("l2", "h1", "h2"), bsums[:3]):
+            assert np.array_equal(getattr(traj, name), np.sqrt(want)), name
+        for name, want in zip(("diss_l2", "diss_h1", "e2_mixed"), bsums[3:]):
+            assert np.array_equal(getattr(traj, name), want), name
+        for name, want in zip(("mid_diss0", "mid_diss1", "mid_diss2"), msums):
+            assert np.array_equal(getattr(traj, name), want), name
+
+    def test_band_recorder_of_a_strided_block_matches_the_expression_form(self, small_domain):
+        # simulate records a (kx, ky) view into a larger array
+        d = small_domain
+        kx, ky = _kept_band(d)
+        rng = np.random.default_rng(22)
+        full = rng.standard_normal(d.spectral_shape) + 1j * rng.standard_normal(d.spectral_shape)
+        block = full[:kx, :ky]
+        rec = _Recorder(d, 1.0, 1.0, 0, shape=(kx, ky))
+        rec.boundary(0, block)
+        rec.interval(0, block)
+        squares = (block.real**2 + block.imag**2).ravel()
+        want = rec.stacked @ squares
+        assert [rec.cols[name][0] for name in rec.weights] == [
+            math.sqrt(v) if name in ("l2", "h1", "h2") else v
+            for name, v in zip(rec.weights, want)]
+        assert [rec.mid[name][0] for name in rec.mid_weights] == list(
+            rec.mid_stacked @ squares)
 
 
 class TestLinearAudits:

@@ -95,6 +95,11 @@ def test_readme_common_flags_are_simulate_flags():
     assert named and named <= accepted, named - accepted
 
 
+def test_readme_names_every_bench_record():
+    records = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert records and [name for name in records if f"`{name}`" not in README] == []
+
+
 def calls_by_function(source: str, names: set[str]) -> list[tuple[str | None, str]]:
     """(enclosing top-level function or None, callee) for each call of a name in names."""
     found = []
