@@ -47,13 +47,15 @@ from .dynamics import (
 from .functionals import (
     NONLINEAR_IDENTITIES,
     THRESHOLD_C1,
+    attach_refinement_order,
     audit_identity,
+    audit_linear_identity,
     decay_fit,
     threshold_time,
 )
 from .initial_data import make_initial
-from .semigroup import apply_semigroup, audit_linear_identity, duhamel_solve, symbol
-from .trajectory import Trajectory, _memory_bytes, _resolve_steps, attach_refinement_order
+from .semigroup import apply_semigroup, duhamel_solve, symbol
+from .trajectory import Trajectory, _memory_bytes, _resolve_steps
 
 __all__ = ["RunConfig", "load_config", "main", "PROFILES"]
 
@@ -186,10 +188,11 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     float64 grid array), from the arrays each subcommand keeps live at its
     peak, and checked against tracemalloc peaks on 512 x 128, 256 x 512,
     2048 x 32 and 128 x 1024 grids (the measured count in brackets):
-      linear-verify  40 [37]: in a forced duhamel_solve, the recorder's
-        weight tables (8), z, E, phi_1..3 and the three weights (8, and 2
-        more while a weight is formed), three forcing samples, u, u+ and
-        the average (6) and two snapshots, beside cmd_linear_verify's own 10.5;
+      linear-verify  34 [30.4]: in a forced duhamel_solve, the recorder's
+        weight tables and square buffers (5.5), E and the three step
+        weights (4), three forcing samples, u, u+ and the average (6) and
+        two snapshots, beside cmd_linear_verify's own 12.7 (the previous
+        solve's trajectory included);
       simulate, decay  16 [14] + snapshots + sine block: the step's tables,
         weights and band blocks, the grid buffer and flux output, and the
         transforms' odd extension with its FFT (4 grids);
@@ -208,7 +211,7 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     stride = cfg.snapshot_stride or max(1, n // 128)
     snapshots = n // stride + 1 + (n % stride > 0)  # the last boundary is always kept
     window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
-    return max(40 * spec,
+    return max(34 * spec,
                (16 + snapshots) * spec + sine,
                22 * spec + sine,
                13 * spec + 2 * (window + 1) * 16 * kx * ky + sine)

@@ -49,6 +49,7 @@ from .domain import (
     _GridWork,
     _kept_band,
     _pad_band,
+    mode_multipliers,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
@@ -434,7 +435,7 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
                     + (("mid_u2lap",) if u2_pairings else ()), shape=(kx, ky))
     tab = _etd2_tables(symbol(d), dt)
     work = _grid_work(d)
-    lap = -rec.mults.d1[:kx, :ky]  # spectral Laplacian multiplier
+    lap = -mode_multipliers(d).d1[:kx, :ky]  # spectral Laplacian multiplier
     rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
     l2_weight = rec.weights["l2"]
 

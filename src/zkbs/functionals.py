@@ -15,7 +15,7 @@ trapezoid-consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,18 +24,22 @@ from .domain import (
     SpectralField,
     grid_quadrature,
     mixed_derivative,
+    mode_inner,
     mode_multipliers,
     parseval_norm_sq,
     to_grid,
 )
-from .trajectory import EnergyReport, Trajectory
+from .trajectory import Trajectory
 
 __all__ = [
     "norm",
     "SteklovResult",
     "steklov_check",
     "interpolation_ratio",
+    "EnergyReport",
+    "attach_refinement_order",
     "audit_identity",
+    "audit_linear_identity",
     "DecayFit",
     "decay_fit",
     "ThresholdReport",
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 NONLINEAR_IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
+LINEAR_IDENTITIES = ("mass", "grad", "hess")  # the order-0, 1 and 2 identities
 
 
 def norm(u: SpectralField, s: float, d: DomainConfig) -> float:
@@ -153,6 +158,69 @@ def _require_series(traj: Trajectory, names: tuple[str, ...], which: str) -> Non
             )
 
 
+@dataclass
+class EnergyReport:
+    """Residual history of one energy balance audit."""
+
+    identity: str
+    times: np.ndarray
+    residual: np.ndarray
+    max_residual: float
+    dt: float
+    order: float | None = None          # filled by attach_refinement_order
+    dt_pair: tuple[float, float] | None = None
+
+
+def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyReport:
+    """Annotate the fine report with the observed refinement order.
+
+    Both reports must audit the same identity; the order is
+    log(residual ratio) / log(dt ratio), or None when either residual is
+    exactly zero (zero data, say), where no order can be observed.
+    """
+    if coarse.identity != fine.identity:
+        raise ValueError("refinement pair must audit the same identity")
+    if not (coarse.dt > fine.dt > 0):
+        raise ValueError("expected coarse.dt > fine.dt > 0")
+    order = None
+    if coarse.max_residual > 0.0 and fine.max_residual > 0.0:
+        order = math.log(coarse.max_residual / fine.max_residual) / math.log(coarse.dt / fine.dt)
+    return replace(fine, order=order, dt_pair=(coarse.dt, fine.dt))
+
+
+# The time rules of every energy audit live here: running integrals from
+# times[0] to each boundary, and the left side of the order-k identity that the
+# nonlinear and the linear audits share, E_k - E_k(0) + 2 delta integral D_k with
+# E_0, E_1, E_2 = ||u||^2, diss_l2, e2_mixed and D_k = mid_diss<k> (midpoint rule).
+
+
+def _cumulative_midpoint(traj: Trajectory, mid_values: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(mid_values * traj.dt)))
+
+
+def _cumulative_trapezoid(traj: Trajectory, values: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * traj.dt)))
+
+
+def _balance(traj: Trajectory, k: int) -> np.ndarray:
+    energy = (traj.l2**2, traj.diss_l2, traj.e2_mixed)[k]
+    dissipation = (traj.mid_diss0, traj.mid_diss1, traj.mid_diss2)[k]
+    return energy - energy[0] + 2.0 * traj.domain.delta * _cumulative_midpoint(traj, dissipation)
+
+
+def _check_audit(traj: Trajectory, which: str, known: tuple[str, ...]) -> None:
+    if which not in known:
+        raise ValueError(f"unknown identity {which!r}; expected one of {known}")
+    if traj.n_steps < 1:
+        raise ValueError("trajectory must contain at least one step")
+
+
+def _report(identity: str, times: np.ndarray, residual: np.ndarray,
+            traj: Trajectory) -> EnergyReport:
+    return EnergyReport(identity=identity, times=times, residual=residual,
+                        max_residual=float(np.max(residual)), dt=traj.dt)
+
+
 def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     """Residual of one nonlinear energy balance along a recorded run.
 
@@ -172,37 +240,62 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     integral uses the midpoint values recorded by simulate().  Requesting
     an identity whose series were not recorded raises.
     """
-    if which not in NONLINEAR_IDENTITIES:
-        raise ValueError(f"unknown identity {which!r}; expected one of {NONLINEAR_IDENTITIES}")
-    if traj.n_steps < 1:
-        raise ValueError("trajectory must contain at least one step")
+    _check_audit(traj, which, NONLINEAR_IDENTITIES)
     delta = traj.domain.delta
 
     if which == "mass_3_3":
-        residual = np.abs(traj.balance(0) - traj.cumulative_trapezoid(2.0 * traj.nonlin_flux))
+        residual = np.abs(_balance(traj, 0) - _cumulative_trapezoid(traj, 2.0 * traj.nonlin_flux))
     elif which == "h1_3_15":
         _require_series(traj, ("mid_rhs_h1",), which)
-        residual = np.abs(traj.balance(1) - traj.cumulative_midpoint(traj.mid_rhs_h1))
+        residual = np.abs(_balance(traj, 1) - _cumulative_midpoint(traj, traj.mid_rhs_h1))
     elif which == "combined_3_23":
         if traj.h is not None:
             raise ValueError(f"combined_3_23 holds for the u^2/2 flux only, not h = {traj.h!r}")
         _require_series(traj, ("cube", "mid_u2lap"), which)
         energy = traj.diss_l2 - traj.cube / 3.0
         lhs = energy - energy[0]
-        lhs += 2.0 * delta * traj.cumulative_midpoint(traj.mid_diss1)
-        lhs += delta * traj.cumulative_midpoint(traj.mid_u2lap)
+        lhs += 2.0 * delta * _cumulative_midpoint(traj, traj.mid_diss1)
+        lhs += delta * _cumulative_midpoint(traj, traj.mid_u2lap)
         residual = np.abs(lhs)
     else:  # h2_3_29
         _require_series(traj, ("mid_rhs_h2",), which)
-        residual = np.abs(traj.balance(2) - traj.cumulative_midpoint(traj.mid_rhs_h2))
+        residual = np.abs(_balance(traj, 2) - _cumulative_midpoint(traj, traj.mid_rhs_h2))
+    return _report(which, traj.times, residual, traj)
 
-    return EnergyReport(
-        identity=which,
-        times=traj.times,
-        residual=residual,
-        max_residual=float(np.max(residual)),
-        dt=traj.dt,
-    )
+
+def audit_linear_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
+    """Residual of one linear energy balance along a trajectory.
+
+    which is "mass", "grad" or "hess": the order-k identity (k = 0, 1, 2)
+    of u_t = m u + f, d/dt E_k + 2 delta D_k = 2 <W u, f> with W = 1, d1
+    or e2 from mode_multipliers, which pairs f with u, with Du, or with
+    the pure and mixed second derivatives.  A forcing split as
+    f0 + d/dx f1 + d/dy f2 needs no pairings of its own: integration by
+    parts is exact on the discrete sine-Fourier spectra.
+
+    forcing is None (homogeneous: the residual is reported at every step
+    boundary) or the callable t -> spectral array passed to duhamel_solve.
+    Its work pairs the averaged stored snapshots with the forcing at each
+    snapshot interval's midpoint, so the residual is reported at the
+    stored snapshot times.  Every time integral uses the midpoint rule.
+    """
+    _check_audit(traj, which, LINEAR_IDENTITIES)
+    k = LINEAR_IDENTITIES.index(which)
+    lhs = _balance(traj, k)
+    if forcing is None:
+        return _report(f"linear_{which}", traj.times, np.abs(lhs), traj)
+    d, idx = traj.domain, traj.snapshot_indices
+    if len(idx) < 2:
+        raise ValueError("trajectory lacks snapshots needed for the forcing quadrature")
+    mults = mode_multipliers(d)
+    weight = (1.0, mults.d1, mults.e2)[k]
+    work = np.zeros(len(idx))
+    for j in range(len(idx) - 1):
+        ta, tb = traj.times[idx[j]], traj.times[idx[j + 1]]
+        uavg = 0.5 * (traj.snapshots[j] + traj.snapshots[j + 1])
+        f = np.asarray(forcing(0.5 * (ta + tb)), dtype=complex)
+        work[j + 1] = work[j] + 2.0 * mode_inner(weight * uavg, f, d) * (tb - ta)
+    return _report(f"linear_{which}", traj.times[idx], np.abs(lhs[idx] - work), traj)
 
 
 @dataclass

@@ -30,17 +30,15 @@ from .domain import (
     SpectralField,
     _check_shape,
     _check_spectral,
-    mode_inner,
     mode_multipliers,
 )
-from .trajectory import EnergyReport, Trajectory, _Recorder
+from .trajectory import Trajectory, _Recorder
 
 __all__ = [
     "SymbolTable",
     "symbol",
     "apply_semigroup",
     "duhamel_solve",
-    "audit_linear_identity",
 ]
 
 _SERIES_RADIUS = 0.5
@@ -93,6 +91,18 @@ def apply_semigroup(u: SpectralField, t: float, S: SymbolTable) -> SpectralField
     return SpectralField(u.coeffs * np.exp(S.m * t))
 
 
+def _three_node_weights(S: SymbolTable, dt: float):
+    """exp(m dt) and the left, midpoint and right forcing weights of one step.
+
+    The phi tables they are formed from are freed on return, before any
+    stepping.
+    """
+    z = S.m * dt
+    p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
+    return (np.exp(z), dt * (p1 - 3.0 * p2 + 4.0 * p3), dt * (4.0 * p2 - 8.0 * p3),
+            dt * (4.0 * p3 - p2))
+
+
 def duhamel_solve(
     u0: SpectralField,
     forcing,
@@ -118,18 +128,13 @@ def duhamel_solve(
             the first and last).
 
     Returns a Trajectory whose dense scalar series feed
-    audit_linear_identity.  The step writes into buffers allocated once
-    per solve, so it makes no spectrum-sized temporary.
+    functionals.audit_linear_identity.  The step writes into buffers
+    allocated once per solve, so it makes no spectrum-sized temporary.
     """
     d = S.domain
     _check_spectral(u0.coeffs, d, "initial amplitudes")
     rec = _Recorder(d, T, dt, snapshot_stride)
-    z = S.m * dt
-    E = np.exp(z)
-    p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
-    w_left = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-    w_mid = dt * (4.0 * p2 - 8.0 * p3)
-    w_right = dt * (4.0 * p3 - p2)
+    E, w_left, w_mid, w_right = _three_node_weights(S, dt)
 
     # three forcing samples are live per step (left, mid, right); sample k
     # goes to buffer k % 3, so a step's right end stays put as the next left end
@@ -163,96 +168,3 @@ def duhamel_solve(
         u, u_next = u_next, u
         rec.boundary(i + 1, u)
     return rec.trajectory(rec.n_steps + 1)
-
-
-def _forcing_pairings(traj: Trajectory, which: str, f0, f1, f2):
-    """Midpoint-rule forcing work integral, on the stored snapshot grid.
-
-    Returns (snapshot_indices, cumulative_integral) with one cumulative
-    value per stored snapshot.  Requires at least two snapshots when any
-    forcing component is present.
-    """
-    d = traj.domain
-    mults = mode_multipliers(d)
-    idx = traj.snapshot_indices
-    if len(idx) < 2:
-        raise ValueError("trajectory lacks snapshots needed for the forcing quadrature")
-    xi = d.xi_odd[:, None]
-    ky = d.ky[None, :]
-    out = np.zeros(len(idx))
-    acc = 0.0
-    for k in range(len(idx) - 1):
-        ia, ib = idx[k], idx[k + 1]
-        ta, tb = traj.times[ia], traj.times[ib]
-        tm = 0.5 * (ta + tb)
-        uavg = 0.5 * (traj.snapshots[k] + traj.snapshots[k + 1])
-        p = 0.0
-        if which == "mass":
-            if f0 is not None:
-                p += mode_inner(uavg, np.asarray(f0(tm), dtype=complex), d)
-            if f1 is not None:
-                ux = 1j * xi * uavg
-                p -= mode_inner(ux, np.asarray(f1(tm), dtype=complex), d)
-            if f2 is not None:
-                # u_y lives in the cosine basis; the pairing is diagonal there
-                uy = ky * uavg
-                p -= mode_inner(uy, np.asarray(f2(tm), dtype=complex), d)
-        elif which == "grad":
-            if f0 is not None:
-                p += mode_inner(mults.d1 * uavg, np.asarray(f0(tm), dtype=complex), d)
-            if f1 is not None:
-                p += mode_inner(mults.d1 * uavg, np.asarray(f1(tm), dtype=complex), d)
-        else:  # hess
-            if f0 is not None:
-                p += mode_inner(mults.e2 * uavg, np.asarray(f0(tm), dtype=complex), d)
-        acc += 2.0 * p * (tb - ta)
-        out[k + 1] = acc
-    return idx, out
-
-
-def audit_linear_identity(
-    traj: Trajectory,
-    which: str,
-    f0=None,
-    f1=None,
-    f2=None,
-) -> EnergyReport:
-    """Residual of one linear energy balance along a trajectory.
-
-    which selects the balance:
-      "mass": d/dt ||u||^2 + 2 delta (||u_x||^2 + ||u_y||^2)
-              = 2 integral (f0 u - f1 u_x - f2 u_y), forcing split
-              f = f0 + d/dx f1 + d/dy f2; f0 and f1 are sine-basis
-              amplitudes while f2 is given in the cosine basis (where
-              u_y lives, making the pairing diagonal);
-      "grad": first-derivative balance with dissipation
-              integral u_xx^2 + 2 u_xy^2 + u_yy^2, forcing split f = f0 + f1
-              paired as 2 integral (f0_x u_x + f0_y u_y - f1 (u_xx + u_yy));
-      "hess": second-derivative balance with third-order dissipation and
-              undecomposed forcing f0 paired against the pure second
-              derivatives.
-
-    Time integrals use the midpoint rule on averaged states.  Forcing
-    components are optional callables t -> spectral array; with all of
-    them None the trajectory is treated as homogeneous.
-    """
-    if which not in ("mass", "grad", "hess"):
-        raise ValueError(f"unknown linear identity {which!r}")
-    if traj.n_steps < 1:
-        raise ValueError("trajectory must contain at least one step")
-
-    lhs = traj.balance(("mass", "grad", "hess").index(which))
-    if f0 is None and f1 is None and f2 is None:
-        times = traj.times
-        residual = np.abs(lhs)
-    else:
-        idx, work = _forcing_pairings(traj, which, f0, f1, f2)
-        times = traj.times[idx]
-        residual = np.abs(lhs[idx] - work)
-    return EnergyReport(
-        identity=f"linear_{which}",
-        times=times,
-        residual=residual,
-        max_residual=float(np.max(residual)),
-        dt=traj.dt,
-    )

@@ -1,10 +1,10 @@
-"""Trajectory container shared by the linear and nonlinear integrators.
+"""The run record shared by the linear and nonlinear integrators, and its recorder.
 
 A Trajectory stores scalar diagnostics densely (one value per step
 boundary, plus one value per step interval for the quantities that feed
 the energy audits) and spectral snapshots at a caller-chosen stride.
-The audit quadrature works from the dense scalar series, so memory does
-not grow with snapshot resolution.
+The audits (zkbs.functionals) integrate the dense scalar series in
+time, so memory does not grow with snapshot resolution.
 
 Midpoint-interval series (mid_*) hold the audit integrands evaluated on
 the averaged state (u_n + u_{n+1}) / 2, which is how the midpoint time
@@ -17,14 +17,14 @@ through the one private _Recorder below.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from math import inf, isfinite, log, sqrt
+from dataclasses import dataclass
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
 from .domain import DomainConfig, _pad_band, mode_multipliers
 
-__all__ = ["Trajectory", "EnergyReport", "attach_refinement_order"]
+__all__ = ["Trajectory"]
 
 
 @dataclass(eq=False)
@@ -67,70 +67,6 @@ class Trajectory:
     def lyapunov_h2(self) -> np.ndarray:
         """integral |D2 u|^2 + |Du|^2 + u^2 at step boundaries."""
         return self.e2_mixed + self.diss_l2 + self.l2**2
-
-    def balance(self, k: int) -> np.ndarray:
-        """Left side E_k - E_k(0) + 2 delta integral D_k of the order-k energy identity.
-
-        E_0, E_1, E_2 are ||u||^2, diss_l2 and e2_mixed, and D_k is mid_diss<k>
-        integrated by the midpoint rule; the identity's right side is its work term.
-        """
-        if k not in (0, 1, 2):
-            raise ValueError(f"energy order k must be 0, 1 or 2, got {k!r}")
-        energy = (self.l2**2, self.diss_l2, self.e2_mixed)[k]
-        lhs = energy - energy[0]
-        lhs += 2.0 * self.domain.delta * self.cumulative_midpoint(
-            (self.mid_diss0, self.mid_diss1, self.mid_diss2)[k])
-        return lhs
-
-    def cumulative_midpoint(self, mid_values: np.ndarray) -> np.ndarray:
-        """Running midpoint-rule integral of a per-interval series.
-
-        Entry i approximates the integral from times[0] to times[i].
-        """
-        out = np.empty(len(mid_values) + 1)
-        out[0] = 0.0
-        np.cumsum(mid_values * self.dt, out=out[1:])
-        return out
-
-    def cumulative_trapezoid(self, values: np.ndarray) -> np.ndarray:
-        """Running trapezoid-rule integral of a per-boundary series.
-
-        Entry i approximates the integral from times[0] to times[i].
-        """
-        out = np.empty(len(values))
-        out[0] = 0.0
-        np.cumsum(0.5 * (values[:-1] + values[1:]) * self.dt, out=out[1:])
-        return out
-
-
-@dataclass
-class EnergyReport:
-    """Residual history of one energy balance audit."""
-
-    identity: str
-    times: np.ndarray
-    residual: np.ndarray
-    max_residual: float
-    dt: float
-    order: float | None = None          # filled by attach_refinement_order
-    dt_pair: tuple[float, float] | None = None
-
-
-def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyReport:
-    """Annotate the fine report with the observed refinement order.
-
-    Both reports must audit the same identity; the order is
-    log(residual ratio) / log(dt ratio), or None when either residual is
-    exactly zero (zero data, say), where no order can be observed.
-    """
-    if coarse.identity != fine.identity:
-        raise ValueError("refinement pair must audit the same identity")
-    if not (coarse.dt > fine.dt > 0):
-        raise ValueError("expected coarse.dt > fine.dt > 0")
-    order = None
-    if coarse.max_residual > 0.0 and fine.max_residual > 0.0:
-        order = log(coarse.max_residual / fine.max_residual) / log(coarse.dt / fine.dt)
-    return replace(fine, order=order, dt_pair=(coarse.dt, fine.dt))
 
 
 def _resolve_steps(T: float, dt: float) -> int:
@@ -180,7 +116,7 @@ class _Recorder:
         n = _resolve_steps(T, dt)
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
-        self.mults = m = mode_multipliers(d)
+        m = mode_multipliers(d)
         rows, cols = shape or d.spectral_shape
         W = d.parseval_weight[:rows, None]
         def stack(*ws):  # a (series, modes) matrix, so that each record makes one contraction

@@ -33,7 +33,12 @@ from zkbs import (
     to_spectral,
     traveling_mode,
 )
-from zkbs.functionals import THRESHOLD_C1
+from zkbs.functionals import (
+    THRESHOLD_C1,
+    _balance,
+    _cumulative_midpoint,
+    _cumulative_trapezoid,
+)
 
 # Bounds for constants that are only known to exist, each measured once on the
 # corpus or run below and rounded up (measured: 0.0937 and 2.36e-5); the
@@ -316,12 +321,21 @@ class TestNonlinearAudits:
     def test_identities_share_the_trajectory_balance(self, run, ident, k, rhs):
         # the nonlinear audits and the homogeneous linear ones take one left side
         traj = run[0]
-        work = (traj.cumulative_trapezoid(2.0 * traj.nonlin_flux) if rhs is None
-                else traj.cumulative_midpoint(getattr(traj, rhs)))
+        work = (_cumulative_trapezoid(traj, 2.0 * traj.nonlin_flux) if rhs is None
+                else _cumulative_midpoint(traj, getattr(traj, rhs)))
         assert np.array_equal(audit_identity(traj, ident).residual,
-                              np.abs(traj.balance(k) - work))
+                              np.abs(_balance(traj, k) - work))
         assert np.array_equal(audit_linear_identity(traj, ("mass", "grad", "hess")[k]).residual,
-                              np.abs(traj.balance(k)))
+                              np.abs(_balance(traj, k)))
+
+    def test_one_step_run_audits_to_two_finite_residuals(self):
+        d = plan_domain(math.pi, 16 * math.pi, 32, 8, 0.5)
+        traj = simulate(gaussian_bump(d, 0.0, 2.0, 1, 0.5), 1e-3, StepperConfig(dt=1e-3),
+                        RegularizedFlux(h=None), d)
+        assert traj.n_steps == 1
+        for ident in ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29"):
+            rep = audit_identity(traj, ident)
+            assert rep.residual.shape == (2,) and np.all(np.isfinite(rep.residual)), ident
 
     def test_combined_identity_refuses_a_cutoff_run(self):
         # its u^3/3 energy and u^2 (u_xx + u_yy) drift belong to the u^2/2 flux
@@ -331,10 +345,6 @@ class TestNonlinearAudits:
         assert traj.h == 1.0
         with pytest.raises(ValueError, match="combined_3_23.*h = 1.0"):
             audit_identity(traj, "combined_3_23")
-
-    def test_balance_rejects_an_unknown_order(self, run):
-        with pytest.raises(ValueError, match="energy order"):
-            run[0].balance(3)
 
     def test_unknown_identity_rejected(self, run):
         coarse_traj, _ = run

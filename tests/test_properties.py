@@ -144,3 +144,19 @@ def test_band_recorder_matches_the_full_recorder_on_band_data(d, seed, scale):
     for name in full.mid_weights:
         assert math.isclose(band.mid[name][0], full.mid[name][0], rel_tol=1e-13), name
     assert np.array_equal(band.snapshots[0], full.snapshots[0])
+
+
+@settings(props, derandomize=True)
+@given(domains, seeds, scales)
+def test_split_forcing_pairs_as_its_sum(d, seed, scale):
+    # integration by parts is exact on the discrete spectra: the mass work of
+    # f = d/dx f1 + d/dy f2 (f1 in the sine basis, f2 in the cosine basis)
+    # is -integral (f1 u_x + f2 u_y), so one forcing can replace the split
+    rng = np.random.default_rng(seed)
+    u, f1, f2 = (half_spectrum_coeffs(d, rng, scale) for _ in range(3))
+    ix, ky = 1j * d.xi_odd[:, None], d.ky[None, :]
+    got = mode_inner(u, ix * f1 - ky * f2, d)
+    want = -mode_inner(ix * u, f1, d) - mode_inner(ky * u, f2, d)
+    size = math.sqrt(parseval_norm_sq(u, d)) * (math.sqrt(parseval_norm_sq(ix * f1, d))
+                                                + math.sqrt(parseval_norm_sq(ky * f2, d)))
+    assert abs(got - want) <= 1e-13 * size

@@ -389,21 +389,17 @@ class TestLinearAudits:
         f1c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
         f2c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
 
-        def mk(c):
-            return lambda t: c * math.cos(3.0 * t)
+        def forcing(t):
+            w = math.cos(3.0 * t)
+            # f = f0 + d/dx f1 + d/dy f2; f2 lives in the cosine basis,
+            # so its y derivative lands in the sine basis with a minus
+            fx = 1j * d.xi_odd[:, None] * f1c
+            fy = -d.ky[None, :] * f2c
+            return w * (f0c + fx + fy)
 
         def run(dt):
-            def forcing(t):
-                w = math.cos(3.0 * t)
-                # f = f0 + d/dx f1 + d/dy f2; f2 lives in the cosine basis,
-                # so its y derivative lands in the sine basis with a minus
-                fx = 1j * d.xi_odd[:, None] * f1c
-                fy = -d.ky[None, :] * f2c
-                return w * (f0c + fx + fy)
-
             traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_linear_identity(
-                traj, "mass", f0=mk(f0c), f1=mk(f1c), f2=mk(f2c))
+            return audit_linear_identity(traj, "mass", forcing=forcing)
 
         coarse, fine = run(2e-3), run(1e-3)
         fine = attach_refinement_order(coarse, fine)
@@ -421,11 +417,57 @@ class TestLinearAudits:
 
         def rep(which, dt):
             traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_linear_identity(traj, which, f0=lambda t: f0c * math.exp(-t))
+            return audit_linear_identity(traj, which, forcing=forcing)
 
         for which in ("grad", "hess"):
             fine = attach_refinement_order(rep(which, 2e-3), rep(which, 1e-3))
             assert 1.7 <= fine.order <= 2.3, which
+
+    def test_forced_audit_pairs_each_order_with_its_weight(self, small_domain):
+        # one mode from rest under constant forcing: each identity is the mass
+        # identity times its weight (1, d1 = 9.25, e2 = 83.3 on mode (8, 3)), and the
+        # midpoint rule leaves 1.1e-6 of the energy, so any other weight shows
+        d = small_domain
+        f = np.zeros(d.spectral_shape, dtype=complex)
+        f[8, 2] = 0.5 + 0.25j
+
+        def forcing(t):
+            return f
+
+        traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, 0.2, 1e-3, symbol(d))
+        for which, energy in (("mass", traj.l2**2), ("grad", traj.diss_l2),
+                              ("hess", traj.e2_mixed)):
+            rep = audit_linear_identity(traj, which, forcing=forcing)
+            assert rep.max_residual <= 1e-5 * np.max(energy), which
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_one_step_solve_audits_to_two_finite_residuals(self, small_domain, forced):
+        d = small_domain
+        rng = np.random.default_rng(14)
+        u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
+        f0c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
+        forcing = (lambda t: f0c * math.cos(t)) if forced else None
+        traj = duhamel_solve(u0, forcing, 1e-3, 1e-3, symbol(d))
+        for which in ("mass", "grad", "hess"):
+            rep = audit_linear_identity(traj, which, forcing=forcing)
+            assert rep.residual.shape == (2,) and np.all(np.isfinite(rep.residual)), which
+            assert np.array_equal(rep.times, traj.times)
+
+    def test_forced_audit_of_an_endpoints_only_run_reports_its_endpoints(self, small_domain):
+        # snapshot_stride=0 stores the first and last boundary: one forcing interval
+        d = small_domain
+        rng = np.random.default_rng(15)
+        u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
+        f0c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
+
+        def forcing(t):
+            return f0c * math.exp(-t)
+
+        traj = duhamel_solve(u0, forcing, 0.05, 1e-3, symbol(d), snapshot_stride=0)
+        for which in ("mass", "grad", "hess"):
+            rep = audit_linear_identity(traj, which, forcing=forcing)
+            assert rep.times.tolist() == [traj.times[0], traj.times[-1]], which
+            assert rep.residual.shape == (2,) and rep.residual[0] == 0.0, which
 
     def test_unknown_identity_rejected(self, small_domain):
         d = small_domain

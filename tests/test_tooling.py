@@ -127,6 +127,27 @@ def test_step_transforms_only_inside_the_nonlinear_core():
                              ("_nonlinear_core", "_band_to_spectral")]
 
 
+def audit_definitions(source: str) -> list[str]:
+    """Functions and methods named audit*, balance or cumulative_* (leading _ ignored)."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and re.fullmatch(r"_*(audit\w*|balance|cumulative_\w*)", node.name)]
+
+
+def test_scan_finds_every_audit_definition():
+    source = "def audit_x(): pass\ndef _balance(): pass\nclass T:\n" \
+             "    def cumulative_midpoint(self): pass\n    def balanced(self): pass\n" \
+             "def _check_audit(): pass\n"
+    assert audit_definitions(source) == ["audit_x", "_balance", "cumulative_midpoint"]
+
+
+def test_energy_audits_and_their_time_rules_live_in_functionals():
+    # one module decides how every energy identity is integrated in time
+    found = {path.name: names for path in MODULES
+             if (names := audit_definitions(path.read_text()))}
+    assert set(found) == {"functionals.py"}, found
+
+
 # public names that no module or bench script reads, each kept for a reader outside them
 UNREAD_PUBLIC = {
     "steklov_check": "the paper's Steklov inequality monitor (acceptance criterion 06)",
