@@ -188,16 +188,14 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     float64 grid array), from the arrays each subcommand keeps live at its
     peak, and checked against tracemalloc peaks on 512 x 128, 256 x 512,
     2048 x 32 and 128 x 1024 grids (the measured count in brackets):
-      linear-verify  34 [30.4]: in a forced duhamel_solve, the recorder's
-        weight tables and square buffers (5.5), E and the three step
-        weights (4), three forcing samples, u, u+ and the average (6) and
-        two snapshots, beside cmd_linear_verify's own 12.7 (the previous
-        solve's trajectory included);
       simulate, decay  16 [14] + snapshots + sine block: the step's tables,
         weights and band blocks, the grid buffer and flux output, and the
         transforms' odd extension with its FFT (4 grids);
       audit  22 [19.7] + sine block: the fine run beside the coarse one;
-      picard  13 [10.9] + window stacks + sine block.
+      picard  13 [10.9] + window stacks + sine block;
+      linear-verify  not counted [9.0-11.2]: its forced and homogeneous
+        solves hold 8 x 4 modes, so only its propagator checks' transforms
+        and semigroup spectra sit on the grid, below every count above.
     A snapshot is one half spectrum (decay keeps at least as many as
     simulate), the window stacks are Picard's two (n + 1, kx, ky) complex
     stacks on its last window, and the (ny, ky) sine block grows as ny^2.
@@ -211,8 +209,7 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     stride = cfg.snapshot_stride or max(1, n // 128)
     snapshots = n // stride + 1 + (n % stride > 0)  # the last boundary is always kept
     window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
-    return max(34 * spec,
-               (16 + snapshots) * spec + sine,
+    return max((16 + snapshots) * spec + sine,
                22 * spec + sine,
                13 * spec + 2 * (window + 1) * 16 * kx * ky + sine)
 
@@ -351,23 +348,12 @@ _FORCING_SHAPES = {
 }
 
 
-def _active_forcing(shape, F: np.ndarray, th: np.ndarray, idx):
-    """t -> the spectrum that is shape(F, t, th) on the modes idx and zero elsewhere.
-
-    The shape is evaluated on those modes only, and every call overwrites
-    and returns the same array (duhamel_solve copies each sample).
-    """
-    buf = np.zeros(F.shape, dtype=complex)
-    F_active, th_active = F[idx], th[idx]
-
-    def forcing(t: float) -> np.ndarray:
-        buf[idx] = shape(F_active, t, th_active)
-        return buf
-
-    return forcing
-
-
 def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
+    # the fixed draws below reach row 16 (the propagator modes) and sine column 6
+    # (the semigroup block), and none of their rows may be the Nyquist row nx/2
+    if cfg.nx < 34 or cfg.ny < 6:
+        raise ConfigError(f"linear-verify needs nx >= 34 and ny >= 6 for its fixed modes, "
+                          f"got {cfg.nx} x {cfg.ny}")
     d = cfg.domain()
     S = symbol(d)
     rng = np.random.default_rng(cfg.seed)
@@ -404,12 +390,18 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dic
     err = _rel_err(lin1, lin2)
     checks.add("linearity", err <= tol["exactness_abs"], err, tol["exactness_abs"])
 
-    # forced solves against a per-mode quadrature oracle
+    # forced solves against a per-mode quadrature oracle; they and the homogeneous
+    # pair below run on the modes they excite: plan_domain builds xi_j and lam_l
+    # independently of nx and ny, and the symbol, step weights and recorder weights
+    # entry by entry from them, so the configured grid would only add zeros;
+    # nx = 2 rows keeps the Nyquist row, where xi_odd is zeroed, past every active row
     T = cfg.t_end
-    active = [(j, l) for j in range(7) for l in range(3)]
-    u0c = np.zeros(d.spectral_shape, dtype=complex)
-    f0c = np.zeros(d.spectral_shape, dtype=complex)
-    theta = np.zeros(d.spectral_shape)
+    rows, cols = 7, 3
+    active = [(j, l) for j in range(rows) for l in range(cols)]
+    Sa = symbol(plan_domain(d.L, d.X, 2 * rows, max(4, cols), d.delta))
+    u0c = np.zeros(Sa.domain.spectral_shape, dtype=complex)
+    f0c = np.zeros(Sa.domain.spectral_shape, dtype=complex)
+    theta = np.zeros(Sa.domain.spectral_shape)
     for j, l in active:
         a = rng.standard_normal() + 1j * rng.standard_normal()
         b = rng.standard_normal() + 1j * rng.standard_normal()
@@ -418,14 +410,14 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dic
         f0c[j, l] = b if j else b.real
         theta[j, l] = rng.uniform(0.0, 2.0 * math.pi)
 
-    # each forcing shape on the active modes, at one time (duhamel_solve)
-    # and at every quadrature node (the oracle)
+    # each forcing shape at one time (duhamel_solve) and, on the active
+    # modes, at every quadrature node (the oracle)
     idx = tuple(np.array(active).T)
     for name, shape in _FORCING_SHAPES.items():
-        traj = duhamel_solve(SpectralField(u0c), _active_forcing(shape, f0c, theta, idx),
-                             T, cfg.dt, S, snapshot_stride=0)
+        traj = duhamel_solve(SpectralField(u0c), lambda t, sh=shape: sh(f0c, t, theta),
+                             T, cfg.dt, Sa, snapshot_stride=0)
         got = traj.snapshots[-1][idx]
-        refs = _forced_mode_oracle(S.m[idx], u0c[idx], lambda s, sh=shape: sh(
+        refs = _forced_mode_oracle(Sa.m[idx], u0c[idx], lambda s, sh=shape: sh(
             f0c[idx][:, None], s, theta[idx][:, None]), T)
         # scalar abs: np.abs of a complex array can differ from it in the last bit
         err = max(abs(g - ref) for g, ref in zip(got, refs))
@@ -435,7 +427,7 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dic
 
     # homogeneous mass balance: order-2 refinement of the audit residual
     coarse, fine = (audit_linear_identity(
-        duhamel_solve(SpectralField(u0c), None, 0.5, dt, S, snapshot_stride=0), "mass")
+        duhamel_solve(SpectralField(u0c), None, 0.5, dt, Sa, snapshot_stride=0), "mass")
         for dt in (2e-3, 1e-3))
     fine = attach_refinement_order(coarse, fine)
     # a residual at rounding level (order None when it is exactly 0) has no order

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import zkbs.cli
-from zkbs import SpectralField, duhamel_solve, simulate, to_grid
+from zkbs import SpectralField, duhamel_solve, simulate, symbol, to_grid
 from zkbs.cli import ConfigError, RunConfig, load_config, main
+from zkbs.domain import _pad_band
 from zkbs.io import read_diagnostics_csv, write_diagnostics_csv
 
 
@@ -364,6 +365,12 @@ ROBUSTNESS = [
     pytest.param("simulate", "snapshot_stride = -2\n", [], 3, "snapshot_stride",
                  id="snapshot_stride-negative"),
     pytest.param("linear-verify", "", ["--seed", "-1"], 3, "seed", id="seed-negative"),
+    # linear-verify's fixed modes reach row 16 and sine column 6: on 32 x 6 row
+    # 16 is the Nyquist row, and 5 columns cannot take the semigroup block
+    pytest.param("linear-verify", "nx = 32\nny = 6\n", [], 3, "nx >= 34 and ny >= 6",
+                 id="linear-verify-nyquist-mode"),
+    pytest.param("linear-verify", "nx = 34\nny = 5\n", [], 3, "got 34 x 5",
+                 id="linear-verify-narrow"),
     pytest.param("simulate", "dealias = false\n", [], 3, "dealias", id="dealias-removed"),
     pytest.param("simulate", "scheme = picard\n", [], 3, "scheme", id="scheme-removed"),
     pytest.param("simulate", "", ["--scheme", "picard"], 3, "--scheme",
@@ -460,27 +467,48 @@ def test_dynamics_import_builds_one_gauss_legendre_rule():
     assert proc.stdout.strip() == "[96]"
 
 
-@pytest.mark.parametrize("name", sorted(zkbs.cli._FORCING_SHAPES))
-def test_active_mode_forcing_is_the_full_spectrum_formula(name):
-    # linear-verify evaluates each forcing shape on its active modes only;
-    # there it must give the full-spectrum formula's values bit for bit,
-    # and zero elsewhere, as the formula does on the zero amplitudes
-    d = RunConfig().domain()
-    shape = zkbs.cli._FORCING_SHAPES[name]
-    rng = np.random.default_rng(5)
-    idx = tuple(np.array([(j, l) for j in range(7) for l in range(3)]).T)
-    F = np.zeros(d.spectral_shape, dtype=complex)
-    theta = np.zeros(d.spectral_shape)
-    F[idx] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    theta[idx] = rng.uniform(0.0, 2.0 * np.pi, 21)
-    forcing = zkbs.cli._active_forcing(shape, F, theta, idx)
-    inactive = np.ones(d.spectral_shape, dtype=bool)
-    inactive[idx] = False
-    for t in (0.0, 1e-3, 0.3335, 0.9995, 1.0):
-        got, want = forcing(t), shape(F, t, theta)
-        assert got.shape == d.spectral_shape
-        assert np.array_equal(got[idx].view(np.uint64), want[idx].view(np.uint64)), t
-        assert not np.any(got[inactive]) and not np.any(want[inactive])
+# the boundary and interval series every linear solve records
+LINEAR_SERIES = ("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed",
+                 "mid_diss0", "mid_diss1", "mid_diss2")
+
+
+# on the desk grid, as on defaults, the series are bit-identical; on a tall
+# grid the configured grid's (series, modes) contraction adds the same 21
+# non-negative terms in another order (BLAS blocks and lanes follow the
+# layout), so each sum is within 20 eps relative of the exact one either way
+@pytest.mark.parametrize("nx,ny,eps", [(256, 64, 0.0), (34, 2047, 40 * np.finfo(float).eps)],
+                         ids=["desk", "tall"])
+def test_linear_verify_solves_on_their_active_modes_as_on_the_configured_grid(
+        tmp_path, capsys, monkeypatch, nx, ny, eps):
+    # linear-verify runs its forced and homogeneous solves on a domain that
+    # holds just the modes they excite; the same solves on the configured
+    # grid must give the same final snapshot on those modes, bit for bit,
+    # zero on every other mode, and the same series
+    d = RunConfig(nx=nx, ny=ny).domain()
+    S = symbol(d)
+    solves = []
+
+    def on_both(u0, forcing, T, dt, Sa, **kwargs):
+        got = duhamel_solve(u0, forcing, T, dt, Sa, **kwargs)
+        u0_full = _pad_band(u0.coeffs, d)
+        full = duhamel_solve(SpectralField(u0_full), None if forcing is None else (
+            lambda t: _pad_band(forcing(t), d)), T, dt, S, **kwargs)
+        active = u0_full != 0
+        snap = _pad_band(got.snapshots[-1], d)
+        assert np.array_equal(full.snapshots[-1][active].view(np.uint64),
+                              snap[active].view(np.uint64))
+        assert not np.any(full.snapshots[-1][~active])
+        for name in LINEAR_SERIES:
+            want = getattr(got, name)
+            assert np.all(np.abs(getattr(full, name) - want) <= eps * want), name
+        solves.append(forcing is not None)
+        return got
+
+    monkeypatch.setattr(zkbs.cli, "duhamel_solve", on_both)
+    cfg = write_cfg(tmp_path, f"nx = {nx}\nny = {ny}\nt_end = 0.05\n")
+    code = main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0, capsys.readouterr()
+    assert solves == [True, True, True, False, False]
 
 
 def test_working_set_beyond_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
