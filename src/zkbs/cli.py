@@ -38,10 +38,9 @@ from .domain import (
 )
 from .dynamics import (
     BlowupError,
-    ContractionError,
     RegularizedFlux,
     StepperConfig,
-    picard_solve,
+    picard_windows,
     simulate,
 )
 from .functionals import (
@@ -177,7 +176,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-# the time windows of cmd_picard, one whole-window Picard solve each
+# the time windows of cmd_picard, solved by one picard_windows call
 _PICARD_WINDOWS = (0.0125, 0.025, 0.05)
 
 
@@ -192,7 +191,7 @@ def _working_set_bytes(cfg: RunConfig) -> int:
         weights and band blocks, the grid buffer and flux output, and the
         transforms' odd extension with its FFT (4 grids);
       audit  22 [19.7] + sine block: the fine run beside the coarse one;
-      picard  13 [10.9] + window stacks + sine block;
+      picard  13 [9.8] + window stacks + sine block;
       linear-verify  not counted [9.0-11.2]: its forced and homogeneous
         solves hold 8 x 4 modes, so only its propagator checks' transforms
         and semigroup spectra sit on the grid, below every count above.
@@ -583,14 +582,17 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     flux = cfg.flux()
     checks = Checks()
     grid = _PICARD_WINDOWS
+    results = picard_windows(u0, grid, stepper, flux, S)
+    field = results[0][0]
+    diags = [diag for _, diag in results]
+    del results  # only window 0's field is read: free the others before the ETD2 run
     rows = []
     stalled = []  # the windows whose contraction failed
-    first = None  # (field, diagnostics) of window 0 when it converged
-    for t0 in grid:
-        try:
-            field, diag = picard_solve(u0, t0, stepper, flux, S)
-        except ContractionError as exc:
-            rows.append({"t0": t0, "converged": False, "error": str(exc)})
+    for t0, diag in zip(grid, diags):
+        if not diag.converged:
+            rows.append({"t0": t0, "converged": False, "error": (
+                "contraction failed, reduce t0 (successive differences stalled at "
+                f"{diag.diffs[-1]:.3e} after {diag.iterations} sweeps)")})
             stalled.append(t0)
             continue
         rows.append({
@@ -600,13 +602,11 @@ def cmd_picard(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
             "final_diff": float(diag.diffs[-1]),
             "ratios": [float(r) for r in diag.ratios],
         })
-        if t0 == grid[0]:
-            first = field, diag
 
-    if first is None:
+    diag = diags[0]
+    if field is None:
         checks.add("contraction_ratios_below_one", False, rows[0]["error"], 1.0)
     else:
-        field, diag = first
         after_first = diag.ratios[: max(diag.iterations - 2, 0)]
         checks.add("contraction_ratios_below_one", bool(np.all(after_first < 1.0)),
                    [float(r) for r in after_first], 1.0)

@@ -25,10 +25,11 @@ adaptive-quadrature oracle g_h is bounded by the oracle's (see g_h).
 Time stepping has one table build (_etd2_tables) and one step
 (_advance): the exponential predictor-corrector ETD2 of Cox & Matthews
 (2002), one corrector pass from the exponential Euler predictor, which
-simulate takes every step.  picard_solve uses the same tables for the
+simulate takes every step.  picard_windows uses the same tables for the
 whole-window iteration v -> S(t) u0 + Duhamel[-d/dx g_h(v)] that mirrors
 the contraction argument behind local existence, reporting the
-successive-difference ratios.
+successive-difference ratios; windows that share a step share one set
+of sweeps.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ __all__ = [
     "g_h",
     "StepperConfig",
     "BlowupError",
-    "ContractionError",
     "PicardDiagnostics",
-    "picard_solve",
+    "picard_windows",
     "simulate",
 ]
 
@@ -77,10 +77,6 @@ class BlowupError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t = {t:.6g}")
         self.t = t
-
-
-class ContractionError(RuntimeError):
-    pass
 
 
 def eta(x):
@@ -250,7 +246,7 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """The ETD2 step size, and picard_solve's tolerance and sweep limit."""
+    """The ETD2 step size, and picard_windows's tolerance and sweep limit."""
 
     dt: float = 1e-3
     picard_tol: float = 1e-10
@@ -324,75 +320,119 @@ def _advance(u: np.ndarray, n0: np.ndarray, tab: _ETD2Tables, flux: RegularizedF
     return tab.correct(a, n0, n1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
-def picard_solve(u0: SpectralField, t0: float, cfg: StepperConfig,
-                 flux: RegularizedFlux, S: SymbolTable):
-    """Whole-window fixed point of v -> semigroup + Duhamel[nonlinear(v)].
+def _picard_diagnostics(diffs: list[float], n: int, dt: float,
+                        converged: bool) -> PicardDiagnostics:
+    diffs_arr = np.array(diffs)
+    ratios = diffs_arr[1:] / np.where(diffs_arr[:-1] > 0.0, diffs_arr[:-1], np.inf)
+    return PicardDiagnostics(iterations=len(diffs), diffs=diffs_arr, ratios=ratios,
+                             n_steps=n, dt=dt, converged=converged)
 
-    The window [0, t0] is cut into steps of cfg.dt (rounded to divide t0)
-    and the iterate's kept band is stored at every boundary, an (n + 1, kx,
-    ky) stack, beside one of its nonlinear terms.  Each sweep rebuilds the
-    iterate in place, boundary by boundary, from those terms under the
-    endpoint-pair exponential quadrature, so the fixed point is a
-    second-order discretization of the flow.
 
-    Returns (field at t0, PicardDiagnostics).  Raises ContractionError
-    when the successive differences fail to drop below cfg.picard_tol
-    within cfg.picard_max_iter sweeps, and BlowupError when an iterate's
-    grid values are not finite.
+def _picard_group(base: np.ndarray, ns: list[int], dt: float, cfg: StepperConfig,
+                  flux: RegularizedFlux, S: SymbolTable, work: _GridWork) -> list:
+    """The windows [0, n dt], n in ns, solved by one set of sweeps over the longest.
+
+    Returns, per window, (field or None, PicardDiagnostics) or the
+    BlowupError that the window's own solve raises.
     """
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
     d = S.domain
-    n = max(1, round(t0 / cfg.dt))
-    dt = t0 / n
     tab = _etd2_tables(S, dt)
-    kx, ky = _kept_band(d)
-    base = np.asarray(u0.coeffs, dtype=complex)[:kx, :ky]
-    row_weight = d.parseval_weight[:kx]
-    work = _grid_work(d)
+    row_weight = d.parseval_weight[: len(base)]
+    out: list = [None] * len(ns)
 
     # sweep 0: pure semigroup transport of the data
-    v = np.empty((n + 1,) + base.shape, dtype=complex)
+    v = np.empty((max(ns) + 1,) + base.shape, dtype=complex)
     v[0] = base
-    for i in range(n):
+    for i in range(len(v) - 1):
         v[i + 1] = tab.E * v[i]
 
-    # every iterate starts from base, so N(v[0]) is the same in every sweep
+    # every iterate starts from base, so N(v[0]) is the same in every sweep; a
+    # blowup here is every window's, at t = 0, so it propagates
     nl = np.empty_like(v)
     _, nl[0] = _nonlinear_core(base, flux, d, work)
-    diffs: list[float] = []
-    converged = False
+    live = {m: [] for m in range(len(ns))}  # each sweeping window's successive differences
     for _ in range(cfg.picard_max_iter):
-        for i in range(1, n + 1):
-            _, nl[i] = _nonlinear_core(v[i], flux, d, work, t=i * dt)
-        # nl holds every N of the old iterate, so v can be overwritten row by row
+        reach = max(ns[m] for m in live)
+        for i in range(1, reach + 1):
+            try:
+                _, nl[i] = _nonlinear_core(v[i], flux, d, work, t=i * dt)
+            except BlowupError as exc:
+                # each window holding boundary i stops here, as its own solve would;
+                # the shorter ones have every N they need and sweep on
+                for m in [m for m in live if ns[m] >= i]:
+                    del live[m]
+                    out[m] = exc
+                reach = i - 1
+                break
+        if not live:
+            break
+        # nl holds every N of the old iterate, so v can be overwritten row by row;
+        # a window's diff is the running maximum at its own last boundary
+        ends = dict.fromkeys(ns[m] for m in live)
         diff_sq = 0.0
-        for i in range(n):
+        for i in range(reach):
             w = tab.correct(tab.predict(v[i], nl[i]), nl[i], nl[i + 1])
             diff_sq = max(diff_sq, float(row_weight @ np.sum(np.abs(w - v[i + 1]) ** 2, axis=1)))
             v[i + 1] = w
-        diff = math.sqrt(diff_sq)
-        diffs.append(diff)
-        if diff < cfg.picard_tol:
-            converged = True
+            if i + 1 in ends:
+                ends[i + 1] = math.sqrt(diff_sq)
+        for m in list(live):
+            live[m].append(ends[ns[m]])
+            if live[m][-1] < cfg.picard_tol:
+                out[m] = (SpectralField(_pad_band(v[ns[m]], d)),
+                          _picard_diagnostics(live.pop(m), ns[m], dt, True))
+        if not live:
             break
-    diffs_arr = np.array(diffs)
-    ratios = diffs_arr[1:] / np.where(diffs_arr[:-1] > 0.0, diffs_arr[:-1], np.inf)
-    diag = PicardDiagnostics(
-        iterations=len(diffs),
-        diffs=diffs_arr,
-        ratios=ratios,
-        n_steps=n,
-        dt=dt,
-        converged=converged,
-    )
-    if not converged:
-        raise ContractionError(
-            "contraction failed, reduce t0 (successive differences stalled at "
-            f"{diffs_arr[-1]:.3e} after {len(diffs)} sweeps)"
-        )
-    return SpectralField(_pad_band(v[n], d)), diag
+    for m, diffs in live.items():
+        out[m] = None, _picard_diagnostics(diffs, ns[m], dt, False)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value
+def picard_windows(u0: SpectralField, windows: tuple[float, ...], cfg: StepperConfig,
+                   flux: RegularizedFlux, S: SymbolTable) -> list:
+    """Whole-window fixed points of v -> semigroup + Duhamel[nonlinear(v)], one per window.
+
+    Each window [0, t0] is cut into n steps of cfg.dt (n rounded so the
+    step t0 / n divides t0), and the iterate's kept band is stored at
+    every boundary, an (n + 1, kx, ky) stack, beside one of its nonlinear
+    terms.  Each sweep rebuilds the iterate in place, boundary by
+    boundary, from those terms under the endpoint-pair exponential
+    quadrature, so the fixed point is a second-order discretization of
+    the flow.  A boundary depends on earlier boundaries only, so windows
+    whose steps are equal floats share one set of sweeps over the
+    longest of them: a shorter window's iterate is its prefix, bit for
+    bit, and its successive difference is the running maximum at its
+    own last boundary.  Such groups run in the order of their first
+    window.
+
+    Returns one (field at t0, PicardDiagnostics) per window, in order.
+    A window whose successive differences stay at or above
+    cfg.picard_tol for cfg.picard_max_iter sweeps has converged False
+    and field None.  Raises BlowupError, with the time that window's
+    own solve would meet it, for the first window whose iterate has
+    non-finite grid values, and ValueError for a window t0 <= 0.
+    """
+    steps = []
+    for t0 in windows:
+        if t0 <= 0:
+            raise ValueError("t0 must be positive")
+        n = max(1, round(t0 / cfg.dt))
+        steps.append((n, t0 / n))
+    d = S.domain
+    kx, ky = _kept_band(d)
+    base = np.asarray(u0.coeffs, dtype=complex)[:kx, :ky]
+    work = _grid_work(d)
+    results: list = [None] * len(steps)
+    for dt in dict.fromkeys(dt for _, dt in steps):
+        members = [k for k, (_, step) in enumerate(steps) if step == dt]
+        outcomes = _picard_group(base, [steps[k][0] for k in members], dt, cfg, flux, S, work)
+        for k, outcome in zip(members, outcomes):
+            results[k] = outcome
+    for r in results:
+        if isinstance(r, BlowupError):
+            raise r
+    return results
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its guards report every non-finite value

@@ -61,7 +61,10 @@ def read_snapshot(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: bad snapshot magic {magic!r}")
-        version, nx, ny = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated snapshot header")
+        version, nx, ny = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")

@@ -25,7 +25,7 @@ from zkbs import (
     eigenmode,
     gaussian_bump,
     parseval_norm_sq,
-    picard_solve,
+    picard_windows,
     random_band,
     simulate,
     steklov_check,
@@ -268,9 +268,10 @@ def test_criterion_09_picard_contraction(desk_domain, no_cutoff):
     cfg = StepperConfig(dt=DT)
     ratio_ok = True
     details = []
+    windows = (0.0125, 0.025, 0.05)
+    results = picard_windows(u0, windows, cfg, no_cutoff, S)
     fields = {}
-    for t0 in (0.0125, 0.025, 0.05):
-        field, diag = picard_solve(u0, t0, cfg, no_cutoff, S)
+    for t0, (field, diag) in zip(windows, results):
         fields[t0] = field
         after_first = diag.ratios[: max(diag.iterations - 2, 0)]
         ratio_ok = ratio_ok and diag.converged and bool(

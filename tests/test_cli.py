@@ -332,7 +332,7 @@ def test_module_entry_point(tmp_path):
 # is a regular file, so a directory cannot be made under it
 ROBUSTNESS = [
     pytest.param("picard", "picard_max_iter = 1\n", [], 1,
-                 ("[FAIL] contraction_ratios_below_one: value='contraction failed",
+                 ("[FAIL] contraction_ratios_below_one: value='contraction failed, reduce t0",
                   "[FAIL] every_window_converged: value=[0.0125, 0.025, 0.05]"),
                  id="stalled-picard"),
     pytest.param("picard", "picard_max_iter = 4\n", [], 1,

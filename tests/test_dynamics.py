@@ -11,7 +11,6 @@ from scipy.integrate import quad, solve_ivp
 
 from zkbs import (
     BlowupError,
-    ContractionError,
     GridField,
     RegularizedFlux,
     SpectralField,
@@ -23,7 +22,7 @@ from zkbs import (
     grid_quadrature,
     mixed_derivative,
     parseval_norm_sq,
-    picard_solve,
+    picard_windows,
     plan_domain,
     random_band,
     simulate,
@@ -352,13 +351,51 @@ class TestBandKernel:
             assert abs(traj.mid_u2lap[i] - want) <= 1e-12 * scale * max(1.0, np.max(np.abs(lap)))
 
 
+WINDOWS = (0.0125, 0.025, 0.05)
+
+
+class FailsAtPeaks:
+    """u^2/2 flux that records each field's peak and is NaN on the listed peaks."""
+
+    h = None
+
+    def __init__(self, bad=()):
+        self.bad, self.peaks = set(bad), []
+
+    def __call__(self, u):
+        peak = float(np.max(np.abs(u)))
+        self.peaks.append(peak)
+        return np.full_like(u, np.nan) if peak in self.bad else 0.5 * u**2
+
+
+def outcome(u0, windows, cfg, flux, S):
+    """picard_windows' results, or the time of the BlowupError it raises."""
+    try:
+        return picard_windows(u0, windows, cfg, flux, S)
+    except BlowupError as exc:
+        return exc.t
+
+
+def assert_same_solve(got, want):
+    """Two (field or None, PicardDiagnostics) pairs agree bit for bit."""
+    (field, diag), (want_field, want_diag) = got, want
+    assert (field is None) == (want_field is None)
+    if field is not None:
+        assert np.array_equal(field.coeffs.view(np.uint64), want_field.coeffs.view(np.uint64))
+    for name in ("iterations", "n_steps", "dt", "converged"):
+        assert getattr(diag, name) == getattr(want_diag, name), name
+    for name in ("diffs", "ratios"):
+        assert np.array_equal(getattr(diag, name).view(np.uint64),
+                              getattr(want_diag, name).view(np.uint64)), name
+
+
 class TestPicard:
     def test_zero_data_converges_immediately(self, small_domain):
         d = small_domain
         S = symbol(d)
         cfg = StepperConfig(dt=1e-3)
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
-        field, diag = picard_solve(u0, 0.01, cfg, RegularizedFlux(h=None), S)
+        (field, diag), = picard_windows(u0, (0.01,), cfg, RegularizedFlux(h=None), S)
         assert diag.converged
         assert diag.iterations == 1
         assert np.max(np.abs(field.coeffs)) == 0.0
@@ -368,14 +405,44 @@ class TestPicard:
         S = symbol(d)
         u0 = to_spectral(banded_field(d, rng, amplitude=0.1), d)
         cfg = StepperConfig(dt=1e-3, picard_tol=1e-12)
-        flux = RegularizedFlux(h=None)
-        first = {}
-        for t0 in (0.0125, 0.025, 0.05):
-            _, diag = picard_solve(u0, t0, cfg, flux, S)
+        first = []
+        for _, diag in picard_windows(u0, WINDOWS, cfg, RegularizedFlux(h=None), S):
             assert diag.converged
             assert np.all(diag.ratios[:-1] < 1.0)
-            first[t0] = diag.ratios[0]
-        assert first[0.0125] < first[0.025] < first[0.05]
+            first.append(diag.ratios[0])
+        assert first[0] < first[1] < first[2]
+
+    @pytest.mark.parametrize("dt,groups", [(5e-4, [[0, 1, 2]]), (1e-3, [[0], [1, 2]])],
+                             ids=["one-group", "two-groups"])
+    @pytest.mark.parametrize("h", [None, 1.0], ids=["h-none", "h-1"])
+    def test_shared_sweeps_equal_one_window_solves(self, medium_domain, monkeypatch, dt,
+                                                   groups, h):
+        # windows that share a step share their sweeps, and each still gets
+        # exactly the solve it would get alone
+        d = medium_domain
+        S = symbol(d)
+        u0 = to_spectral(gaussian_bump(d, amplitude=3.0), d)
+        cfg = StepperConfig(dt=dt)
+        flux = RegularizedFlux(h=h)
+        alone = [picard_windows(u0, (t0,), cfg, flux, S)[0] for t0 in WINDOWS]
+        calls = 0
+        core = zkbs.dynamics._nonlinear_core
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(zkbs.dynamics, "_nonlinear_core", counted)
+        shared = picard_windows(u0, WINDOWS, cfg, flux, S)
+        for got, want in zip(shared, alone):
+            assert_same_solve(got, want)
+        assert [[k for k in range(3) if shared[k][1].dt == shared[g[0]][1].dt]
+                for g in groups] == groups
+        # N(u0), then every boundary of the group's longest window once a sweep
+        longest = [alone[g[-1]][1] for g in groups]
+        assert calls == sum(1 + diag.n_steps * diag.iterations for diag in longest)
+        assert calls < sum(1 + diag.n_steps * diag.iterations for _, diag in alone)
 
     def test_matches_etd2_at_final_time(self, medium_domain, rng):
         d = medium_domain
@@ -384,57 +451,80 @@ class TestPicard:
         u0 = to_spectral(u0g, d)
         flux = RegularizedFlux(h=None)
         t0 = 0.05
-        field, _ = picard_solve(
-            u0, t0, StepperConfig(dt=1e-3, picard_tol=1e-12),
+        (field, _), = picard_windows(
+            u0, (t0,), StepperConfig(dt=1e-3, picard_tol=1e-12),
             flux, S)
         traj = simulate(u0g, t0, StepperConfig(dt=1e-3), flux, d)
         diff = math.sqrt(parseval_norm_sq(field.coeffs - traj.snapshots[-1], d))
         assert diff <= 1e-6
 
-    def test_contraction_error_message_mentions_t0(self, medium_domain, rng):
+    def test_stalled_window_has_no_field(self, medium_domain, rng):
         d = medium_domain
         S = symbol(d)
         u0 = to_spectral(banded_field(d, rng, amplitude=0.5), d)
         cfg = StepperConfig(dt=1e-3, picard_tol=1e-16,
                             picard_max_iter=2)
-        with pytest.raises(ContractionError, match="reduce t0"):
-            picard_solve(u0, 0.05, cfg, RegularizedFlux(h=None), S)
+        (field, diag), = picard_windows(u0, (0.05,), cfg, RegularizedFlux(h=None), S)
+        assert field is None
+        assert not diag.converged and diag.iterations == 2 and len(diag.diffs) == 2
 
     def test_overflowing_data_is_a_blowup_without_warnings(self, small_domain):
         # the grid values overflow in the first sweep; the guard reports them
         d = small_domain
         u0 = to_spectral(traveling_mode(d, 1, 1, 1e120), d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowupError) as info:
-                picard_solve(u0, 0.0125, StepperConfig(dt=1e-3), RegularizedFlux(h=None),
-                             symbol(d))
-        assert info.value.t == pytest.approx(0.0125 / 12)
+        for windows in ((0.0125,), WINDOWS):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BlowupError) as info:
+                    picard_windows(u0, windows, StepperConfig(dt=1e-3),
+                                   RegularizedFlux(h=None), symbol(d))
+            assert info.value.t == 0.0125 / 12
 
-    def test_window_memory_is_about_two_band_stacks(self, small_domain):
-        # the iterate and its nonlinear terms are the only (n + 1)-deep
-        # arrays: a sweep rebuilds the iterate in place, with no third stack
+    def test_blowup_is_the_first_windows_own(self, small_domain):
+        # the flux fails on two states, boundary 16 of the first iterate and
+        # boundary 5 of the second: alone, window 0.01 meets the second and
+        # the longer windows the first; sharing sweeps, window 0.01 sweeps
+        # on past the longer windows' blowup and the first window's is raised
         d = small_domain
         S = symbol(d)
         u0 = to_spectral(gaussian_bump(d), d)
-        t0, dt = 0.2, 1e-3
+        windows, cfg = (0.01, 0.02, 0.04), StepperConfig(dt=1e-3)
+        probe = FailsAtPeaks()
+        picard_windows(u0, windows[-1:], cfg, probe, S)
+        # N(u0), then boundaries 1..40 once a sweep
+        flux = FailsAtPeaks({probe.peaks[16], probe.peaks[40 + 5]})
+        alone = [outcome(u0, (t0,), cfg, flux, S) for t0 in windows]
+        assert alone == [5 * 1e-3, 16 * 1e-3, 16 * 1e-3]
+        assert outcome(u0, windows, cfg, flux, S) == alone[0]
+        assert outcome(u0, windows[1:] + windows[:1], cfg, flux, S) == alone[1]
+
+    def test_window_memory_is_about_two_band_stacks(self, small_domain):
+        # the iterate and its nonlinear terms are the only (n + 1)-deep
+        # arrays: a sweep rebuilds the iterate in place, with no third stack,
+        # and the shorter windows sweep inside the longest one's stacks
+        d = small_domain
+        S = symbol(d)
+        u0 = to_spectral(gaussian_bump(d), d)
+        windows, dt = (0.05, 0.1, 0.2), 1e-3
         kx, ky = _kept_band(d)
-        stack_bytes = (round(t0 / dt) + 1) * kx * ky * np.dtype(complex).itemsize
+        stack_bytes = (round(windows[-1] / dt) + 1) * kx * ky * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
-            _, diag = picard_solve(u0, t0, StepperConfig(dt=dt), RegularizedFlux(h=None), S)
+            results = picard_windows(u0, windows, StepperConfig(dt=dt),
+                                     RegularizedFlux(h=None), S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert diag.converged and diag.n_steps == 200
+        assert [diag.n_steps for _, diag in results] == [50, 100, 200]
+        assert all(diag.converged and diag.dt == dt for _, diag in results)
         assert peak <= 2.5 * stack_bytes
 
     def test_rejects_nonpositive_horizon(self, small_domain):
         d = small_domain
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         with pytest.raises(ValueError):
-            picard_solve(u0, 0.0, StepperConfig(), RegularizedFlux(h=None),
-                         symbol(d))
+            picard_windows(u0, (0.01, 0.0), StepperConfig(), RegularizedFlux(h=None),
+                           symbol(d))
 
 
 class TestSimulate:
@@ -588,7 +678,7 @@ class TestSmallestGrid:
         traj = simulate(u0, 0.01, cfg, flux, d)
         fields = {
             "simulate": traj.snapshots[-1],
-            "picard_solve": picard_solve(s0, 0.01, cfg, flux, S)[0].coeffs,
+            "picard_windows": picard_windows(s0, (0.01,), cfg, flux, S)[0][0].coeffs,
         }
         for name, c in fields.items():
             assert c.shape == (5, 4), name

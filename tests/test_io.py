@@ -61,6 +61,12 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "head.zkbs"
+        p.write_bytes(b"ZKBS\x01\x00")
+        with pytest.raises(ValueError, match="truncated snapshot header"):
+            read_snapshot(p)
+
 
 class TestDiagnosticsCsv:
     def test_roundtrip(self, tmp_path, short_traj):
