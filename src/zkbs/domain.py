@@ -19,9 +19,8 @@ SpectralField stores the half spectrum j = 0 .. nx/2 alone, whose rows
 
 with w_j = X * L on rows 0 and nx/2 and 2 X L on the others, which
 stand for their conjugate rows too (Boyd 2001); DomainConfig.parseval_weight
-holds w_j.  Grid quadrature uses the tensor weights dx * dy with
-dx = 2X/nx and dy = L/(ny + 1); these are trapezoid-consistent because
-every stored integrand of interest vanishes on the walls.
+holds w_j.  Every integral the package takes is such a Parseval sum or
+pairing of mode amplitudes; none is a quadrature over grid samples.
 
 Transforms are a real FFT in x and an unnormalized type-I DST in y, all
 from numpy.fft.  The DST-I of n values is minus the imaginary part of the
@@ -55,10 +54,8 @@ __all__ = [
     "plan_domain",
     "to_spectral",
     "to_grid",
-    "mixed_derivative",
     "parseval_norm_sq",
     "mode_inner",
-    "grid_quadrature",
     "ModeMultipliers",
     "mode_multipliers",
 ]
@@ -101,14 +98,6 @@ class DomainConfig:
     @property
     def y(self) -> np.ndarray:
         return self.L * np.arange(1, self.ny + 1) / (self.ny + 1)
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.X / self.nx
-
-    @property
-    def dy(self) -> float:
-        return self.L / (self.ny + 1)
 
     def sine_band(self) -> np.ndarray:
         # sin(pi l y_k / L) for grid rows k = 1 .. ny and kept sine indices
@@ -231,41 +220,11 @@ def to_spectral(f: GridField, d: DomainConfig) -> SpectralField:
     return SpectralField(coeffs)
 
 
-def _x_synthesis(coeffs: np.ndarray, d: DomainConfig) -> np.ndarray:
-    """Inverse x transform; returns per-x sine (or cosine) coefficients."""
-    return np.fft.irfft(coeffs * d.phase[:, None] * d.nx, n=d.nx, axis=0)
-
-
 def to_grid(s: SpectralField, d: DomainConfig) -> GridField:
     """Inverse transform: mode amplitudes to real collocation samples."""
     _check_spectral(s.coeffs, d, "spectral field")
-    csin = _x_synthesis(s.coeffs, d)
+    csin = np.fft.irfft(s.coeffs * d.phase[:, None] * d.nx, n=d.nx, axis=0)
     return GridField(_dst1(csin) / 2.0)
-
-
-def mixed_derivative(s: SpectralField, kx: int, ky: int, d: DomainConfig) -> GridField:
-    """Grid samples of d^kx/dx^kx d^ky/dy^ky u for kx + ky <= 3.
-
-    Even y orders stay in the sine basis; odd y orders land in the cosine
-    basis and are synthesized on the same interior grid.
-    """
-    _check_spectral(s.coeffs, d, "spectral field")
-    if kx < 0 or ky < 0 or kx + ky > 3:
-        raise ValueError("mixed_derivative supports orders kx, ky >= 0 with kx + ky <= 3")
-    xi = d.xi_odd if kx % 2 == 1 else d.xi
-    c = s.coeffs * (1j * xi[:, None]) ** kx
-    if ky % 2 == 0:
-        c = c * (-d.lam[None, :]) ** (ky // 2)
-        csin = _x_synthesis(c, d)
-        return GridField(_dst1(csin) / 2.0)
-    # odd y order: sin -> cos, one sign flip per full second derivative
-    sign = -1.0 if ky == 3 else 1.0
-    c = c * (sign * d.ky[None, :] ** ky)
-    # sum_l c_l cos(pi l k / (ny + 1)) is the real part of the real FFT of
-    # (0, c, 0, ..., 0), of length 2 (ny + 1), the length _dst1 uses
-    ext = np.zeros((d.nx, 2 * (d.ny + 1)))
-    ext[:, 1 : d.ny + 1] = _x_synthesis(c, d)
-    return GridField(np.fft.rfft(ext)[:, 1 : d.ny + 1].real)
 
 
 def _kept_band(d: DomainConfig) -> tuple[int, int]:
@@ -329,18 +288,16 @@ def _pad_band(band: np.ndarray, d: DomainConfig) -> np.ndarray:
 
 
 def parseval_norm_sq(coeffs: np.ndarray, d: DomainConfig) -> float:
-    """integral |u|^2 dx dy evaluated from mode amplitudes."""
-    return float(d.parseval_weight @ np.sum(np.abs(coeffs) ** 2, axis=1))
+    """integral |u|^2 dx dy evaluated from mode amplitudes.
+
+    coeffs is the half spectrum or a leading block of it, such as the kept band.
+    """
+    return float(d.parseval_weight[: len(coeffs)] @ np.sum(np.abs(coeffs) ** 2, axis=1))
 
 
 def mode_inner(a: np.ndarray, b: np.ndarray, d: DomainConfig) -> float:
     """L2 pairing integral a*b dx dy of two real fields given spectrally."""
     return float(d.parseval_weight @ np.sum((np.conj(a) * b).real, axis=1))
-
-
-def grid_quadrature(values: np.ndarray, d: DomainConfig) -> float:
-    """Tensor quadrature sum(values) * dx * dy over the stored grid."""
-    return float(np.sum(values)) * d.dx * d.dy
 
 
 @dataclass(eq=False)
@@ -353,8 +310,6 @@ class ModeMultipliers:
       d2:   (xi^2 + lam)^2              -> integral u_xx^2 + 2 u_xy^2 + u_yy^2
       e2:   xi^4 + xi^2 lam + lam^2     -> integral u_xx^2 + u_xy^2 + u_yy^2
       d3:   d1 * e2                     -> integral u_xxx^2 + 2 u_xxy^2 + 2 u_xyy^2 + u_yyy^2
-      e3:   xi^6 + xi^4 lam + xi^2 lam^2 + lam^3
-                                        -> integral u_xxx^2 + u_xxy^2 + u_xyy^2 + u_yyy^2
       hs(s): (1 + d1)^s                 -> the squared H^s norm, s in [0, 2]
     """
 
@@ -362,7 +317,6 @@ class ModeMultipliers:
     d2: np.ndarray
     e2: np.ndarray
     d3: np.ndarray
-    e3: np.ndarray
 
     def hs(self, s: float) -> np.ndarray:
         return (1.0 + self.d1) ** s
@@ -373,5 +327,4 @@ def mode_multipliers(d: DomainConfig) -> ModeMultipliers:
     lam = d.lam[None, :]
     d1 = xi2 + lam
     e2 = xi2**2 + xi2 * lam + lam**2
-    e3 = xi2**3 + xi2**2 * lam + xi2 * lam**2 + lam**3
-    return ModeMultipliers(d1=d1, d2=d1**2, e2=e2, d3=d1 * e2, e3=e3)
+    return ModeMultipliers(d1=d1, d2=d1**2, e2=e2, d3=d1 * e2)

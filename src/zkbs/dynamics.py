@@ -51,6 +51,7 @@ from .domain import (
     _kept_band,
     _pad_band,
     mode_multipliers,
+    parseval_norm_sq,
     to_spectral,
 )
 from .semigroup import SymbolTable, phi, symbol
@@ -210,13 +211,13 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
 
     Closed forms cover |u| <= 1/h (parabola) and |u| >= 2/h (linear tail);
     the glue region between the band's break points 1/h and min(|u|, 2/h)
-    integrates the defining integrand with scipy's adaptive rule at
-    absolute and relative tolerance 1e-14.  This is the reference for the
-    vectorized RegularizedFlux.__call__, which evaluates the band from the
-    piecewise Chebyshev table of R(s) and agrees with this to within
-    1e-12 * max(1, |g_h|) (property-tested for h in [1e-3, 1]), while this
-    oracle lies within 2.5e-15 * max(1, |g_h|) of the table at h = 1, 0.5,
-    0.1 and 1e-3.
+    integrates the defining integrand g_h' (flux.prime) with scipy's
+    adaptive rule at absolute and relative tolerance 1e-14.  This is the
+    reference for the vectorized RegularizedFlux.__call__, which evaluates
+    the band from the piecewise Chebyshev table of R(s) and agrees with
+    this to within 1e-12 * max(1, |g_h|) (property-tested for h in
+    [1e-3, 1]), while this oracle lies within 2.5e-15 * max(1, |g_h|) of
+    the table at h = 1, 0.5, 0.1 and 1e-3.
     """
     if flux.h is None:
         return 0.5 * float(u) ** 2
@@ -230,15 +231,8 @@ def g_h(u: float, flux: RegularizedFlux) -> float:
     hi = min(a, 2.0 / h)
     # full_output: near 1e-14 quad often reports that rounding limits its
     # error estimate, which is expected here and would otherwise warn
-    val += quad(
-        lambda th: th * eta(2.0 - h * th) + (2.0 / h) * eta(h * th - 1.0),
-        1.0 / h,
-        hi,
-        epsabs=1e-14,
-        epsrel=1e-14,
-        limit=200,
-        full_output=1,
-    )[0]
+    val += quad(flux.prime, 1.0 / h, hi, epsabs=1e-14, epsrel=1e-14, limit=200,
+                full_output=1)[0]
     if a > 2.0 / h:
         val += (2.0 / h) * (a - 2.0 / h)
     return val
@@ -337,7 +331,6 @@ def _picard_group(base: np.ndarray, ns: list[int], dt: float, cfg: StepperConfig
     """
     d = S.domain
     tab = _etd2_tables(S, dt)
-    row_weight = d.parseval_weight[: len(base)]
     out: list = [None] * len(ns)
 
     # sweep 0: pure semigroup transport of the data
@@ -372,7 +365,7 @@ def _picard_group(base: np.ndarray, ns: list[int], dt: float, cfg: StepperConfig
         diff_sq = 0.0
         for i in range(reach):
             w = tab.correct(tab.predict(v[i], nl[i]), nl[i], nl[i + 1])
-            diff_sq = max(diff_sq, float(row_weight @ np.sum(np.abs(w - v[i + 1]) ** 2, axis=1)))
+            diff_sq = max(diff_sq, parseval_norm_sq(w - v[i + 1], d))
             v[i + 1] = w
             if i + 1 in ends:
                 ends[i + 1] = math.sqrt(diff_sq)

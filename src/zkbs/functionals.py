@@ -1,15 +1,11 @@
-"""Norms, inequality monitors and energy-balance audits.
+"""Norms, energy-balance audits, decay fits and threshold reports.
 
 Everything here evaluates on the shared Parseval normalization from
 zkbs.domain, and every per-mode weight comes from its one table,
 domain.mode_multipliers: norm() is the H^s norm for s in [0, 2], and
-dk_seminorm_sq(u, k) is integral |D^k u|^2 with one term per partial,
-the combination that appears in the energy identities themselves (for
-instance u_xx^2 + u_xy^2 + u_yy^2 for k = 2).
-
-L_q norms are tensor-grid quadratures; every integrand that reaches a
-wall does so with value zero, which keeps the interior-point rule
-trapezoid-consistent.
+the audits read the energies the recorder sums against the same table,
+with one term per partial where the energy identities have one (for
+instance u_xx^2 + u_xy^2 + u_yy^2 in e2_mixed).
 """
 
 from __future__ import annotations
@@ -19,23 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (
-    DomainConfig,
-    SpectralField,
-    grid_quadrature,
-    mixed_derivative,
-    mode_inner,
-    mode_multipliers,
-    parseval_norm_sq,
-    to_grid,
-)
+from .domain import DomainConfig, SpectralField, mode_inner, mode_multipliers
 from .trajectory import Trajectory
 
 __all__ = [
     "norm",
-    "SteklovResult",
-    "steklov_check",
-    "interpolation_ratio",
     "EnergyReport",
     "attach_refinement_order",
     "audit_identity",
@@ -44,9 +28,6 @@ __all__ = [
     "decay_fit",
     "ThresholdReport",
     "threshold_time",
-    "dk_seminorm_sq",
-    "lyapunov_h1",
-    "lyapunov_h2",
 ]
 
 NONLINEAR_IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
@@ -59,94 +40,6 @@ def norm(u: SpectralField, s: float, d: DomainConfig) -> float:
         raise ValueError("Sobolev exponent s must lie in [0, 2]")
     w = mode_multipliers(d).hs(s)
     return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2)))
-
-
-def dk_seminorm_sq(u: SpectralField, k: int, d: DomainConfig) -> float:
-    """integral |D^k u|^2 with one term per mixed partial (k in {1, 2, 3}).
-
-    These are the d1, e2 and e3 mode weights; d2 and d3 count mixed partials twice.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    mults = mode_multipliers(d)
-    w = (mults.d1, mults.e2, mults.e3)[k - 1]
-    return float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2))
-
-
-def lyapunov_h1(u: SpectralField, d: DomainConfig) -> float:
-    """integral |Du|^2 + u^2 (the first-order decay functional)."""
-    return dk_seminorm_sq(u, 1, d) + parseval_norm_sq(u.coeffs, d)
-
-
-def lyapunov_h2(u: SpectralField, d: DomainConfig) -> float:
-    """integral |D^2 u|^2 + |Du|^2 + u^2 (the second-order decay functional)."""
-    return dk_seminorm_sq(u, 2, d) + lyapunov_h1(u, d)
-
-
-@dataclass(frozen=True)
-class SteklovResult:
-    lhs: float      # integral u_y^2
-    rhs: float      # (pi/L)^2 integral u^2
-    margin: float   # lhs - rhs, nonnegative mode by mode
-
-
-def steklov_check(u: SpectralField, d: DomainConfig) -> SteklovResult:
-    """Sharp wall-to-wall Poincare comparison in the y direction.
-
-    Per mode, integral u_y^2 carries the weight lam_l >= lam_1, so the
-    margin is a sum of nonnegative terms and vanishes exactly on pure
-    l = 1 data.
-    """
-    rows = d.parseval_weight @ (np.abs(u.coeffs) ** 2)  # per-l sums over x rows
-    lhs = float(rows @ d.lam)
-    rhs = d.lam[0] * float(np.sum(rows))
-    return SteklovResult(lhs=lhs, rhs=rhs, margin=lhs - rhs)
-
-
-def _dm_magnitude(u: SpectralField, m: int, d: DomainConfig) -> np.ndarray:
-    """Grid samples of |D^m u| (m = 0 gives |u|)."""
-    if m == 0:
-        return np.abs(to_grid(u, d).values)
-    acc = np.zeros(d.shape)
-    for kx in range(m + 1):
-        g = mixed_derivative(u, kx, m - kx, d).values
-        acc += g**2
-    return np.sqrt(acc)
-
-
-def interpolation_ratio(u: SpectralField, m: int, k: int, q: float,
-                        d: DomainConfig, include_l2_term: bool = True) -> float:
-    """Observed quotient of the Gagliardo-Nirenberg style comparison
-
-        || |D^m u| ||_{L_q}  vs  || |D^k u| ||^{2s} ||u||^{1-2s} + ||u||,
-
-    with s = (m + 1) / (2k) - 1 / (kq).  Returns 0 for zero fields.  With
-    include_l2_term=False the additive ||u|| is dropped, making the
-    quotient exactly scale-invariant.  Grid quadrature is used for the
-    L_q integral; this is a monitoring tool, not an audit.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be a positive integer")
-    if not (isinstance(m, int) and 0 <= m < k):
-        raise ValueError("m must be an integer with 0 <= m < k")
-    if not (q >= 2.0) or math.isinf(q):
-        raise ValueError("q must be finite and >= 2")
-    if m > 3 or k > 3:
-        raise ValueError("derivative orders above 3 are not supported")
-
-    l2 = math.sqrt(parseval_norm_sq(u.coeffs, d))
-    if l2 == 0.0:
-        return 0.0
-    s = (m + 1) / (2.0 * k) - 1.0 / (k * q)
-    mag = _dm_magnitude(u, m, d)
-    num = grid_quadrature(mag**q, d) ** (1.0 / q)
-    dk = math.sqrt(dk_seminorm_sq(u, k, d))
-    den = dk ** (2.0 * s) * l2 ** (1.0 - 2.0 * s)
-    if include_l2_term:
-        den += l2
-    if den == 0.0:
-        return 0.0
-    return num / den
 
 
 def _require_series(traj: Trajectory, names: tuple[str, ...], which: str) -> None:

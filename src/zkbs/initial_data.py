@@ -7,6 +7,8 @@ The Gaussian packet checks its own periodic seam: data must decay below
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .domain import DomainConfig, GridField, SpectralField, to_grid
@@ -95,17 +97,11 @@ GENERATORS = {
     "random_band": random_band,
 }
 
-_GENERATOR_KEYS = {
-    "eigenmode": ("l", "amplitude"),
-    "traveling_mode": ("j", "l", "amplitude"),
-    "gaussian_bump": ("x0", "sigma_x", "l", "amplitude"),
-    "random_band": ("seed", "jmax", "lmax", "amplitude"),
-}
-
 
 def make_initial(name: str, params: dict, d: DomainConfig) -> GridField:
     """Dispatch a generator by name with the subset of params it uses."""
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; choices: {sorted(GENERATORS)}")
-    kwargs = {k: params[k] for k in _GENERATOR_KEYS[name] if k in params}
-    return GENERATORS[name](d, **kwargs)
+    gen = GENERATORS[name]
+    keys = list(inspect.signature(gen).parameters)[1:]  # every parameter after d
+    return gen(d, **{k: params[k] for k in keys if k in params})

@@ -63,11 +63,6 @@ class Trajectory:
         """integral |Du|^2 + u^2 at step boundaries."""
         return self.diss_l2 + self.l2**2
 
-    @property
-    def lyapunov_h2(self) -> np.ndarray:
-        """integral |D2 u|^2 + |Du|^2 + u^2 at step boundaries."""
-        return self.e2_mixed + self.diss_l2 + self.l2**2
-
 
 def _resolve_steps(T: float, dt: float) -> int:
     """Number of steps of size dt in [0, T]; dt must divide T."""

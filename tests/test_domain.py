@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 import zkbs.domain
 import zkbs.dynamics
+from oracles import grid_quadrature, mixed_derivative
 from zkbs import (
     GridField,
     SpectralField,
-    grid_quadrature,
-    mixed_derivative,
     mode_inner,
     mode_multipliers,
     parseval_norm_sq,
@@ -32,9 +31,10 @@ class TestPlanDomain:
         assert d.shape == (64, 16)
         assert d.spectral_shape == (33, 16)
         assert d.x[0] == -d.X
-        assert np.isclose(d.x[1] - d.x[0], d.dx)
-        assert np.isclose(d.y[0], d.dy)
-        assert np.isclose(d.y[-1], d.L - d.dy)
+        dx, dy = 2.0 * d.X / d.nx, d.L / (d.ny + 1)
+        assert np.isclose(d.x[1] - d.x[0], dx)
+        assert np.isclose(d.y[0], dy)
+        assert np.isclose(d.y[-1], d.L - dy)
         # xi spacing pi/X, sine eigenvalues (pi l / L)^2
         assert np.isclose(d.xi[1], np.pi / d.X)
         assert np.allclose(d.lam, (np.pi * np.arange(1, 17) / d.L) ** 2)
@@ -285,7 +285,7 @@ class TestDealiasAndWeights:
         d = small_domain
         for l in (1, 3, 7):
             vals = np.sin(np.pi * l * d.y / d.L) ** 2
-            got = float(np.sum(vals)) * d.dy
+            got = float(np.sum(vals)) * d.L / (d.ny + 1)
             assert np.isclose(got, d.L / 2.0, rtol=1e-14), l
 
 

@@ -19,8 +19,6 @@ from zkbs import (
     eta,
     g_h,
     gaussian_bump,
-    grid_quadrature,
-    mixed_derivative,
     parseval_norm_sq,
     picard_windows,
     plan_domain,
@@ -31,6 +29,7 @@ from zkbs import (
     to_spectral,
     traveling_mode,
 )
+from oracles import grid_quadrature, mixed_derivative
 from zkbs.cli import PROFILES
 import zkbs.domain
 import zkbs.dynamics

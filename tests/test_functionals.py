@@ -12,26 +12,26 @@ from zkbs import (
     audit_identity,
     audit_linear_identity,
     decay_fit,
-    dk_seminorm_sq,
     duhamel_solve,
     eigenmode,
     gaussian_bump,
-    grid_quadrature,
-    interpolation_ratio,
-    lyapunov_h1,
-    lyapunov_h2,
-    mixed_derivative,
     norm,
     parseval_norm_sq,
     plan_domain,
     random_band,
     simulate,
-    steklov_check,
     symbol,
     threshold_time,
     to_grid,
     to_spectral,
     traveling_mode,
+)
+from oracles import (
+    dk_seminorm_sq,
+    grid_quadrature,
+    interpolation_ratio,
+    mixed_derivative,
+    steklov_margin,
 )
 from zkbs.functionals import (
     THRESHOLD_C1,
@@ -70,12 +70,13 @@ def validation_corpus(d):
 
 
 def measure_quadratic_comparison(d):
-    """Largest observed integral u^4 / (lyapunov_h1 * ||u||^2)."""
+    """Largest observed integral u^4 / ((integral |Du|^2 + u^2) * ||u||^2)."""
     worst = 0.0
     for s in validation_corpus(d):
         vals = to_grid(s, d).values
         num = grid_quadrature(vals**4, d)
-        den = lyapunov_h1(s, d) * parseval_norm_sq(s.coeffs, d)
+        l2sq = parseval_norm_sq(s.coeffs, d)
+        den = (dk_seminorm_sq(s, 1, d) + l2sq) * l2sq
         worst = max(worst, num / den)
     return worst
 
@@ -166,39 +167,42 @@ class TestNorms:
         with pytest.raises(ValueError):
             dk_seminorm_sq(s, 4, d)
 
-    def test_lyapunov_functionals_are_sums(self, small_domain, rng):
+    def test_recorded_lyapunov_functional_matches_each_snapshot(self, small_domain):
+        # the one first-order functional, read from the recorded series,
+        # against integral |Du|^2 + u^2 of the stored field
         d = small_domain
-        s = to_spectral(GridField(rng.standard_normal(d.shape)), d)
-        l2sq = parseval_norm_sq(s.coeffs, d)
-        assert np.isclose(lyapunov_h1(s, d), dk_seminorm_sq(s, 1, d) + l2sq)
-        assert np.isclose(
-            lyapunov_h2(s, d), dk_seminorm_sq(s, 2, d) + lyapunov_h1(s, d)
-        )
+        traj = simulate(gaussian_bump(d), 0.005, StepperConfig(dt=1e-3),
+                        RegularizedFlux(h=None), d, snapshot_stride=1, audit_series=False)
+        assert list(traj.snapshot_indices) == list(range(traj.n_steps + 1))
+        for i, c in zip(traj.snapshot_indices, traj.snapshots):
+            s = SpectralField(c)
+            want = dk_seminorm_sq(s, 1, d) + parseval_norm_sq(c, d)
+            assert math.isclose(traj.lyapunov_h1[i], want, rel_tol=1e-13)
 
 
 class TestSteklov:
     def test_equality_on_first_eigenfunction(self, desk_domain):
         d = desk_domain
         s = to_spectral(eigenmode(d, l=1, amplitude=1.0), d)
-        res = steklov_check(s, d)
-        assert abs(res.margin) <= 1e-13 * res.rhs
+        margin, rhs = steklov_margin(s, d)
+        assert abs(margin) <= 1e-13 * rhs
 
     def test_margin_positive_and_exact_on_higher_mode(self, small_domain):
         d = small_domain
         amp = 0.8
         s = single_mode(d, 0, 2, amp)
-        res = steklov_check(s, d)
+        margin, _ = steklov_margin(s, d)
         lam1 = (np.pi / d.L) ** 2
         lam2 = (2 * np.pi / d.L) ** 2
         want = (lam2 - lam1) * amp**2 * d.X * d.L
-        assert np.isclose(res.margin, want, rtol=1e-13)
+        assert np.isclose(margin, want, rtol=1e-13)
 
     def test_margin_nonnegative_on_random_fields(self, small_domain, rng):
         d = small_domain
         for _ in range(5):
             s = to_spectral(GridField(rng.standard_normal(d.shape)), d)
-            res = steklov_check(s, d)
-            assert res.margin >= -1e-13 * res.rhs
+            margin, rhs = steklov_margin(s, d)
+            assert margin >= -1e-13 * rhs
 
 
 class TestInterpolationRatio:

@@ -14,8 +14,6 @@ from zkbs import (
     GridField,
     RegularizedFlux,
     SpectralField,
-    dk_seminorm_sq,
-    grid_quadrature,
     mode_inner,
     mode_multipliers,
     norm,
@@ -25,6 +23,7 @@ from zkbs import (
     to_grid,
     to_spectral,
 )
+from oracles import dk_seminorm_sq, grid_quadrature
 from zkbs.domain import _band_to_grid, _band_to_spectral, _grid_work, _kept_band, _pad_band
 from zkbs.dynamics import _nonlinear_core
 from zkbs.trajectory import _Recorder
