@@ -191,13 +191,13 @@ def _working_set_bytes(cfg: RunConfig) -> int:
         weights and band blocks, the grid buffer and flux output, and the
         transforms' odd extension with its FFT (4 grids);
       audit  22 [19.7] + sine block: the fine run beside the coarse one;
-      picard  13 [9.8] + window stacks + sine block;
+      picard  13 [10.4-10.8] + window stack + sine block;
       linear-verify  not counted [9.0-11.2]: its forced and homogeneous
         solves hold 8 x 4 modes, so only its propagator checks' transforms
         and semigroup spectra sit on the grid, below every count above.
     A snapshot is one half spectrum (decay keeps at least as many as
-    simulate), the window stacks are Picard's two (n + 1, kx, ky) complex
-    stacks on its last window, and the (ny, ky) sine block grows as ny^2.
+    simulate), the window stack is Picard's one (n + 1, kx, ky) complex
+    stack on its last window, and the (ny, ky) sine block grows as ny^2.
     The recorder's per-step series are sized apart, in _resolve_steps.
     """
     kx, ky = _kept_band(cfg)  # reads nx and ny only
@@ -210,7 +210,7 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
     return max((16 + snapshots) * spec + sine,
                22 * spec + sine,
-               13 * spec + 2 * (window + 1) * 16 * kx * ky + sine)
+               13 * spec + (window + 1) * 16 * kx * ky + sine)
 
 
 PROFILES = {

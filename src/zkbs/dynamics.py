@@ -341,32 +341,27 @@ def _picard_group(base: np.ndarray, ns: list[int], dt: float, cfg: StepperConfig
 
     # every iterate starts from base, so N(v[0]) is the same in every sweep; a
     # blowup here is every window's, at t = 0, so it propagates
-    nl = np.empty_like(v)
-    _, nl[0] = _nonlinear_core(base, flux, d, work)
+    _, nl_base = _nonlinear_core(base, flux, d, work)
     live = {m: [] for m in range(len(ns))}  # each sweeping window's successive differences
     for _ in range(cfg.picard_max_iter):
-        reach = max(ns[m] for m in live)
-        for i in range(1, reach + 1):
+        # v is overwritten row by row, each old row's N taken just before, so
+        # the step reads only the old iterate's N; a window's diff is the
+        # running maximum at its own last boundary
+        ends = dict.fromkeys(ns[m] for m in live)
+        diff_sq, n0 = 0.0, nl_base
+        for i in range(max(ends)):
             try:
-                _, nl[i] = _nonlinear_core(v[i], flux, d, work, t=i * dt)
+                _, n1 = _nonlinear_core(v[i + 1], flux, d, work, t=(i + 1) * dt)
             except BlowupError as exc:
-                # each window holding boundary i stops here, as its own solve would;
-                # the shorter ones have every N they need and sweep on
-                for m in [m for m in live if ns[m] >= i]:
+                # each window holding boundary i + 1 stops here, as its own solve
+                # would; the shorter ones have their rows rebuilt and sweep on
+                for m in [m for m in live if ns[m] > i]:
                     del live[m]
                     out[m] = exc
-                reach = i - 1
                 break
-        if not live:
-            break
-        # nl holds every N of the old iterate, so v can be overwritten row by row;
-        # a window's diff is the running maximum at its own last boundary
-        ends = dict.fromkeys(ns[m] for m in live)
-        diff_sq = 0.0
-        for i in range(reach):
-            w = tab.correct(tab.predict(v[i], nl[i]), nl[i], nl[i + 1])
+            w = tab.correct(tab.predict(v[i], n0), n0, n1)
             diff_sq = max(diff_sq, parseval_norm_sq(w - v[i + 1], d))
-            v[i + 1] = w
+            v[i + 1], n0 = w, n1
             if i + 1 in ends:
                 ends[i + 1] = math.sqrt(diff_sq)
         for m in list(live):
@@ -388,28 +383,30 @@ def picard_windows(u0: SpectralField, windows: tuple[float, ...], cfg: StepperCo
 
     Each window [0, t0] is cut into n steps of cfg.dt (n rounded so the
     step t0 / n divides t0), and the iterate's kept band is stored at
-    every boundary, an (n + 1, kx, ky) stack, beside one of its nonlinear
-    terms.  Each sweep rebuilds the iterate in place, boundary by
-    boundary, from those terms under the endpoint-pair exponential
-    quadrature, so the fixed point is a second-order discretization of
-    the flow.  A boundary depends on earlier boundaries only, so windows
-    whose steps are equal floats share one set of sweeps over the
-    longest of them: a shorter window's iterate is its prefix, bit for
-    bit, and its successive difference is the running maximum at its
-    own last boundary.  Such groups run in the order of their first
-    window.
+    every boundary, an (n + 1, kx, ky) stack, the one array that grows
+    with the window.  Each sweep rebuilds the iterate in place, boundary
+    by boundary, from the old iterate's nonlinear terms under the
+    endpoint-pair exponential quadrature, taking each boundary's term
+    just before that boundary is overwritten, so the fixed point is a
+    second-order discretization of the flow.  A boundary depends on
+    earlier boundaries only, so windows whose steps are equal floats
+    share one set of sweeps over the longest of them: a shorter window's
+    iterate is its prefix, bit for bit, and its successive difference is
+    the running maximum at its own last boundary.  Such groups run in the
+    order of their first window.
 
     Returns one (field at t0, PicardDiagnostics) per window, in order.
     A window whose successive differences stay at or above
     cfg.picard_tol for cfg.picard_max_iter sweeps has converged False
     and field None.  Raises BlowupError, with the time that window's
     own solve would meet it, for the first window whose iterate has
-    non-finite grid values, and ValueError for a window t0 <= 0.
+    non-finite grid values, and ValueError for a window t0 that is not
+    positive and finite.
     """
     steps = []
     for t0 in windows:
-        if t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not (t0 > 0 and math.isfinite(t0)):
+            raise ValueError("t0 must be positive and finite")
         n = max(1, round(t0 / cfg.dt))
         steps.append((n, t0 / n))
     d = S.domain

@@ -85,9 +85,9 @@ def phi(order: int, z: np.ndarray) -> np.ndarray:
 
 
 def apply_semigroup(u: SpectralField, t: float, S: SymbolTable) -> SpectralField:
-    """Exact linear evolution over time t >= 0."""
-    if t < 0:
-        raise ValueError("apply_semigroup requires t >= 0")
+    """Exact linear evolution over a finite time t >= 0."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError("apply_semigroup requires finite t >= 0")
     return SpectralField(u.coeffs * np.exp(S.m * t))
 
 

@@ -554,3 +554,21 @@ def test_working_set_bounds_every_subcommands_measured_peak(tmp_path, capsys):
             tracemalloc.stop()
     capsys.readouterr()
     assert max(peaks.values()) <= need <= 2 * max(peaks.values()), (need, peaks)
+
+
+def test_working_set_bounds_picards_measured_peak(tmp_path, capsys):
+    # on this grid picard's count is the largest: its one window stack (51
+    # rows of the kept band) outweighs decay's and audit's spectra, so the
+    # bound pins the stack count; two stacks would read about 1.7x the peak.
+    # Smaller grids are avoided: their fixed allocations skew the ratio.
+    # About 0.7 s.
+    cfg = write_cfg(tmp_path, SMALL + "nx = 512\nny = 128\nt_end = 0.01\n")
+    need = zkbs.cli._working_set_bytes(load_config(cfg))
+    tracemalloc.start()
+    try:
+        assert main(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= need <= 1.5 * peak, (need, peak)

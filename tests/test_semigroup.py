@@ -129,6 +129,13 @@ class TestPropagator:
         with pytest.raises(ValueError, match="t >= 0"):
             apply_semigroup(s, -0.1, symbol(d))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, small_domain, t):
+        d = small_domain
+        s = to_spectral(GridField(np.ones(d.shape)), d)
+        with pytest.raises(ValueError, match="requires finite t >= 0"):
+            apply_semigroup(s, t, symbol(d))
+
 
 class TestDuhamel:
     def test_constant_forcing_closed_form(self, small_domain):
