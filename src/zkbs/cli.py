@@ -44,12 +44,11 @@ from .dynamics import (
     simulate,
 )
 from .functionals import (
-    NONLINEAR_IDENTITIES,
+    IDENTITIES,
     THRESHOLD_C1,
-    attach_refinement_order,
     audit_identity,
-    audit_linear_identity,
     decay_fit,
+    refinement_order,
     threshold_time,
 )
 from .initial_data import make_initial
@@ -187,14 +186,14 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     float64 grid array), from the arrays each subcommand keeps live at its
     peak, and checked against tracemalloc peaks on 512 x 128, 256 x 512,
     2048 x 32 and 128 x 1024 grids (the measured count in brackets):
-      simulate, decay  16 [14] + snapshots + sine block: the step's tables,
-        weights and band blocks, the grid buffer and flux output, and the
-        transforms' odd extension with its FFT (4 grids);
-      audit  22 [19.7] + sine block: the fine run beside the coarse one;
+      simulate, decay  16 [12.7-13.4] + snapshots + sine block: the step's
+        tables, weights and band blocks, the grid buffer and flux output,
+        and the transforms' odd extension with its FFT (4 grids);
       picard  13 [10.4-10.8] + window stack + sine block;
-      linear-verify  not counted [9.0-11.2]: its forced and homogeneous
-        solves hold 8 x 4 modes, so only its propagator checks' transforms
-        and semigroup spectra sit on the grid, below every count above.
+      audit, linear-verify  not counted, below simulate's count with its
+        2 or more snapshots: audit [14.5-15.1] + sine block holds one run
+        at a time, and linear-verify [4.7-11.4] solves on 8 x 4 modes, so
+        only its propagator checks' transforms sit on the grid.
     A snapshot is one half spectrum (decay keeps at least as many as
     simulate), the window stack is Picard's one (n + 1, kx, ky) complex
     stack on its last window, and the (ny, ky) sine block grows as ny^2.
@@ -209,7 +208,6 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     snapshots = n // stride + 1 + (n % stride > 0)  # the last boundary is always kept
     window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
     return max((16 + snapshots) * spec + sine,
-               22 * spec + sine,
                13 * spec + (window + 1) * 16 * kx * ky + sine)
 
 
@@ -425,13 +423,13 @@ def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dic
                    rel, tol["duhamel_rel"])
 
     # homogeneous mass balance: order-2 refinement of the audit residual
-    coarse, fine = (audit_linear_identity(
-        duhamel_solve(SpectralField(u0c), None, 0.5, dt, Sa, snapshot_stride=0), "mass")
+    coarse, fine = (audit_identity(
+        duhamel_solve(SpectralField(u0c), None, 0.5, dt, Sa, snapshot_stride=0), "mass_3_3")
         for dt in (2e-3, 1e-3))
-    fine = attach_refinement_order(coarse, fine)
+    order = refinement_order(coarse, fine)
     # a residual at rounding level (order None when it is exactly 0) has no order
-    ok = coarse.max_residual < 1e-13 or (fine.order is not None and 1.5 <= fine.order <= 2.5)
-    checks.add("linear_mass_refinement_order", ok, fine.order, (1.5, 2.5))
+    ok = coarse.max_residual < 1e-13 or (order is not None and 1.5 <= order <= 2.5)
+    checks.add("linear_mass_refinement_order", ok, order, (1.5, 2.5))
     return checks, {}
 
 
@@ -486,24 +484,27 @@ def cmd_audit(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
         checks.not_applicable("energy_identities", "zero initial data")
         return checks, {}
     flux = cfg.flux()
-    coarse_traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), flux, d))
-    fine_traj = _complete(simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=cfg.dt / 2),
-                                   flux, d))
+    audited = [ident for ident in IDENTITIES if ident != "combined_3_23" or cfg.h is None]
+    reports = []
+    for dt in (cfg.dt, cfg.dt / 2):  # each run is audited and freed before the next starts
+        traj = _complete(simulate(u0, cfg.t_end, replace(cfg.stepper(), dt=dt), flux, d))
+        reports.append({ident: audit_identity(traj, ident) for ident in audited})
+        del traj
+    coarse_reports, fine_reports = reports
 
     table = {}
-    for ident in NONLINEAR_IDENTITIES:
-        if ident == "combined_3_23" and cfg.h is not None:
+    for ident in IDENTITIES:
+        if ident not in audited:
             checks.not_applicable(ident, _U2_FLUX_ONLY)
             continue
-        coarse = audit_identity(coarse_traj, ident)
-        fine = attach_refinement_order(coarse, audit_identity(fine_traj, ident))
+        coarse, fine = coarse_reports[ident], fine_reports[ident]
         factor = coarse.max_residual / max(fine.max_residual, 1e-300)
         table[ident] = {
             "max_residual_coarse": coarse.max_residual,
             "max_residual_fine": fine.max_residual,
-            "dt_pair": list(fine.dt_pair),
+            "dt_pair": [coarse.dt, fine.dt],
             "refinement_factor": factor,
-            "order": fine.order,
+            "order": refinement_order(coarse, fine),
         }
         if ident == "mass_3_3":
             checks.add("mass_abs_residual", coarse.max_residual <= tol["mass_abs"],

@@ -77,7 +77,6 @@ class DomainConfig:
     xi: np.ndarray = field(repr=False, default=None)        # (nx/2 + 1,) j = 0 .. nx/2
     xi_odd: np.ndarray = field(repr=False, default=None)    # xi with Nyquist zeroed
     lam: np.ndarray = field(repr=False, default=None)       # (ny,) (pi l / L)^2
-    ky: np.ndarray = field(repr=False, default=None)        # (ny,) pi l / L
     phase: np.ndarray = field(repr=False, default=None)     # (nx/2 + 1,) (-1)^j
     parseval_weight: np.ndarray = field(repr=False, default=None)  # (nx/2 + 1,) w_j
     _sin_band: np.ndarray = field(repr=False, default=None)
@@ -170,14 +169,13 @@ def plan_domain(L: float, X: float, nx: int, ny: int, delta: float) -> DomainCon
     # would break realness, so dispersion and odd x derivatives drop it.
     xi_odd[-1] = 0.0
     l = np.arange(1, ny + 1)
-    ky = np.pi * l / L
-    lam = ky**2
+    lam = (np.pi * l / L) ** 2
     phase = np.where(j % 2 == 0, 1.0, -1.0)
     weight = np.full(j.shape, 2.0 * X * L)
     weight[[0, -1]] = X * L
     return DomainConfig(L=float(L), X=float(X), nx=int(nx), ny=int(ny),
                         delta=float(delta), xi=xi, xi_odd=xi_odd, lam=lam,
-                        ky=ky, phase=phase, parseval_weight=weight)
+                        phase=phase, parseval_weight=weight)
 
 
 def _check_shape(arr: np.ndarray, shape: tuple[int, int], what: str) -> None:

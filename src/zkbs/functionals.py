@@ -11,7 +11,7 @@ instance u_xx^2 + u_xy^2 + u_yy^2 in e2_mixed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +21,15 @@ from .trajectory import Trajectory
 __all__ = [
     "norm",
     "EnergyReport",
-    "attach_refinement_order",
+    "refinement_order",
     "audit_identity",
-    "audit_linear_identity",
     "DecayFit",
     "decay_fit",
     "ThresholdReport",
     "threshold_time",
 ]
 
-NONLINEAR_IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
-LINEAR_IDENTITIES = ("mass", "grad", "hess")  # the order-0, 1 and 2 identities
+IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
 
 
 def norm(u: SpectralField, s: float, d: DomainConfig) -> float:
@@ -60,14 +58,11 @@ class EnergyReport:
     residual: np.ndarray
     max_residual: float
     dt: float
-    order: float | None = None          # filled by attach_refinement_order
-    dt_pair: tuple[float, float] | None = None
 
 
-def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyReport:
-    """Annotate the fine report with the observed refinement order.
+def refinement_order(coarse: EnergyReport, fine: EnergyReport) -> float | None:
+    """Observed refinement order of one identity's residual from coarse.dt to fine.dt.
 
-    Both reports must audit the same identity; the order is
     log(residual ratio) / log(dt ratio), or None when either residual is
     exactly zero (zero data, say), where no order can be observed.
     """
@@ -75,16 +70,15 @@ def attach_refinement_order(coarse: EnergyReport, fine: EnergyReport) -> EnergyR
         raise ValueError("refinement pair must audit the same identity")
     if not (coarse.dt > fine.dt > 0):
         raise ValueError("expected coarse.dt > fine.dt > 0")
-    order = None
     if coarse.max_residual > 0.0 and fine.max_residual > 0.0:
-        order = math.log(coarse.max_residual / fine.max_residual) / math.log(coarse.dt / fine.dt)
-    return replace(fine, order=order, dt_pair=(coarse.dt, fine.dt))
+        return math.log(coarse.max_residual / fine.max_residual) / math.log(coarse.dt / fine.dt)
+    return None
 
 
 # The time rules of every energy audit live here: running integrals from
-# times[0] to each boundary, and the left side of the order-k identity that the
-# nonlinear and the linear audits share, E_k - E_k(0) + 2 delta integral D_k with
-# E_0, E_1, E_2 = ||u||^2, diss_l2, e2_mixed and D_k = mid_diss<k> (midpoint rule).
+# times[0] to each boundary, and the left side of the order-k identity,
+# E_k - E_k(0) + 2 delta integral D_k with E_0, E_1, E_2 = ||u||^2, diss_l2,
+# e2_mixed and D_k = mid_diss<k> (midpoint rule).
 
 
 def _cumulative_midpoint(traj: Trajectory, mid_values: np.ndarray) -> np.ndarray:
@@ -101,94 +95,78 @@ def _balance(traj: Trajectory, k: int) -> np.ndarray:
     return energy - energy[0] + 2.0 * traj.domain.delta * _cumulative_midpoint(traj, dissipation)
 
 
-def _check_audit(traj: Trajectory, which: str, known: tuple[str, ...]) -> None:
-    if which not in known:
-        raise ValueError(f"unknown identity {which!r}; expected one of {known}")
+# identity -> its order k and the series of the run's own work 2 <W_k u, N(u)>:
+# nonlin_flux, half of it at step boundaries, by the trapezoid rule, and
+# mid_rhs_h1/h2, all of it at step midpoints, by the midpoint rule
+_BALANCES = {"mass_3_3": (0, "nonlin_flux"), "h1_3_15": (1, "mid_rhs_h1"),
+             "h2_3_29": (2, "mid_rhs_h2")}
+
+
+def audit_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
+    """Residual of one energy balance along a simulate() or duhamel_solve() run.
+
+    which selects the balance:
+      mass_3_3, h1_3_15, h2_3_29: the order-k identity (k = 0, 1, 2)
+                     d/dt E_k + 2 delta D_k = 2 <W_k u, F> with W_k = 1, d1
+                     or e2 from mode_multipliers: ||u||^2, integral |Du|^2
+                     and the mixed second-derivative energy against their
+                     dissipation and the work of F = N(u) or the forcing;
+      combined_3_23: integral (|Du|^2 - u^3/3) with the extra
+                     delta integral u^2 (u_xx + u_yy) drift; it holds for
+                     the u^2/2 flux only, so an h != None run raises.
+
+    The run's own work is read from its recorded series (_BALANCES), which
+    a duhamel_solve() run records as zeros: the homogeneous equation does
+    no work.  Every other time integral takes the midpoint rule.
+    Requesting an identity whose series were not recorded raises.
+
+    forcing is None or, for a forced duhamel_solve() run, the callable
+    t -> spectral array passed to the solve.  Its work pairs W_k times the
+    averaged stored snapshots with the forcing at each snapshot
+    interval's midpoint, so the residual is reported at the stored
+    snapshot times.  A forcing split as f0 + d/dx f1 + d/dy f2 needs no
+    pairings of its own: integration by parts is exact on the discrete
+    sine-Fourier spectra.
+    """
+    if which not in IDENTITIES:
+        raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITIES}")
     if traj.n_steps < 1:
         raise ValueError("trajectory must contain at least one step")
 
-
-def _report(identity: str, times: np.ndarray, residual: np.ndarray,
-            traj: Trajectory) -> EnergyReport:
-    return EnergyReport(identity=identity, times=times, residual=residual,
-                        max_residual=float(np.max(residual)), dt=traj.dt)
-
-
-def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
-    """Residual of one nonlinear energy balance along a recorded run.
-
-    which selects the balance:
-      mass_3_3:      ||u||^2 growth against 2 delta integral |Du|^2 and the
-                     flux work 2 integral g_h(u) u_x;
-      h1_3_15:       integral |Du|^2 against second-order dissipation and
-                     the work term 2 integral u u_x (u_xx + u_yy);
-      combined_3_23: integral (|Du|^2 - u^3/3) with the extra
-                     delta integral u^2 (u_xx + u_yy) drift; it holds for
-                     the u^2/2 flux only, so an h != None run raises;
-      h2_3_29:       mixed second-derivative energy against third-order
-                     dissipation and the paired nonlinear work.
-
-    The flux work integrates the boundary series nonlin_flux by the
-    trapezoid rule, which both recording modes keep; every other time
-    integral uses the midpoint values recorded by simulate().  Requesting
-    an identity whose series were not recorded raises.
-    """
-    _check_audit(traj, which, NONLINEAR_IDENTITIES)
-    delta = traj.domain.delta
-
-    if which == "mass_3_3":
-        residual = np.abs(_balance(traj, 0) - _cumulative_trapezoid(traj, 2.0 * traj.nonlin_flux))
-    elif which == "h1_3_15":
-        _require_series(traj, ("mid_rhs_h1",), which)
-        residual = np.abs(_balance(traj, 1) - _cumulative_midpoint(traj, traj.mid_rhs_h1))
-    elif which == "combined_3_23":
+    if which == "combined_3_23":
         if traj.h is not None:
             raise ValueError(f"combined_3_23 holds for the u^2/2 flux only, not h = {traj.h!r}")
+        if forcing is not None:
+            raise ValueError("combined_3_23 has no forced form")
         _require_series(traj, ("cube", "mid_u2lap"), which)
+        delta = traj.domain.delta
         energy = traj.diss_l2 - traj.cube / 3.0
         lhs = energy - energy[0]
         lhs += 2.0 * delta * _cumulative_midpoint(traj, traj.mid_diss1)
         lhs += delta * _cumulative_midpoint(traj, traj.mid_u2lap)
-        residual = np.abs(lhs)
-    else:  # h2_3_29
-        _require_series(traj, ("mid_rhs_h2",), which)
-        residual = np.abs(_balance(traj, 2) - _cumulative_midpoint(traj, traj.mid_rhs_h2))
-    return _report(which, traj.times, residual, traj)
-
-
-def audit_linear_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
-    """Residual of one linear energy balance along a trajectory.
-
-    which is "mass", "grad" or "hess": the order-k identity (k = 0, 1, 2)
-    of u_t = m u + f, d/dt E_k + 2 delta D_k = 2 <W u, f> with W = 1, d1
-    or e2 from mode_multipliers, which pairs f with u, with Du, or with
-    the pure and mixed second derivatives.  A forcing split as
-    f0 + d/dx f1 + d/dy f2 needs no pairings of its own: integration by
-    parts is exact on the discrete sine-Fourier spectra.
-
-    forcing is None (homogeneous: the residual is reported at every step
-    boundary) or the callable t -> spectral array passed to duhamel_solve.
-    Its work pairs the averaged stored snapshots with the forcing at each
-    snapshot interval's midpoint, so the residual is reported at the
-    stored snapshot times.  Every time integral uses the midpoint rule.
-    """
-    _check_audit(traj, which, LINEAR_IDENTITIES)
-    k = LINEAR_IDENTITIES.index(which)
-    lhs = _balance(traj, k)
-    if forcing is None:
-        return _report(f"linear_{which}", traj.times, np.abs(lhs), traj)
-    d, idx = traj.domain, traj.snapshot_indices
-    if len(idx) < 2:
-        raise ValueError("trajectory lacks snapshots needed for the forcing quadrature")
-    mults = mode_multipliers(d)
-    weight = (1.0, mults.d1, mults.e2)[k]
-    work = np.zeros(len(idx))
-    for j in range(len(idx) - 1):
-        ta, tb = traj.times[idx[j]], traj.times[idx[j + 1]]
-        uavg = 0.5 * (traj.snapshots[j] + traj.snapshots[j + 1])
-        f = np.asarray(forcing(0.5 * (ta + tb)), dtype=complex)
-        work[j + 1] = work[j] + 2.0 * mode_inner(weight * uavg, f, d) * (tb - ta)
-    return _report(f"linear_{which}", traj.times[idx], np.abs(lhs[idx] - work), traj)
+    else:
+        k, series = _BALANCES[which]
+        _require_series(traj, (series,), which)
+        values = getattr(traj, series)
+        work = (_cumulative_trapezoid(traj, 2.0 * values) if series == "nonlin_flux"
+                else _cumulative_midpoint(traj, values))
+        lhs = _balance(traj, k) - work
+    times, residual = traj.times, np.abs(lhs)
+    if forcing is not None:
+        d, idx = traj.domain, traj.snapshot_indices
+        if len(idx) < 2:
+            raise ValueError("trajectory lacks snapshots needed for the forcing quadrature")
+        mults = mode_multipliers(d)
+        weight = (1.0, mults.d1, mults.e2)[k]
+        forced = np.zeros(len(idx))
+        for j in range(len(idx) - 1):
+            ta, tb = traj.times[idx[j]], traj.times[idx[j + 1]]
+            uavg = 0.5 * (traj.snapshots[j] + traj.snapshots[j + 1])
+            f = np.asarray(forcing(0.5 * (ta + tb)), dtype=complex)
+            forced[j + 1] = forced[j] + 2.0 * mode_inner(weight * uavg, f, d) * (tb - ta)
+        times, residual = traj.times[idx], np.abs(lhs[idx] - forced)
+    return EnergyReport(identity=which, times=times, residual=residual,
+                        max_residual=float(np.max(residual)), dt=traj.dt)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -67,9 +68,12 @@ def read_snapshot(path) -> np.ndarray:
         version, nx, ny = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
+        size, want = os.fstat(fh.fileno()).st_size, 16 + 8 * nx * ny  # before any read
+        if size != want:
+            what = "truncated snapshot payload" if size < want else "trailing bytes"
+            raise ValueError(f"{path}: {what}: a {nx} x {ny} snapshot is {want} bytes, "
+                             f"the file is {size}")
         data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-        if data.size != nx * ny:
-            raise ValueError(f"{path}: truncated snapshot payload")
     return data.reshape(nx, ny).astype(float)
 
 

@@ -128,12 +128,14 @@ def duhamel_solve(
             the first and last).
 
     Returns a Trajectory whose dense scalar series feed
-    functionals.audit_linear_identity.  The step writes into buffers
-    allocated once per solve, so it makes no spectrum-sized temporary.
+    functionals.audit_identity; its work series nonlin_flux, mid_rhs_h1
+    and mid_rhs_h2 stay zero, as the homogeneous equation does no work.
+    The step writes into buffers allocated once per solve, so it makes no
+    spectrum-sized temporary.
     """
     d = S.domain
     _check_spectral(u0.coeffs, d, "initial amplitudes")
-    rec = _Recorder(d, T, dt, snapshot_stride)
+    rec = _Recorder(d, T, dt, snapshot_stride, interval_series=("mid_rhs_h1", "mid_rhs_h2"))
     E, w_left, w_mid, w_right = _three_node_weights(S, dt)
 
     # three forcing samples are live per step (left, mid, right); sample k

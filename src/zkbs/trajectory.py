@@ -64,6 +64,11 @@ class Trajectory:
         return self.diss_l2 + self.l2**2
 
 
+# the most float64 series a run records: an audit-mode simulate() run at h = None
+# keeps 9 per boundary (times included) and 6 per step, a duhamel_solve() run 8 and 5
+_MAX_SERIES = 15
+
+
 def _resolve_steps(T: float, dt: float) -> int:
     """Number of steps of size dt in [0, T]; dt must divide T."""
     if not (dt > 0 and isfinite(dt)):
@@ -75,8 +80,7 @@ def _resolve_steps(T: float, dt: float) -> int:
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide the final time")
-    # a _Recorder keeps at most 15 float64 series, 9 per boundary and 6 per step
-    need = 15 * 8 * (n + 1)
+    need = _MAX_SERIES * 8 * (n + 1)
     if need > _memory_bytes():
         raise ValueError(f"{n} steps cannot be recorded: their series need "
                          f"{need / 2**30:.3g} GiB, more than the machine's memory")

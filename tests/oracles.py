@@ -39,7 +39,7 @@ def mixed_derivative(s, kx, ky, d):
         return to_grid(SpectralField(c * (-d.lam[None, :]) ** (ky // 2)), d)
     # odd y order: sin -> cos, one sign flip per full second derivative
     sign = -1.0 if ky == 3 else 1.0
-    c = c * (sign * d.ky[None, :] ** ky)
+    c = c * (sign * np.sqrt(d.lam)[None, :] ** ky)
     # sum_l c_l cos(pi l k / (ny + 1)) is the real part of the real FFT of
     # (0, c, 0, ..., 0), of length 2 (ny + 1), the length of the DST-I's extension
     ext = np.zeros((d.nx, 2 * (d.ny + 1)))

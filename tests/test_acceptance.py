@@ -18,7 +18,6 @@ from zkbs import (
     SpectralField,
     StepperConfig,
     apply_semigroup,
-    attach_refinement_order,
     audit_identity,
     decay_fit,
     duhamel_solve,
@@ -27,6 +26,7 @@ from zkbs import (
     parseval_norm_sq,
     picard_windows,
     random_band,
+    refinement_order,
     simulate,
     symbol,
     threshold_time,
@@ -182,8 +182,7 @@ def test_criterion_02_duhamel_matches_ode_oracle(desk_domain):
 
 def test_criterion_03_mass_identity_refines(default_run, default_run_fine):
     coarse = audit_identity(default_run, "mass_3_3")
-    fine = attach_refinement_order(coarse, audit_identity(default_run_fine,
-                                                          "mass_3_3"))
+    fine = audit_identity(default_run_fine, "mass_3_3")
     factor = coarse.max_residual / max(fine.max_residual, 1e-300)
     ok = coarse.max_residual <= 1e-6 and 3.0 <= factor <= 5.0
     report(3, "mass identity residual", ok,
@@ -253,12 +252,11 @@ def test_criterion_08_h2_functional(default_run, default_run_fine, desk_domain):
     lyap2 = default_run.e2_mixed + default_run.diss_l2 + default_run.l2**2
     slack = 1e-10 * max(1.0, float(lyap2[0]))
     mono = bool(np.all(np.diff(lyap2) <= slack))
-    coarse = audit_identity(default_run, "h2_3_29")
-    fine = attach_refinement_order(coarse, audit_identity(default_run_fine,
-                                                          "h2_3_29"))
-    ok = mono and 1.7 <= fine.order <= 2.3
+    order = refinement_order(audit_identity(default_run, "h2_3_29"),
+                             audit_identity(default_run_fine, "h2_3_29"))
+    ok = mono and 1.7 <= order <= 2.3
     report(8, "second-order functional decays, identity refines", ok,
-           f"monotone={mono} (slack 1e-10), refinement order {fine.order:.3f} "
+           f"monotone={mono} (slack 1e-10), refinement order {order:.3f} "
            f"in [1.7, 2.3]")
 
 

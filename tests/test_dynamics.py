@@ -15,6 +15,7 @@ from zkbs import (
     RegularizedFlux,
     SpectralField,
     StepperConfig,
+    duhamel_solve,
     eigenmode,
     eta,
     g_h,
@@ -33,7 +34,8 @@ from oracles import grid_quadrature, mixed_derivative
 from zkbs.cli import PROFILES
 import zkbs.domain
 import zkbs.dynamics
-from zkbs.trajectory import Trajectory
+import zkbs.trajectory
+from zkbs.trajectory import _MAX_SERIES, Trajectory, _resolve_steps
 from zkbs.domain import _grid_work, _kept_band, _pad_band
 
 # hypothesis draws the cutoff scale h and |u| as a multiple of 1/h: the
@@ -753,6 +755,27 @@ class TestAuditSeries:
                                        RegularizedFlux(h=None), d)
         assert full.blowup_time == 0.0 and len(full.times) == 0
         self.assert_lean_matches_full(full, lean)
+
+    def test_recorded_series_are_the_count_that_sizes_a_run(self, small_domain,
+                                                             monkeypatch):
+        # _resolve_steps sizes every run's series as _MAX_SERIES float64
+        # columns of n + 1 values: an audit-mode h = None run records that
+        # many, the most of any run, and a linear solve fewer
+        def series(traj):
+            return [f.name for f in dataclasses.fields(traj)
+                    if isinstance(a := getattr(traj, f.name), np.ndarray)
+                    and a.dtype == np.float64]
+
+        d = small_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.5)
+        full = simulate(u0, 0.005, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
+        linear = duhamel_solve(to_spectral(u0, d), None, 0.005, 1e-3, symbol(d))
+        assert len(series(full)) == _MAX_SERIES
+        assert len(series(linear)) == 13
+        monkeypatch.setattr(zkbs.trajectory, "_memory_bytes", lambda: _MAX_SERIES * 8 * 6)
+        assert _resolve_steps(0.005, 1e-3) == 5
+        with pytest.raises(ValueError, match="6 steps cannot be recorded"):
+            _resolve_steps(0.006, 1e-3)
 
     def test_only_a_full_run_evaluates_the_averaged_state(self, small_domain):
         # the third flux call is the averaged state of step 1 in a full run

@@ -8,9 +8,7 @@ from zkbs import (
     RegularizedFlux,
     SpectralField,
     StepperConfig,
-    attach_refinement_order,
     audit_identity,
-    audit_linear_identity,
     decay_fit,
     duhamel_solve,
     eigenmode,
@@ -19,6 +17,7 @@ from zkbs import (
     parseval_norm_sq,
     plan_domain,
     random_band,
+    refinement_order,
     simulate,
     symbol,
     threshold_time,
@@ -279,9 +278,9 @@ class TestNonlinearAudits:
     def test_residuals_refine_at_second_order(self, run, ident):
         coarse_traj, fine_traj = run
         coarse = audit_identity(coarse_traj, ident)
-        fine = attach_refinement_order(coarse, audit_identity(fine_traj, ident))
+        order = refinement_order(coarse, audit_identity(fine_traj, ident))
         assert coarse.identity == ident
-        assert 1.7 <= fine.order <= 2.3, ident
+        assert 1.7 <= order <= 2.3, ident
 
     def test_mass_residual_small_at_default_dt(self, run):
         _, fine_traj = run
@@ -296,17 +295,25 @@ class TestNonlinearAudits:
         reports = [audit_identity(simulate(u0, 0.01, StepperConfig(dt=dt), flux, d),
                                   "mass_3_3") for dt in (2e-3, 1e-3)]
         assert reports[0].max_residual == 0.0 == reports[1].max_residual
-        fine = attach_refinement_order(*reports)
-        assert fine.order is None
-        assert fine.dt_pair == (2e-3, 1e-3)
+        assert refinement_order(*reports) is None
+        assert (reports[0].dt, reports[1].dt) == (2e-3, 1e-3)
+
+    def test_refinement_order_needs_one_identity_at_a_finer_step(self, run):
+        coarse, fine = (audit_identity(traj, "mass_3_3") for traj in run)
+        with pytest.raises(ValueError, match="same identity"):
+            refinement_order(coarse, audit_identity(run[1], "h1_3_15"))
+        with pytest.raises(ValueError, match="coarse.dt > fine.dt"):
+            refinement_order(fine, coarse)
 
     def test_missing_series_raises(self, small_domain):
+        # a linear solve records the work series of the three order-k
+        # identities, as zeros, but not combined_3_23's u^2/2 pairings
         d = small_domain
         S = symbol(d)
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, None, 0.01, 1e-3, S)
-        with pytest.raises(ValueError, match="mid_rhs_h1"):
-            audit_identity(traj, "h1_3_15")
+        with pytest.raises(ValueError, match="'cube'"):
+            audit_identity(traj, "combined_3_23")
 
     @pytest.mark.parametrize("ident,missing", [
         ("h1_3_15", "mid_rhs_h1"), ("combined_3_23", "cube"), ("h2_3_29", "mid_rhs_h2")])
@@ -323,14 +330,18 @@ class TestNonlinearAudits:
     @pytest.mark.parametrize("ident,k,rhs", [
         ("mass_3_3", 0, None), ("h1_3_15", 1, "mid_rhs_h1"), ("h2_3_29", 2, "mid_rhs_h2")])
     def test_identities_share_the_trajectory_balance(self, run, ident, k, rhs):
-        # the nonlinear audits and the homogeneous linear ones take one left side
+        # a nonlinear run and a homogeneous linear one audit through one left
+        # side; the linear run's work series are zeros, so its residual is
+        # that left side, bit for bit
         traj = run[0]
         work = (_cumulative_trapezoid(traj, 2.0 * traj.nonlin_flux) if rhs is None
                 else _cumulative_midpoint(traj, getattr(traj, rhs)))
         assert np.array_equal(audit_identity(traj, ident).residual,
                               np.abs(_balance(traj, k) - work))
-        assert np.array_equal(audit_linear_identity(traj, ("mass", "grad", "hess")[k]).residual,
-                              np.abs(_balance(traj, k)))
+        linear = duhamel_solve(SpectralField(traj.snapshots[0]), None, 0.02, 2e-3,
+                               symbol(traj.domain))
+        assert np.array_equal(audit_identity(linear, ident).residual,
+                              np.abs(_balance(linear, k)))
 
     def test_one_step_run_audits_to_two_finite_residuals(self):
         d = plan_domain(math.pi, 16 * math.pi, 32, 8, 0.5)

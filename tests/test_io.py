@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestSnapshots:
         p = tmp_path / "head.zkbs"
         p.write_bytes(b"ZKBS\x01\x00")
         with pytest.raises(ValueError, match="truncated snapshot header"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("side", [2**31, 2**20], ids=["overflows", "asks-8-TiB"])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, side):
+        # the header alone, claiming side x side samples: checked against the
+        # file's size before anything is read or allocated
+        p = tmp_path / "huge.zkbs"
+        p.write_bytes(SNAPSHOT_MAGIC + struct.pack("<III", 1, side, side))
+        with pytest.raises(ValueError, match=f"truncated snapshot payload: a {side} x {side}"):
+            read_snapshot(p)
+
+    def test_trailing_bytes(self, tmp_path, rng):
+        p = tmp_path / "long.zkbs"
+        write_snapshot(p, rng.standard_normal((6, 5)))
+        p.write_bytes(p.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing bytes: a 6 x 5 snapshot is 256 bytes, "
+                                             "the file is 264"):
             read_snapshot(p)
 
 

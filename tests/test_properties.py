@@ -153,7 +153,7 @@ def test_split_forcing_pairs_as_its_sum(d, seed, scale):
     # is -integral (f1 u_x + f2 u_y), so one forcing can replace the split
     rng = np.random.default_rng(seed)
     u, f1, f2 = (half_spectrum_coeffs(d, rng, scale) for _ in range(3))
-    ix, ky = 1j * d.xi_odd[:, None], d.ky[None, :]
+    ix, ky = 1j * d.xi_odd[:, None], np.sqrt(d.lam)[None, :]
     got = mode_inner(u, ix * f1 - ky * f2, d)
     want = -mode_inner(ix * u, f1, d) - mode_inner(ky * u, f2, d)
     size = math.sqrt(parseval_norm_sq(u, d)) * (math.sqrt(parseval_norm_sq(ix * f1, d))

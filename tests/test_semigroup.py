@@ -8,12 +8,12 @@ from zkbs import (
     GridField,
     SpectralField,
     apply_semigroup,
-    audit_linear_identity,
-    attach_refinement_order,
+    audit_identity,
     duhamel_solve,
     parseval_norm_sq,
     phi,
     plan_domain,
+    refinement_order,
     symbol,
     to_grid,
     to_spectral,
@@ -368,24 +368,22 @@ class TestLinearAudits:
         nrm = math.sqrt(parseval_norm_sq(s0.coeffs, d))
         s0 = SpectralField(s0.coeffs / nrm)
         traj = duhamel_solve(s0, None, 1e-3, 1e-5, S, snapshot_stride=0)
-        rep = audit_linear_identity(traj, "mass")
-        assert rep.identity == "linear_mass"
+        rep = audit_identity(traj, "mass_3_3")
+        assert rep.identity == "mass_3_3"
         assert rep.max_residual <= 1e-10
 
-    @pytest.mark.parametrize("which", ["mass", "grad", "hess"])
+    @pytest.mark.parametrize("which", ["mass_3_3", "h1_3_15", "h2_3_29"],
+                             ids=["mass", "grad", "hess"])
     def test_homogeneous_residuals_refine_at_second_order(self, small_domain, which):
         d = small_domain
         S = symbol(d)
         rng = np.random.default_rng(11)
         u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
-        coarse = audit_linear_identity(
-            duhamel_solve(u0, None, 0.2, 2e-3, S, snapshot_stride=0), which)
-        fine = attach_refinement_order(
-            coarse,
-            audit_linear_identity(
-                duhamel_solve(u0, None, 0.2, 1e-3, S, snapshot_stride=0), which))
-        assert fine.dt_pair == (2e-3, 1e-3)
-        assert 1.7 <= fine.order <= 2.3
+        coarse, fine = (audit_identity(
+            duhamel_solve(u0, None, 0.2, dt, S, snapshot_stride=0), which)
+            for dt in (2e-3, 1e-3))
+        assert (coarse.dt, fine.dt) == (2e-3, 1e-3)
+        assert 1.7 <= refinement_order(coarse, fine) <= 2.3
 
     def test_forced_mass_residual_refines_at_second_order(self, small_domain):
         d = small_domain
@@ -401,16 +399,14 @@ class TestLinearAudits:
             # f = f0 + d/dx f1 + d/dy f2; f2 lives in the cosine basis,
             # so its y derivative lands in the sine basis with a minus
             fx = 1j * d.xi_odd[:, None] * f1c
-            fy = -d.ky[None, :] * f2c
+            fy = -np.sqrt(d.lam)[None, :] * f2c
             return w * (f0c + fx + fy)
 
         def run(dt):
             traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_linear_identity(traj, "mass", forcing=forcing)
+            return audit_identity(traj, "mass_3_3", forcing=forcing)
 
-        coarse, fine = run(2e-3), run(1e-3)
-        fine = attach_refinement_order(coarse, fine)
-        assert 1.7 <= fine.order <= 2.3
+        assert 1.7 <= refinement_order(run(2e-3), run(1e-3)) <= 2.3
 
     def test_forced_grad_and_hess_residuals_refine(self, small_domain):
         d = small_domain
@@ -424,11 +420,10 @@ class TestLinearAudits:
 
         def rep(which, dt):
             traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_linear_identity(traj, which, forcing=forcing)
+            return audit_identity(traj, which, forcing=forcing)
 
-        for which in ("grad", "hess"):
-            fine = attach_refinement_order(rep(which, 2e-3), rep(which, 1e-3))
-            assert 1.7 <= fine.order <= 2.3, which
+        for which in ("h1_3_15", "h2_3_29"):
+            assert 1.7 <= refinement_order(rep(which, 2e-3), rep(which, 1e-3)) <= 2.3, which
 
     def test_forced_audit_pairs_each_order_with_its_weight(self, small_domain):
         # one mode from rest under constant forcing: each identity is the mass
@@ -442,9 +437,9 @@ class TestLinearAudits:
             return f
 
         traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, 0.2, 1e-3, symbol(d))
-        for which, energy in (("mass", traj.l2**2), ("grad", traj.diss_l2),
-                              ("hess", traj.e2_mixed)):
-            rep = audit_linear_identity(traj, which, forcing=forcing)
+        for which, energy in (("mass_3_3", traj.l2**2), ("h1_3_15", traj.diss_l2),
+                              ("h2_3_29", traj.e2_mixed)):
+            rep = audit_identity(traj, which, forcing=forcing)
             assert rep.max_residual <= 1e-5 * np.max(energy), which
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -455,8 +450,8 @@ class TestLinearAudits:
         f0c = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
         forcing = (lambda t: f0c * math.cos(t)) if forced else None
         traj = duhamel_solve(u0, forcing, 1e-3, 1e-3, symbol(d))
-        for which in ("mass", "grad", "hess"):
-            rep = audit_linear_identity(traj, which, forcing=forcing)
+        for which in ("mass_3_3", "h1_3_15", "h2_3_29"):
+            rep = audit_identity(traj, which, forcing=forcing)
             assert rep.residual.shape == (2,) and np.all(np.isfinite(rep.residual)), which
             assert np.array_equal(rep.times, traj.times)
 
@@ -471,8 +466,8 @@ class TestLinearAudits:
             return f0c * math.exp(-t)
 
         traj = duhamel_solve(u0, forcing, 0.05, 1e-3, symbol(d), snapshot_stride=0)
-        for which in ("mass", "grad", "hess"):
-            rep = audit_linear_identity(traj, which, forcing=forcing)
+        for which in ("mass_3_3", "h1_3_15", "h2_3_29"):
+            rep = audit_identity(traj, which, forcing=forcing)
             assert rep.times.tolist() == [traj.times[0], traj.times[-1]], which
             assert rep.residual.shape == (2,) and rep.residual[0] == 0.0, which
 
@@ -481,4 +476,6 @@ class TestLinearAudits:
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, None, 0.01, 1e-3, symbol(d))
         with pytest.raises(ValueError, match="unknown"):
-            audit_linear_identity(traj, "momentum")
+            audit_identity(traj, "momentum")
+        with pytest.raises(ValueError, match="no forced form"):
+            audit_identity(traj, "combined_3_23", forcing=lambda t: np.zeros(d.spectral_shape))

@@ -145,7 +145,15 @@ def test_energy_audits_and_their_time_rules_live_in_functionals():
     # one module decides how every energy identity is integrated in time
     found = {path.name: names for path in MODULES
              if (names := audit_definitions(path.read_text()))}
-    assert set(found) == {"functionals.py"}, found
+    assert found == {"functionals.py": ["_cumulative_midpoint", "_cumulative_trapezoid",
+                                        "_balance", "audit_identity"]}, found
+
+
+def test_package_defines_one_public_audit():
+    # every identity, nonlinear or linear, forced or not, audits through one function
+    public = [name for path in MODULES for name in audit_definitions(path.read_text())
+              if name.startswith("audit")]
+    assert public == ["audit_identity"]
 
 
 # public names that no module or bench script reads, each kept for a reader outside them
