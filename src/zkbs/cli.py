@@ -186,26 +186,26 @@ def _working_set_bytes(cfg: RunConfig) -> int:
     float64 grid array), from the arrays each subcommand keeps live at its
     peak, and checked against tracemalloc peaks on 512 x 128, 256 x 512,
     2048 x 32 and 128 x 1024 grids (the measured count in brackets):
-      simulate, decay  16 [12.7-13.4] + snapshots + sine block: the step's
+      simulate  16 [11.4-12.0] + snapshots + sine block: the step's
         tables, weights and band blocks, the grid buffer and flux output,
         and the transforms' odd extension with its FFT (4 grids);
       picard  13 [10.4-10.8] + window stack + sine block;
-      audit, linear-verify  not counted, below simulate's count with its
-        2 or more snapshots: audit [14.5-15.1] + sine block holds one run
+      decay, audit, linear-verify  not counted, below simulate's count
+        with its 2 or more snapshots: decay [13.5-14.0] + sine block
+        keeps the two ends, audit [15.5-16.2] + sine block holds one run
         at a time, and linear-verify [4.7-11.4] solves on 8 x 4 modes, so
         only its propagator checks' transforms sit on the grid.
-    A snapshot is one half spectrum (decay keeps at least as many as
-    simulate), the window stack is Picard's one (n + 1, kx, ky) complex
-    stack on its last window, and the (ny, ky) sine block grows as ny^2.
-    The recorder's per-step series are sized apart, in _resolve_steps.
+    A snapshot is one half spectrum, the window stack is Picard's one
+    (n + 1, kx, ky) complex stack on its last window, and the (ny, ky) sine
+    block grows as ny^2.  The recorder's per-step series are sized apart,
+    in _resolve_steps.
     """
     kx, ky = _kept_band(cfg)  # reads nx and ny only
     spec = 16 * (cfg.nx // 2 + 1) * cfg.ny
     sine = 8 * cfg.ny * ky
     n = round(cfg.t_end / cfg.dt)
-    # cmd_decay's stride; cmd_simulate's is snapshot_stride, which keeps no more
-    stride = cfg.snapshot_stride or max(1, n // 128)
-    snapshots = n // stride + 1 + (n % stride > 0)  # the last boundary is always kept
+    stride = cfg.snapshot_stride or n
+    snapshots = -(-n // stride) + 1  # boundaries 0, stride, ... below n, and n
     window = max(1, round(_PICARD_WINDOWS[-1] / cfg.dt))
     return max((16 + snapshots) * spec + sine,
                13 * spec + (window + 1) * 16 * kx * ky + sine)
@@ -529,10 +529,7 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
         checks.not_applicable("decay_fits", "zero initial data")
         return checks, {}
 
-    nsteps = _resolve_steps(cfg.t_end, cfg.dt)
-    stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else max(1, nsteps // 128)
-    traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d,
-                              snapshot_stride=stride, audit_series=False))
+    traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, audit_series=False))
 
     with open(out / "decay.csv", "w", newline="") as fh:
         fh.write("t,l2,h1,h2\n")

@@ -1,10 +1,10 @@
-"""Norms, energy-balance audits, decay fits and threshold reports.
+"""Energy-balance audits, decay fits and threshold reports.
 
 Everything here evaluates on the shared Parseval normalization from
 zkbs.domain, and every per-mode weight comes from its one table,
-domain.mode_multipliers: norm() is the H^s norm for s in [0, 2], and
-the audits read the energies the recorder sums against the same table,
-with one term per partial where the energy identities have one (for
+domain.mode_multipliers: the decay fits read the H^s norms and the
+audits the energies that the recorder sums against that table, with
+one term per partial where the energy identities have one (for
 instance u_xx^2 + u_xy^2 + u_yy^2 in e2_mixed).
 """
 
@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainConfig, SpectralField, mode_inner, mode_multipliers
-from .trajectory import Trajectory
+from .domain import mode_inner, mode_multipliers
+from .trajectory import _NORM_COLUMNS, Trajectory
 
 __all__ = [
-    "norm",
     "EnergyReport",
     "refinement_order",
     "audit_identity",
@@ -30,14 +29,6 @@ __all__ = [
 ]
 
 IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
-
-
-def norm(u: SpectralField, s: float, d: DomainConfig) -> float:
-    """Parseval evaluation of the H^s norm, s in [0, 2]."""
-    if not 0.0 <= s <= 2.0:
-        raise ValueError("Sobolev exponent s must lie in [0, 2]")
-    w = mode_multipliers(d).hs(s)
-    return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2)))
 
 
 def _require_series(traj: Trajectory, names: tuple[str, ...], which: str) -> None:
@@ -180,23 +171,18 @@ class DecayFit:
     n_samples: int
 
 
-def _norm_series(traj: Trajectory, s: float):
-    """Times and H^s norm values for the fit; dense columns when available."""
-    if s in (0.0, 1.0, 2.0):
-        return traj.times, {0.0: traj.l2, 1.0: traj.h1, 2.0: traj.h2}[s]
-    vals = np.array([norm(SpectralField(c), s, traj.domain) for c in traj.snapshots])
-    return traj.times[traj.snapshot_indices], vals
-
-
 def decay_fit(traj: Trajectory, s: float,
               window: tuple[float, float] | None = None) -> DecayFit:
-    """Fit log ||u||_{H^s} ~ intercept + slope * t on the window, s in [0, 2].
+    """Fit log ||u||_{H^s} ~ intercept + slope * t on the window.
 
-    The default window is [0.2 T, T].  At least 10 samples must fall in
-    the window and the norm must stay above underflow; both violations
-    raise ValueError.
+    s is one of the orders every run records: 0, 1/2, 1, 3/2 and 2.  The
+    default window is [0.2 T, T].  At least 10 samples must fall in the
+    window and the norm must stay above underflow; both violations raise
+    ValueError.
     """
-    times, values = _norm_series(traj, s)
+    if s not in _NORM_COLUMNS:
+        raise ValueError(f"no H^s norm is recorded for s = {s!r}, only {tuple(_NORM_COLUMNS)}")
+    times, values = traj.times, getattr(traj, _NORM_COLUMNS[s])
     if window is None:
         window = (0.2 * float(times[-1]), float(times[-1]))
     ta, tb = window

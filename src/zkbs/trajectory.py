@@ -3,8 +3,8 @@
 A Trajectory stores scalar diagnostics densely (one value per step
 boundary, plus one value per step interval for the quantities that feed
 the energy audits) and spectral snapshots at a caller-chosen stride.
-The audits (zkbs.functionals) integrate the dense scalar series in
-time, so memory does not grow with snapshot resolution.
+The audits and decay fits (zkbs.functionals) read the dense scalar
+series alone, so memory does not grow with snapshot resolution.
 
 Midpoint-interval series (mid_*) hold the audit integrands evaluated on
 the averaged state (u_n + u_{n+1}) / 2, which is how the midpoint time
@@ -34,6 +34,8 @@ class Trajectory:
     l2: np.ndarray                    # (n+1,) L2 norm
     h1: np.ndarray                    # (n+1,) full H1 norm
     h2: np.ndarray                    # (n+1,) full H2 norm
+    h_half: np.ndarray                # (n+1,) H^(1/2) norm
+    h3_half: np.ndarray               # (n+1,) H^(3/2) norm
     diss_l2: np.ndarray               # (n+1,) integral u_x^2 + u_y^2
     diss_h1: np.ndarray               # (n+1,) integral u_xx^2 + 2 u_xy^2 + u_yy^2
     e2_mixed: np.ndarray              # (n+1,) integral u_xx^2 + u_xy^2 + u_yy^2
@@ -64,9 +66,12 @@ class Trajectory:
         return self.diss_l2 + self.l2**2
 
 
+# Sobolev order s -> the column of ||u||_{H^s} that every run records at every boundary
+_NORM_COLUMNS = {0.0: "l2", 0.5: "h_half", 1.0: "h1", 1.5: "h3_half", 2.0: "h2"}
+
 # the most float64 series a run records: an audit-mode simulate() run at h = None
-# keeps 9 per boundary (times included) and 6 per step, a duhamel_solve() run 8 and 5
-_MAX_SERIES = 15
+# keeps 11 per boundary (times included) and 6 per step, a duhamel_solve() run 10 and 5
+_MAX_SERIES = 17
 
 
 def _resolve_steps(T: float, dt: float) -> int:
@@ -98,20 +103,23 @@ def _memory_bytes() -> float:
 class _Recorder:
     """Fills one Trajectory, boundary by boundary and step by step.
 
-    It owns the step count, the six boundary-norm columns, the mid_diss
-    series, the snapshot stride (0 keeps the first and last boundary
-    only) and the truncation of a run that blew up: trajectory() keeps
-    the first `rows` boundaries and rows - 1 steps.  Callers add their
-    own series, named at construction, as keyword values; nonlin_flux
-    always exists and stays zero unless written.  Built-in series sum
-    |c|^2 against mode_multipliers weights times the Parseval row weight,
-    sliced once to the recorded state's leading `shape` block (simulate records its
-    kept band); snapshots are padded to the full half spectrum.
+    It owns the step count, the eight boundary norm and energy columns,
+    the mid_diss series, the snapshot stride (an integer >= 0; 0 keeps the
+    first and last boundary only) and the truncation of a run that blew
+    up: trajectory() keeps the first `rows` boundaries and rows - 1 steps.
+    Callers add their own series, named at construction, as keyword
+    values; nonlin_flux always exists and stays zero unless written.
+    Built-in series sum |c|^2 against mode_multipliers weights times the
+    Parseval row weight, sliced once to the recorded state's leading
+    `shape` block (simulate records its kept band); snapshots are padded
+    to the full half spectrum.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
                  boundary_series: tuple = (), interval_series: tuple = (),
                  shape: tuple[int, int] | None = None):
+        if not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride must be an integer >= 0, got {snapshot_stride!r}")
         n = _resolve_steps(T, dt)
         self.domain, self.n_steps, self.stride = d, n, snapshot_stride
         self.times = dt * np.arange(n + 1)
@@ -121,12 +129,17 @@ class _Recorder:
         def stack(*ws):  # a (series, modes) matrix, so that each record makes one contraction
             return np.stack([W * w[:rows, :cols] for w in ws]).reshape(len(ws), -1)
         self.stacked = stack(m.hs(0), m.hs(1), m.hs(2), m.d1, m.d2, m.e2)
+        # the half orders take a product of their own: as rows 7 and 8 of the one
+        # above they would change how it is blocked, and the last bits of its rows
+        self.half_stacked = stack(m.hs(0.5), m.hs(1.5))
         self.mid_stacked = stack(m.d1, m.d2, m.d3)
-        self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed"),
-                                self.stacked))
+        self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed",
+                                 "h_half", "h3_half"), (*self.stacked, *self.half_stacked)))
         self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
         self.cols = {name: np.zeros(n + 1) for name in
                      (*self.weights, "nonlin_flux", *boundary_series)}
+        # each weight row's column, and whether it stores the square root of its sum
+        self.targets = [(self.cols[name], name in _NORM_COLUMNS.values()) for name in self.weights]
         self.mid = {name: np.zeros(n) for name in (*self.mid_weights, *interval_series)}
         self.snapshot_indices, self.snapshots = [], []
         self._re2, self._im2 = np.empty((2, rows, cols))  # squares of the recorded state
@@ -140,9 +153,10 @@ class _Recorder:
         return self._re2_flat
 
     def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
-        sums = self.stacked @ self._sum_squares(coeffs)
-        for name, value in zip(self.weights, sums):
-            self.cols[name][i] = sqrt(value) if name in ("l2", "h1", "h2") else value
+        squares = self._sum_squares(coeffs)
+        sums = (self.stacked @ squares).tolist() + (self.half_stacked @ squares).tolist()
+        for (col, norm), value in zip(self.targets, sums):
+            col[i] = sqrt(value) if norm else value
         self.put(i, **values)
         if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
             self.snapshot_indices.append(i)

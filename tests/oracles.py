@@ -3,8 +3,8 @@
 The package takes every integral as a Parseval sum of mode amplitudes.
 The tests check those sums, and the paper's Steklov and interpolation
 inequalities, against the independent quantities here: tensor grid
-quadrature, derivatives synthesized on the grid, and per-field
-derivative energies.
+quadrature, derivatives synthesized on the grid, per-field derivative
+energies, and the H^s norm of one field for any s in [0, 2].
 """
 
 import math
@@ -13,6 +13,14 @@ import numpy as np
 
 from zkbs import GridField, SpectralField, mode_multipliers, parseval_norm_sq, to_grid
 from zkbs.domain import _check_spectral
+
+
+def norm(u, s, d):
+    """Parseval evaluation of the H^s norm of one spectral field, s in [0, 2]."""
+    if not 0.0 <= s <= 2.0:
+        raise ValueError("Sobolev exponent s must lie in [0, 2]")
+    w = mode_multipliers(d).hs(s)
+    return math.sqrt(float(np.sum(d.parseval_weight[:, None] * w * np.abs(u.coeffs) ** 2)))
 
 
 def grid_quadrature(values, d):

@@ -202,6 +202,17 @@ class TestSimulateOutputs:
 
 
 class TestOtherCommands:
+    def test_decay_does_not_read_the_snapshot_stride(self, tmp_path, capsys):
+        # decay fits every boundary's recorded norms, so the stride of
+        # simulate's snapshot files changes nothing, even past the run's 50 steps
+        outputs = []
+        for stride in (0, 1, 200):
+            cfg = write_cfg(tmp_path, SMALL + f"snapshot_stride = {stride}\n")
+            out = tmp_path / f"o{stride}"
+            assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, (out / "decay.json").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_decay_skips_zero_data(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "generator = eigenmode\namplitude = 0\n")
         code = main(["decay", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -541,7 +552,7 @@ def test_a_grid_that_fits_once_but_not_as_a_run_is_refused_unallocated(tmp_path,
 def test_working_set_bounds_every_subcommands_measured_peak(tmp_path, capsys):
     # the counted working set against the peak of what each subcommand
     # allocates (tracemalloc sees numpy's arrays); with every step's snapshot
-    # kept, decay's count is the largest, and the bound is loose by at most 2x
+    # kept, simulate's count is the largest, and the bound is loose by at most 2x
     cfg = write_cfg(tmp_path, SMALL + "nx = 128\nny = 64\nsnapshot_stride = 1\n")
     need = zkbs.cli._working_set_bytes(load_config(cfg))
     peaks = {}

@@ -611,6 +611,19 @@ class TestSimulate:
                         RegularizedFlux(h=None), d, snapshot_stride=0)
         assert list(traj.snapshot_indices) == [0, 20]
 
+    @pytest.mark.parametrize("stride", [-3, -1, 2.5])
+    def test_snapshot_stride_must_be_an_integer_at_least_zero(self, medium_domain, stride):
+        # both integrators refuse it before any step: a negative stride would
+        # keep the two ends alone, and 2.5 every fifth boundary
+        d = medium_domain
+        u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 0"):
+            simulate(u0, 0.01, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d,
+                     snapshot_stride=stride)
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 0"):
+            duhamel_solve(to_spectral(u0, d), None, 0.01, 1e-3, symbol(d),
+                          snapshot_stride=stride)
+
     def test_rejects_non_divisible_dt(self, medium_domain):
         d = medium_domain
         u0 = gaussian_bump(d, 0.0, 2.0, 1, 0.3)
@@ -771,7 +784,7 @@ class TestAuditSeries:
         full = simulate(u0, 0.005, StepperConfig(dt=1e-3), RegularizedFlux(h=None), d)
         linear = duhamel_solve(to_spectral(u0, d), None, 0.005, 1e-3, symbol(d))
         assert len(series(full)) == _MAX_SERIES
-        assert len(series(linear)) == 13
+        assert len(series(linear)) == 15
         monkeypatch.setattr(zkbs.trajectory, "_memory_bytes", lambda: _MAX_SERIES * 8 * 6)
         assert _resolve_steps(0.005, 1e-3) == 5
         with pytest.raises(ValueError, match="6 steps cannot be recorded"):

@@ -13,7 +13,6 @@ from zkbs import (
     duhamel_solve,
     eigenmode,
     gaussian_bump,
-    norm,
     parseval_norm_sq,
     plan_domain,
     random_band,
@@ -30,6 +29,7 @@ from oracles import (
     grid_quadrature,
     interpolation_ratio,
     mixed_derivative,
+    norm,
     steklov_margin,
 )
 from zkbs.functionals import (
@@ -380,17 +380,26 @@ class TestDecayFit:
         assert abs(fit.slope + d.delta * (xi**2 + lam)) <= 1e-8
         assert fit.fit_rms <= 1e-10
 
-    def test_fractional_norm_uses_snapshots(self, small_domain):
+    def test_fractional_norms_are_fitted_from_their_recorded_columns(self, small_domain):
+        # no snapshot beyond the two ends is kept, and every boundary is fitted
         d = small_domain
         S = symbol(d)
         traj = duhamel_solve(single_mode(d, 2, 1, 1.0), None, 1.0, 1e-2, S,
-                             snapshot_stride=2)
-        fit = decay_fit(traj, 0.5)
+                             snapshot_stride=0)
         xi = np.pi * 2 / d.X
         lam = (np.pi / d.L) ** 2
-        # H^s of a single mode is a constant multiple of L2, same slope
-        assert abs(fit.slope + d.delta * (xi**2 + lam)) <= 1e-8
-        assert fit.n_samples >= 10
+        for s in (0.5, 1.5):
+            fit = decay_fit(traj, s)
+            # H^s of a single mode is a constant multiple of L2, same slope
+            assert abs(fit.slope + d.delta * (xi**2 + lam)) <= 1e-8, s
+            assert fit.n_samples == 81, s
+
+    def test_unrecorded_order_raises(self, small_domain):
+        traj = duhamel_solve(single_mode(small_domain, 1, 1, 1.0), None, 0.1, 1e-3,
+                             symbol(small_domain), snapshot_stride=0)
+        for s in (0.25, 1.75, 3.0, math.nan):
+            with pytest.raises(ValueError, match="no H\\^s norm is recorded"):
+                decay_fit(traj, s)
 
     def test_window_validation(self, small_domain):
         d = small_domain

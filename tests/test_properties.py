@@ -16,14 +16,13 @@ from zkbs import (
     SpectralField,
     mode_inner,
     mode_multipliers,
-    norm,
     parseval_norm_sq,
     plan_domain,
     symbol,
     to_grid,
     to_spectral,
 )
-from oracles import dk_seminorm_sq, grid_quadrature
+from oracles import dk_seminorm_sq, grid_quadrature, norm
 from zkbs.domain import _band_to_grid, _band_to_spectral, _grid_work, _kept_band, _pad_band
 from zkbs.dynamics import _nonlinear_core
 from zkbs.trajectory import _Recorder
@@ -117,7 +116,8 @@ def test_recorded_norms_and_symbol_read_the_one_weight_table(d, seed, scale, del
     rec = _Recorder(d, 1.0, 1.0, 0)
     rec.boundary(0, c)
     u = SpectralField(c)
-    want = {"l2": norm(u, 0, d), "h1": norm(u, 1, d), "h2": norm(u, 2, d),
+    want = {"l2": norm(u, 0, d), "h_half": norm(u, 0.5, d), "h1": norm(u, 1, d),
+            "h3_half": norm(u, 1.5, d), "h2": norm(u, 2, d),
             "diss_l2": dk_seminorm_sq(u, 1, d), "e2_mixed": dk_seminorm_sq(u, 2, d)}
     for name, value in want.items():
         assert math.isclose(rec.cols[name][0], value, rel_tol=1e-12), name

@@ -279,8 +279,9 @@ def expression_form_solve(u0, forcing, T, dt, S):
 
     Every product and sum makes a fresh temporary, in the order that
     duhamel_solve's in-place step takes them.  Returns the states, the
-    boundary sums (l2^2, h1^2, h2^2, diss_l2, diss_h1, e2_mixed) and the
-    interval sums (mid_diss0/1/2).
+    boundary sums (l2^2, h1^2, h2^2, diss_l2, diss_h1, e2_mixed, then
+    h_half^2 and h3_half^2, each product apart) and the interval sums
+    (mid_diss0/1/2).
     """
     rec = _Recorder(S.domain, T, dt, 1)
     z = S.m * dt
@@ -290,11 +291,11 @@ def expression_form_solve(u0, forcing, T, dt, S):
     w_mid = dt * (4.0 * p2 - 8.0 * p3)
     w_right = dt * (4.0 * p3 - p2)
 
-    def sums(stacked, c):
-        return stacked @ (c.real**2 + c.imag**2).ravel()
+    def sums(c, *products):
+        return np.concatenate([m @ (c.real**2 + c.imag**2).ravel() for m in products])
 
     u = np.array(u0.coeffs, dtype=complex)
-    states, bsums, msums = [u], [sums(rec.stacked, u)], []
+    states, bsums, msums = [u], [sums(u, rec.stacked, rec.half_stacked)], []
     f_right = None if forcing is None else forcing(rec.times[0])
     for i in range(rec.n_steps):
         if forcing is None:
@@ -303,10 +304,10 @@ def expression_form_solve(u0, forcing, T, dt, S):
             f_left, f_mid, f_right = (f_right, forcing(rec.times[i] + 0.5 * dt),
                                       forcing(rec.times[i + 1]))
             u_next = E * u + w_left * f_left + w_mid * f_mid + w_right * f_right
-        msums.append(sums(rec.mid_stacked, 0.5 * (u + u_next)))
+        msums.append(sums(0.5 * (u + u_next), rec.mid_stacked))
         u = u_next
         states.append(u)
-        bsums.append(sums(rec.stacked, u))
+        bsums.append(sums(u, rec.stacked, rec.half_stacked))
     return states, np.array(bsums).T, np.array(msums).T
 
 
@@ -331,9 +332,9 @@ class TestInPlaceStep:
         assert len(traj.snapshots) == len(states) == 51
         for got, want in zip(traj.snapshots, states, strict=True):
             assert np.array_equal(got, want)
-        for name, want in zip(("l2", "h1", "h2"), bsums[:3]):
+        for name, want in zip(("l2", "h1", "h2", "h_half", "h3_half"), bsums[[0, 1, 2, 6, 7]]):
             assert np.array_equal(getattr(traj, name), np.sqrt(want)), name
-        for name, want in zip(("diss_l2", "diss_h1", "e2_mixed"), bsums[3:]):
+        for name, want in zip(("diss_l2", "diss_h1", "e2_mixed"), bsums[3:6]):
             assert np.array_equal(getattr(traj, name), want), name
         for name, want in zip(("mid_diss0", "mid_diss1", "mid_diss2"), msums):
             assert np.array_equal(getattr(traj, name), want), name
@@ -349,9 +350,9 @@ class TestInPlaceStep:
         rec.boundary(0, block)
         rec.interval(0, block)
         squares = (block.real**2 + block.imag**2).ravel()
-        want = rec.stacked @ squares
+        want = [*(rec.stacked @ squares), *(rec.half_stacked @ squares)]
         assert [rec.cols[name][0] for name in rec.weights] == [
-            math.sqrt(v) if name in ("l2", "h1", "h2") else v
+            v if name in ("diss_l2", "diss_h1", "e2_mixed") else math.sqrt(v)
             for name, v in zip(rec.weights, want)]
         assert [rec.mid[name][0] for name in rec.mid_weights] == list(
             rec.mid_stacked @ squares)
