@@ -19,7 +19,7 @@ everywhere.  The unregularized flux u^2/2 is selected with h = None.
 The vectorized flux RegularizedFlux.__call__ evaluates the band part from
 a piecewise Chebyshev table of the h-independent integral
 R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma, s = h|u| - 1 in [0, 1],
-built once at import and within 1.2e-15 of R, so its agreement with the
+built by the first cutoff flux, within 1.2e-15 of R, so its agreement with the
 adaptive-quadrature oracle g_h is bounded by the oracle's (see g_h).
 
 Time stepping has one table build (_etd2_tables) and one step
@@ -34,6 +34,7 @@ of sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,22 +107,20 @@ def eta(x):
 # eta(sigma) + eta(1 - sigma) = 1 reduce the flux to
 #     g_h(u) = (1/2 + J(s)) / h^2,  s = h |u| - 1 in [0, 1],
 #     J(s) = s + s^2/2 + R(s),  R(s) = integral_0^s (1 - sigma) eta(sigma) d sigma.
-# R depends on s alone, so it is tabulated once at import as a piecewise
-# Chebyshev interpolant (Trefethen, Approximation Theory and Approximation
-# Practice, SIAM 2013): 24 pieces of degree 11, each through Gauss-Legendre
-# values at its Chebyshev-Lobatto points, all fitted by one DCT-I (a product
-# with the (degree + 1)^2 cosine matrix).  Pieces
+# R depends on s alone, so it is tabulated once, by the first cutoff flux, as a
+# piecewise Chebyshev interpolant (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013): 24 pieces of degree 11, each through
+# Gauss-Legendre values at its Chebyshev-Lobatto points, all fitted by one DCT-I
+# (a product with the (degree + 1)^2 cosine matrix).  Pieces
 # share their seam samples, so R is continuous there to rounding, and the
 # table is within 1.2e-15 of the Gauss rule (one degree-70 interpolant: 1.1e-14).
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
-
-def _remainder_gauss(s):
-    """R(s) by a 96-node Gauss-Legendre rule on [0, s]; samples the table."""
+def _remainder_gauss(s, nodes, weights):
+    """R(s) by a Gauss-Legendre rule on [0, s]; samples the table."""
     half = 0.5 * np.asarray(s, dtype=float)[..., None]
-    sigma = half * (_GAUSS_NODES + 1.0)
-    return half[..., 0] * np.sum((1.0 - sigma) * eta(sigma) * _GAUSS_WEIGHTS, axis=-1)
+    sigma = half * (nodes + 1.0)
+    return half[..., 0] * np.sum((1.0 - sigma) * eta(sigma) * weights, axis=-1)
 
 
 _PIECES, _DEGREE = 24, 11
@@ -131,37 +130,40 @@ _LOBATTO = np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
 _DCT1 = np.cos(np.pi * (np.outer(np.arange(_DEGREE + 1), np.arange(_DEGREE + 1))
                         % (2 * _DEGREE)) / _DEGREE)
 _DCT1[:, 1:-1] *= 2.0
-# (degree + 1, pieces): row k holds every piece's T_k coefficient
-_REMAINDER_COEFFS = _DCT1 @ _remainder_gauss(
-    (np.arange(_PIECES) + 0.5 * (_LOBATTO[:, None] + 1.0)) / _PIECES) / _DEGREE
-_REMAINDER_COEFFS[[0, -1]] *= 0.5
 
 
-def _remainder(s):
-    """R(s) for s in [0, 1] from the piecewise table by Clenshaw's recurrence."""
+def _remainder(s, coeffs):
+    """R(s) for s in [0, 1] from the piecewise table coeffs by Clenshaw's recurrence."""
     t = _PIECES * s
     # truncation is floor for t >= 0 and keeps an s rounded below 0 on piece 0
     piece = np.minimum(t.astype(np.intp), _PIECES - 1)
     x = 2.0 * (t - piece) - 1.0
     x2 = 2.0 * x
-    b1, b2 = _REMAINDER_COEFFS[_DEGREE][piece], 0.0
-    for row in _REMAINDER_COEFFS[_DEGREE - 1:0:-1]:
+    b1, b2 = coeffs[_DEGREE][piece], 0.0
+    for row in coeffs[_DEGREE - 1:0:-1]:
         b1, b2 = row[piece] + x2 * b1 - b2, b1
-    return _REMAINDER_COEFFS[0][piece] + x * b1 - b2
+    return coeffs[0][piece] + x * b1 - b2
 
 
-# subtracting the table's own value at 0 makes R(0) = 0 exactly, so g_h has
-# no jump at |u| = 1/h
-_REMAINDER_AT_0 = _remainder(np.zeros(1))[0]
+def _band_integral(s, coeffs, at_0):
+    """J(s) for s in [0, 1] from the piecewise table of R and its value at 0."""
+    return s + 0.5 * s * s + (_remainder(s, coeffs) - at_0)
 
 
-def _band_integral(s):
-    """J(s) for s in [0, 1] from the piecewise table of R."""
-    return s + 0.5 * s * s + (_remainder(s) - _REMAINDER_AT_0)
+class _FluxTable(NamedTuple):
+    coeffs: np.ndarray  # (degree + 1, pieces): row k holds every piece's T_k coefficient
+    at_0: float  # the table's R(0): subtracting it makes R(0) = 0, so no jump at |u| = 1/h
+    at_1: float  # J(1) from the same table, so g_h has no jump at |u| = 2/h either
 
 
-# J(1) from the same table, so g_h has no jump at |u| = 2/h either
-_BAND_AT_1 = _band_integral(np.ones(1))[0]
+@functools.cache
+def _flux_table() -> _FluxTable:
+    """R's table from a 96-node rule, built by a cutoff flux only (see domain's OpenBLAS note)."""
+    points = (np.arange(_PIECES) + 0.5 * (_LOBATTO[:, None] + 1.0)) / _PIECES
+    coeffs = _DCT1 @ _remainder_gauss(points, *np.polynomial.legendre.leggauss(96)) / _DEGREE
+    coeffs[[0, -1]] *= 0.5
+    at_0 = _remainder(np.zeros(1), coeffs)[0]
+    return _FluxTable(coeffs, at_0, _band_integral(np.ones(1), coeffs, at_0)[0])
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,10 @@ class RegularizedFlux:
     h: float | None = None
 
     def __post_init__(self):
-        if self.h is not None and not (0.0 < self.h <= 1.0):
-            raise ValueError("cutoff scale h must lie in (0, 1]")
+        if self.h is not None:
+            if not (0.0 < self.h <= 1.0):
+                raise ValueError("cutoff scale h must lie in (0, 1]")
+            _flux_table()  # built here, so that no solve pays for it
 
     def __call__(self, u):
         """Pointwise flux values; vectorized over arrays."""
@@ -184,15 +188,16 @@ class RegularizedFlux:
         if self.h is None:
             return float(out) if scalar else out
         h = self.h
+        coeffs, at_0, at_1 = _flux_table()
         arr = np.atleast_1d(arr)
         out = np.atleast_1d(out)
         a = np.abs(arr)
         band = (a > 1.0 / h) & (a < 2.0 / h)
         if np.any(band):
-            out[band] = (0.5 + _band_integral(h * a[band] - 1.0)) / h**2
+            out[band] = (0.5 + _band_integral(h * a[band] - 1.0, coeffs, at_0)) / h**2
         tail = a >= 2.0 / h
         if np.any(tail):
-            out[tail] = (0.5 + _BAND_AT_1) / h**2 + (2.0 / h) * (a[tail] - 2.0 / h)
+            out[tail] = (0.5 + at_1) / h**2 + (2.0 / h) * (a[tail] - 2.0 / h)
         return float(out[0]) if scalar else out
 
     def prime(self, u):

@@ -463,19 +463,49 @@ def test_cli_and_its_runs_load_no_scipy(tmp_path):
     assert reports == ["scipy modules: []"] * 3, proc.stdout
 
 
-def test_dynamics_import_builds_one_gauss_legendre_rule():
-    # the flux table samples every piece from one 96-node rule built at import
+def test_only_a_cutoff_flux_builds_the_gauss_rule(tmp_path):
+    # no run-time path makes a LAPACK call (each wakes OpenBLAS's worker): the
+    # flux table's 96-node rule, whose eigensolver is one, is built by the first
+    # cutoff flux alone, once per process, and never by an import or an h = none run
     code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
         "import numpy.polynomial.legendre as leg\n"
-        "calls = []\n"
-        "real = leg.leggauss\n"
-        "leg.leggauss = lambda deg: calls.append(deg) or real(deg)\n"
-        "import zkbs.dynamics\n"
-        "print(calls)\n"
+        "rules, solves = [], []\n"
+        "real_rule, real_solve = leg.leggauss, la.eigvalsh\n"
+        "leg.leggauss = lambda deg: rules.append(deg) or real_rule(deg)\n"
+        "la.eigvalsh = lambda *args, **kw: solves.append(1) or real_solve(*args, **kw)\n"
+        "def report(label):\n"
+        "    print('spy', label, rules, len(solves))\n"
+        "import zkbs.cli\n"
+        "report('import')\n"
+        "for command in ('simulate', 'audit', 'decay', 'picard', 'linear-verify'):\n"
+        "    zkbs.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    report(command)\n"
+        "from zkbs.dynamics import RegularizedFlux\n"
+        "RegularizedFlux(h=1.0)\n"
+        "report('cutoff')\n"
+        "RegularizedFlux(h=0.5)(np.linspace(0.0, 5.0, 11))\n"
+        "report('second')\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, write_cfg(tmp_path, SMALL),
+                           str(tmp_path / "o")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[96]"
+    reports = [line for line in proc.stdout.splitlines() if line.startswith("spy ")]
+    assert reports == [
+        "spy import [] 0", "spy simulate [] 0", "spy audit [] 0", "spy decay [] 0",
+        "spy picard [] 0", "spy linear-verify [] 0", "spy cutoff [96] 1", "spy second [96] 1",
+    ], proc.stdout
+
+
+def test_forced_oracle_rule_is_numpys_16_node_rule_bit_for_bit():
+    # _forced_mode_oracle writes out the positive half of leggauss(16) and mirrors
+    # it, which gives the whole rule only because leggauss returns it symmetric
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    half = zkbs.cli._GAUSS16_HALF
+    assert np.array_equal(half.view(np.uint64), np.array([x[8:], w[8:]]).view(np.uint64))
 
 
 # the boundary and interval series every linear solve records

@@ -307,10 +307,11 @@ class TestNumpyTransforms:
     def test_flux_table_matches_the_scipy_dct_build(self):
         dyn = zkbs.dynamics
         samples = dyn._remainder_gauss(
-            (np.arange(dyn._PIECES) + 0.5 * (dyn._LOBATTO[:, None] + 1.0)) / dyn._PIECES)
+            (np.arange(dyn._PIECES) + 0.5 * (dyn._LOBATTO[:, None] + 1.0)) / dyn._PIECES,
+            *np.polynomial.legendre.leggauss(96))
         want = scipy.fft.dct(samples, type=1, axis=0) / dyn._DEGREE
         want[[0, -1]] *= 0.5
-        assert np.max(np.abs(dyn._REMAINDER_COEFFS - want)) <= 2e-16
+        assert np.max(np.abs(dyn._flux_table().coeffs - want)) <= 2e-16
 
     @settings(deadline=None)
     @given(h=st.sampled_from((None, 0.5)), seeds=st.lists(st.integers(0, 2**32 - 1),

@@ -182,7 +182,8 @@ class TestTabulatedFlux:
 
     def test_table_matches_gauss_rule(self):
         s = np.linspace(0.0, 1.0, 100_001)
-        err = np.abs(zkbs.dynamics._remainder(s) - zkbs.dynamics._remainder_gauss(s))
+        got = zkbs.dynamics._remainder(s, zkbs.dynamics._flux_table().coeffs)
+        err = np.abs(got - zkbs.dynamics._remainder_gauss(s, *np.polynomial.legendre.leggauss(96)))
         assert np.max(err) <= 2e-15
 
     @given(h=cutoff_scales, seam=st.integers(min_value=1, max_value=23), sign=signs)
