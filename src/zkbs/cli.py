@@ -543,9 +543,10 @@ def cmd_decay(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     traj = _complete(simulate(u0, cfg.t_end, cfg.stepper(), cfg.flux(), d, audit_series=False))
 
     with open(out / "decay.csv", "w", newline="") as fh:
-        fh.write("t,l2,h1,h2\n")
-        for i, t in enumerate(traj.times):
-            fh.write(f"{t:.17g},{traj.l2[i]:.17g},{traj.h1[i]:.17g},{traj.h2[i]:.17g}\n")
+        # every recorded norm the fits read, so each fit can be redone from the file
+        fh.write("t,l2,h1,h2,h_half,h3_half\n")
+        for row in zip(traj.times, traj.l2, traj.h1, traj.h2, traj.h_half, traj.h3_half):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     rate = d.delta * math.pi**2 / d.L**2
     try:

@@ -242,9 +242,11 @@ def _kept_band(d: DomainConfig) -> tuple[int, int]:
 # core per step.  So the x synthesis is laid out transposed, and sine_band
 # is stored grid-major, (ny, ky), where the analysis multiplies by it directly.
 # The same holds for the whole package: every wake of the worker costs about
-# 0.13 s of its CPU, so no run-time path makes a LAPACK call or a complex
-# BLAS-2/3 call, and only a cutoff flux builds a Gauss rule (the leggauss in
-# dynamics._flux_table; linear-verify's oracle writes its rule out).
+# 0.13 s of its CPU, so no run-time path makes a complex BLAS-2/3 call or a
+# LAPACK call (but decay_fit's two-column least squares, which stays on one
+# thread), and only a cutoff flux builds a Gauss rule: the leggauss in
+# dynamics._flux_table, whose eigensolver wakes it (the oracle of
+# linear-verify writes its rule out).
 
 class _GridWork(NamedTuple):
     """One run's buffers for _band_to_grid; the grid values it returns live in grid."""

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import zkbs.cli
 from zkbs import SpectralField, duhamel_solve, simulate, symbol, to_grid
 from zkbs.cli import ConfigError, RunConfig, load_config, main
 from zkbs.domain import _pad_band
+from zkbs.functionals import decay_fit
 from zkbs.io import read_diagnostics_csv, write_diagnostics_csv
 
 
@@ -212,6 +214,23 @@ class TestOtherCommands:
             assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
             outputs.append((capsys.readouterr().out, (out / "decay.json").read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_decay_csv_reproduces_every_fit(self, tmp_path, capsys):
+        # decay.csv holds every norm decay fits, so each fit in decay.json,
+        # the half orders included, is redone from the output directory bit for bit
+        out = tmp_path / "o"
+        assert main(["decay", "--config", write_cfg(tmp_path, SMALL), "--out", str(out)]) == 0
+        header, *lines = (out / "decay.csv").read_text().splitlines()
+        assert header == "t,l2,h1,h2,h_half,h3_half"
+        columns = dict(zip(header.split(","), np.array(
+            [[float(v) for v in line.split(",")] for line in lines]).T))
+        traj = SimpleNamespace(times=columns["t"], **columns)
+        fits = json.loads((out / "decay.json").read_text())["fits"]
+        assert len(fits) == 5
+        for s in (0.0, 0.5, 1.0, 1.5, 2.0):
+            fit = decay_fit(traj, s)
+            assert fits[f"s={s:g}"] == {"slope": fit.slope, "rms": fit.fit_rms,
+                                        "window": list(fit.window), "n": fit.n_samples}
 
     def test_decay_skips_zero_data(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "generator = eigenmode\namplitude = 0\n")
