@@ -483,9 +483,9 @@ def test_cli_and_its_runs_load_no_scipy(tmp_path):
 
 
 def test_only_a_cutoff_flux_builds_the_gauss_rule(tmp_path):
-    # no run-time path makes a LAPACK call (each wakes OpenBLAS's worker): the
-    # flux table's 96-node rule, whose eigensolver is one, is built by the first
-    # cutoff flux alone, once per process, and never by an import or an h = none run
+    # a Gauss rule's eigensolver wakes OpenBLAS's worker: the flux table's 96-node
+    # rule is built by the first cutoff flux alone, once per process, and never by
+    # an import or an h = none run, and no subcommand builds a rule of its own
     code = (
         "import sys\n"
         "import numpy as np\n"
