@@ -183,16 +183,18 @@ def _check_shape(arr: np.ndarray, shape: tuple[int, int], what: str) -> None:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
 
 
-def _check_spectral(coeffs: np.ndarray, d: DomainConfig, what: str) -> None:
-    """Raise unless coeffs is the half spectrum of a real field.
+def _check_spectral(coeffs: np.ndarray, d: DomainConfig, what: str,
+                    stacked: bool = False) -> None:
+    """Raise unless coeffs is the half spectrum of a real field (stacked: each of a stack's).
 
     Besides the shape, only rows 0 and nx/2 need checking: they must be real,
     and the inverse real FFT would silently drop their imaginary part.
     """
-    _check_shape(coeffs, d.spectral_shape, what)
-    edges = coeffs[:: coeffs.shape[0] - 1]  # rows 0 and nx/2, as a view
-    defect = np.abs(edges.imag).max()
-    if defect > 1e-10 * max(np.abs(edges.real).max(), 1.0):
+    shape = d.spectral_shape
+    _check_shape(coeffs, (len(coeffs), *shape) if stacked else shape, what)
+    edges = coeffs[..., :: shape[0] - 1, :]  # rows 0 and nx/2, as a view
+    defect = np.abs(edges.imag).max(axis=(-2, -1))
+    if np.any(defect > 1e-10 * np.maximum(np.abs(edges.real).max(axis=(-2, -1)), 1.0)):
         raise ValueError(f"{what} is not a real field's spectrum: rows 0, nx/2 not real")
 
 

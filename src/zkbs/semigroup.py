@@ -53,6 +53,12 @@ class SymbolTable:
     domain: DomainConfig
     m: np.ndarray  # (nx/2 + 1, ny) complex
 
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(m t), the per-mode semigroup over a finite time t >= 0."""
+        if not (t >= 0 and math.isfinite(t)):
+            raise ValueError("the propagator requires finite t >= 0")
+        return np.exp(self.m * t)
+
 
 def symbol(d: DomainConfig) -> SymbolTable:
     """Assemble the per-mode symbol table for the domain."""
@@ -86,9 +92,7 @@ def phi(order: int, z: np.ndarray) -> np.ndarray:
 
 def apply_semigroup(u: SpectralField, t: float, S: SymbolTable) -> SpectralField:
     """Exact linear evolution over a finite time t >= 0."""
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError("apply_semigroup requires finite t >= 0")
-    return SpectralField(u.coeffs * np.exp(S.m * t))
+    return SpectralField(u.coeffs * S.propagator(t))
 
 
 def _three_node_weights(S: SymbolTable, dt: float):
@@ -103,6 +107,26 @@ def _three_node_weights(S: SymbolTable, dt: float):
             dt * (4.0 * p3 - p2))
 
 
+# a forced block of B steps holds 7 B + 2 states (2 B + 1 forcing samples, 3 B
+# products w f, B + 1 boundary states and B averaged states); B is the most steps
+# whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (64 on 8 x 4 modes)
+_BLOCK_BYTES = 2**18
+_MAX_BLOCK = 64
+
+
+def _block_steps(d: DomainConfig) -> int:
+    """Steps that duhamel_solve advances per block on domain d."""
+    states = _BLOCK_BYTES // (16 * d.spectral_shape[0] * d.spectral_shape[1])
+    return max(1, min(_MAX_BLOCK, (states - 2) // 7))
+
+
+def _check_samples(block: np.ndarray, d: DomainConfig, what: str) -> None:
+    """Raise unless each of a stack of amplitudes is a real field's half spectrum, and finite."""
+    _check_spectral(block, d, what, stacked=True)
+    if not np.isfinite(block.view(float)).all():
+        raise ValueError(f"{what} contains non-finite entries")
+
+
 def duhamel_solve(
     u0: SpectralField,
     forcing,
@@ -114,13 +138,13 @@ def duhamel_solve(
     """Forced linear solve by exponential quadrature.
 
     Args:
-        u0: initial amplitudes, the half spectrum of a real field.
+        u0: initial amplitudes, the half spectrum of a real field, finite.
         forcing: None, or a callable t -> complex (nx/2 + 1, ny) array of
             forcing amplitudes, the half spectrum of a real field; it is
-            sampled once at each step boundary and each step midpoint.
-            Each sample is copied as soon as it is returned and checked
-            there (shape, real-field rows, finite entries), so the
-            callable may return the same array, overwritten, every call.
+            called once at each step boundary and each step midpoint, in
+            time order.  Each sample is copied as soon as it is returned
+            (after a shape check, so it cannot broadcast), so the callable
+            may return the same array, overwritten, every call.
         T: final time; dt must divide it.
         dt: step size.
         S: symbol table (carries the domain).
@@ -130,43 +154,64 @@ def duhamel_solve(
     Returns a Trajectory whose dense scalar series feed
     functionals.audit_identity; its work series nonlin_flux, mid_rhs_h1
     and mid_rhs_h2 stay zero, as the homogeneous equation does no work.
-    The step writes into buffers allocated once per solve, so it makes no
-    spectrum-sized temporary.
+
+    The solve advances a block of B = _block_steps steps at a time.  It
+    takes all of a block's samples first and checks them (real-field
+    rows, finite entries) before any step uses one, then forms the
+    block's products w f, steps with four in-place ufuncs, and records
+    the block's boundaries and averaged states as two stacks.  Every
+    buffer is allocated once per solve: 7 B + 2 half spectra (2 B + 1
+    unforced), within _BLOCK_BYTES (256 KiB) whenever B > 1, and B more
+    in the recorder.
     """
     d = S.domain
-    _check_spectral(u0.coeffs, d, "initial amplitudes")
-    rec = _Recorder(d, T, dt, snapshot_stride, interval_series=("mid_rhs_h1", "mid_rhs_h2"))
-    E, w_left, w_mid, w_right = _three_node_weights(S, dt)
-
-    # three forcing samples are live per step (left, mid, right); sample k
-    # goes to buffer k % 3, so a step's right end stays put as the next left end
-    samples = [np.empty(d.spectral_shape, dtype=complex) for _ in range(3)]
-
-    def sample(k: int, t: float) -> np.ndarray:
-        f = np.asarray(forcing(t))
-        _check_shape(f, d.spectral_shape, "forcing sample")  # before copyto can broadcast
-        out = samples[k % 3]
-        np.copyto(out, f)
-        _check_spectral(out, d, "forcing sample")
-        if not np.isfinite(out.view(float)).all():
-            raise ValueError("forcing sample contains non-finite entries")
-        return out
-
     u = np.array(u0.coeffs, dtype=complex)
-    u_next, avg = np.empty_like(u), np.empty_like(u)  # avg also holds each w * f product
-    rec.boundary(0, u)
-    # each boundary is sampled once: a step's right end is the next one's left end
-    f_right = None if forcing is None else sample(0, rec.times[0])
-    for i in range(rec.n_steps):
-        # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
-        np.multiply(E, u, out=u_next)
+    _check_shape(u, d.spectral_shape, "initial amplitudes")  # before the check can broadcast
+    _check_samples(u[None], d, "initial amplitudes")
+    B = _block_steps(d)
+    rec = _Recorder(d, T, dt, snapshot_stride, interval_series=("mid_rhs_h1", "mid_rhs_h2"),
+                    block=B)
+    E, w_left, w_mid, w_right = _three_node_weights(S, dt)
+    n, times = rec.n_steps, rec.times
+
+    def stack(k: int) -> np.ndarray:
+        return np.empty((k, *d.spectral_shape), dtype=complex)
+
+    # U holds a block's boundaries, the first being the last block's end
+    U, avg = stack(B + 1), stack(B)
+    U[0] = u
+    rec.boundary(0, U[:1])
+    if forcing is not None:
+        # step k of a block samples F[2k], F[2k + 1] and F[2k + 2]; P holds each
+        # step's left, midpoint and right products w f
+        F, P = stack(2 * B + 1), stack(3 * B).reshape(3, B, *d.spectral_shape)
+
+        def take(k: int, t: float) -> None:
+            f = np.asarray(forcing(t))
+            _check_shape(f, d.spectral_shape, "forcing sample")  # before copyto can broadcast
+            np.copyto(F[k], f)
+
+        take(0, times[0])
+        _check_samples(F[:1], d, "forcing sample")
+    for i0 in range(0, n, B):
+        b = min(B, n - i0)
         if forcing is not None:
-            f_left, f_mid, f_right = (f_right, sample(2 * i + 1, rec.times[i] + 0.5 * dt),
-                                      sample(2 * i + 2, rec.times[i + 1]))
-            for w, f in ((w_left, f_left), (w_mid, f_mid), (w_right, f_right)):
-                np.add(u_next, np.multiply(w, f, out=avg), out=u_next)
-        np.multiply(np.add(u, u_next, out=avg), 0.5, out=avg)
-        rec.interval(i, avg)
-        u, u_next = u_next, u
-        rec.boundary(i + 1, u)
-    return rec.trajectory(rec.n_steps + 1)
+            for k in range(b):
+                take(2 * k + 1, times[i0 + k] + 0.5 * dt)
+                take(2 * k + 2, times[i0 + k + 1])
+            _check_samples(F[1 : 2 * b + 1], d, "forcing sample")
+            for first, (w, p) in enumerate(zip((w_left, w_mid, w_right), P)):
+                np.multiply(w, F[first : first + 2 * b : 2], out=p[:b])
+        for k in range(b):
+            # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
+            u_next = np.multiply(E, U[k], out=U[k + 1])
+            if forcing is not None:
+                for p in P[:, k]:
+                    np.add(u_next, p, out=u_next)
+        np.multiply(np.add(U[:b], U[1 : b + 1], out=avg[:b]), 0.5, out=avg[:b])
+        rec.interval(i0, avg[:b])
+        rec.boundary(i0 + 1, U[1 : b + 1])
+        U[0] = U[b]
+        if forcing is not None:
+            F[0] = F[2 * b]
+    return rec.trajectory(n + 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from math import inf, isfinite
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def _memory_bytes() -> float:
 
 
 class _Recorder:
-    """Fills one Trajectory, boundary by boundary and step by step.
+    """Fills one Trajectory, a stack of boundaries or of steps at a time.
 
     It owns the step count, the eight boundary norm and energy columns,
     the mid_diss series, the snapshot stride (an integer >= 0; 0 keeps the
@@ -113,11 +113,17 @@ class _Recorder:
     Parseval row weight, sliced once to the recorded state's leading
     `shape` block (simulate records its kept band); snapshots are padded
     to the full half spectrum.
+
+    boundary() and interval() take a (k, rows, cols) stack of consecutive
+    states, k <= `block`, or a single (rows, cols) state, which is a stack
+    of one: there is one recording path.  Each state's sums are one gemv
+    per weight product, so a stack records the bits its states would one
+    at a time, into buffers allocated once per run.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
                  boundary_series: tuple = (), interval_series: tuple = (),
-                 shape: tuple[int, int] | None = None):
+                 shape: tuple[int, int] | None = None, block: int = 1):
         if not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 0:
             raise ValueError(f"snapshot_stride must be an integer >= 0, got {snapshot_stride!r}")
         n = _resolve_steps(T, dt)
@@ -136,40 +142,76 @@ class _Recorder:
         self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed",
                                  "h_half", "h3_half"), (*self.stacked, *self.half_stacked)))
         self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
-        self.cols = {name: np.zeros(n + 1) for name in
-                     (*self.weights, "nonlin_flux", *boundary_series)}
-        # each weight row's column, and whether it stores the square root of its sum
-        self.targets = [(self.cols[name], name in _NORM_COLUMNS.values()) for name in self.weights]
-        self.mid = {name: np.zeros(n) for name in (*self.mid_weights, *interval_series)}
+        # the weight rows' columns are the rows of one matrix, so that a stack's sums
+        # land in one copy; the half orders' product fills rows 0-1 and the other rows
+        # 2-7, so that the five norm columns, which store square roots, are rows 0-4
+        order = ("h_half", "h3_half", "l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed")
+        self._series = np.zeros((len(order), n + 1))
+        self._mid_series = np.zeros((len(self.mid_weights), n))
+        self.cols = {**dict(zip(order, self._series)),
+                     **{name: np.zeros(n + 1) for name in ("nonlin_flux", *boundary_series)}}
+        self.mid = {**dict(zip(self.mid_weights, self._mid_series)),
+                    **{name: np.zeros(n) for name in interval_series}}
         self.snapshot_indices, self.snapshots = [], []
-        self._re2, self._im2 = np.empty((2, rows, cols))  # squares of the recorded state
-        self._re2_flat = self._re2.reshape(-1)
+        self._re2, self._im2 = np.empty((2, block, rows, cols))  # squares of the recorded states
+        self._sums = np.empty((block, len(order), 1))  # each state's sums, one matrix row each
+        self._mid_sums = np.empty((block, len(self.mid_weights), 1))
+        self._cuts: dict[int, tuple] = {}
 
-    def _sum_squares(self, coeffs: np.ndarray) -> np.ndarray:
-        """re^2 + im^2 of coeffs, flattened, in the recorder's buffer (no temporaries)."""
-        np.square(coeffs.real, out=self._re2)
-        np.square(coeffs.imag, out=self._im2)
-        np.add(self._re2, self._im2, out=self._re2)
-        return self._re2_flat
+    def _cut(self, k: int) -> tuple:
+        """The buffers' views for a stack of k states, made once per k.
 
-    def boundary(self, i: int, coeffs: np.ndarray, **values) -> None:
-        squares = self._sum_squares(coeffs)
-        sums = (self.stacked @ squares).tolist() + (self.half_stacked @ squares).tolist()
-        for (col, norm), value in zip(self.targets, sums):
-            col[i] = sqrt(value) if norm else value
-        self.put(i, **values)
-        if (self.stride > 0 and i % self.stride == 0) or i in (0, self.n_steps):
-            self.snapshot_indices.append(i)
-            self.snapshots.append(_pad_band(coeffs, self.domain))
+        They are the two squares buffers and their sum as one (modes, 1)
+        column per state; the boundary sums' two product parts, norm rows
+        and transpose; and the interval sums and their transpose.
+        """
+        if k not in self._cuts:
+            re2, sums, mid = self._re2[:k], self._sums[:k], self._mid_sums[:k]
+            half = len(self.half_stacked)
+            self._cuts[k] = (re2, self._im2[:k], re2.reshape(k, -1, 1),
+                             sums[:, :half], sums[:, half:], sums[:, : len(_NORM_COLUMNS)],
+                             sums[:, :, 0].T, mid, mid[:, :, 0].T)
+        return self._cuts[k]
+
+    @staticmethod
+    def _sum_squares(stack: np.ndarray, re2: np.ndarray, im2: np.ndarray) -> None:
+        """re^2 + im^2 of a stack of states, into re2 (no temporaries)."""
+        np.square(stack.real, out=re2)
+        np.square(stack.imag, out=im2)
+        np.add(re2, im2, out=re2)
+
+    def boundary(self, i: int, coeffs: np.ndarray) -> None:
+        """Record boundaries i, i + 1, ... from a stack of states (or one state)."""
+        stack = coeffs[None] if coeffs.ndim == 2 else coeffs
+        k = len(stack)
+        re2, im2, squares, halves, wholes, norms, sums_t, _, _ = self._cut(k)
+        self._sum_squares(stack, re2, im2)
+        np.matmul(self.half_stacked, squares, out=halves)
+        np.matmul(self.stacked, squares, out=wholes)
+        np.sqrt(norms, out=norms)
+        self._series[:, i : i + k] = sums_t
+        for j in range(i, i + k):
+            if (self.stride > 0 and j % self.stride == 0) or j in (0, self.n_steps):
+                self.snapshot_indices.append(j)
+                self.snapshots.append(_pad_band(stack[j - i], self.domain))
 
     def put(self, i: int, **values) -> None:
         for name, value in values.items():
             self.cols[name][i] = value
 
     def interval(self, i: int, uavg: np.ndarray, **values) -> None:
-        sums = self.mid_stacked @ self._sum_squares(uavg)
-        for name, value in (*zip(self.mid_weights, sums), *values.items()):
-            self.mid[name][i] = value
+        """Record steps i, i + 1, ... from a stack of averaged states (or one state).
+
+        values are scalars for one state, or one value per state.
+        """
+        stack = uavg[None] if uavg.ndim == 2 else uavg
+        k = len(stack)
+        re2, im2, squares, _, _, _, _, mid, mid_t = self._cut(k)
+        self._sum_squares(stack, re2, im2)
+        np.matmul(self.mid_stacked, squares, out=mid)
+        self._mid_series[:, i : i + k] = mid_t
+        for name, value in values.items():
+            self.mid[name][i : i + k] = value
 
     def trajectory(self, rows: int, blowup_time: float | None = None,
                    h: float | None = None) -> Trajectory:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zkbs.cli
+import zkbs.semigroup
 from zkbs import SpectralField, duhamel_solve, simulate, symbol, to_grid
 from zkbs.cli import ConfigError, RunConfig, load_config, main
 from zkbs.domain import _pad_band
@@ -569,6 +570,25 @@ def test_linear_verify_solves_on_their_active_modes_as_on_the_configured_grid(
     code = main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 0, capsys.readouterr()
     assert solves == [True, True, True, False, False]
+
+
+def test_linear_verify_builds_one_propagator_per_time(tmp_path, capsys, monkeypatch):
+    # each propagator check builds exp(m t) once per distinct time, shared by
+    # all of its cases (20 single modes at 9 times, 5 superpositions at 3),
+    # not once per case and time; only the semigroup-property and linearity
+    # checks' six apply_semigroup calls build one each after them
+    times = []
+    build = zkbs.semigroup.SymbolTable.propagator
+
+    def spy(self, t):
+        times.append(t)
+        return build(self, t)
+
+    monkeypatch.setattr(zkbs.semigroup.SymbolTable, "propagator", spy)
+    cfg = write_cfg(tmp_path, "nx = 34\nny = 6\nt_end = 0.05\n")
+    assert main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert times == [*np.linspace(0.0, 2.0, 9), 0.5, 1.3, 2.0, 0.4, 0.35, 0.75, 0.6, 0.6, 0.6]
 
 
 def test_working_set_beyond_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):

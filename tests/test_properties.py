@@ -159,3 +159,48 @@ def test_split_forcing_pairs_as_its_sum(d, seed, scale):
     size = math.sqrt(parseval_norm_sq(u, d)) * (math.sqrt(parseval_norm_sq(ix * f1, d))
                                                 + math.sqrt(parseval_norm_sq(ky * f2, d)))
     assert abs(got - want) <= 1e-13 * size
+
+
+# the desk scenario's kept band, which simulate records one boundary at a time,
+# and linear-verify's 8 x 4 forced-solve modes, which duhamel_solve records in stacks
+_DESK = plan_domain(L=math.pi, X=16 * math.pi, nx=256, ny=64, delta=0.5)
+_MODES_8X4 = plan_domain(L=math.pi, X=16 * math.pi, nx=14, ny=4, delta=0.5)
+
+
+@settings(props, max_examples=24, derandomize=True)
+@given(st.sampled_from(["desk band", "8 x 4 modes"]), seeds, st.integers(1, 64),
+       st.integers(1, 131), st.sampled_from(["0", "1", "3", "B - 1", "B", "B + 1", "2B"]))
+def test_a_stack_records_what_its_states_record_one_at_a_time(where, seed, B, n, stride):
+    # boundaries and averaged states recorded in stacks of B (the last one
+    # shorter) against the same states recorded one at a time: every series
+    # and snapshot bit for bit; strides of B - 1 and B + 1 put snapshots
+    # inside stacks, B and 2B at their edges
+    d = _DESK if where == "desk band" else _MODES_8X4
+    shape = _kept_band(d) if where == "desk band" else d.spectral_shape
+    stride = {"0": 0, "1": 1, "3": 3, "B - 1": max(B - 1, 1), "B": B, "B + 1": B + 1,
+              "2B": 2 * B}[stride]
+    rng = np.random.default_rng(seed)
+    # strided stacks, as simulate's band views are
+    states, avgs = ((rng.standard_normal((count, *d.spectral_shape))
+                     + 1j * rng.standard_normal((count, *d.spectral_shape)))[:, :shape[0], :shape[1]]
+                    for count in (n + 1, n))
+    one, stacked = (_Recorder(d, n * 1e-3, 1e-3, stride, interval_series=("mid_rhs_h1",),
+                              shape=shape, block=block) for block in (1, B))
+    for i in range(n + 1):
+        one.boundary(i, states[i])
+    for i in range(n):
+        one.interval(i, avgs[i], mid_rhs_h1=float(i))
+    stacked.boundary(0, states[0])
+    for i0 in range(0, n, B):
+        b = min(B, n - i0)
+        stacked.interval(i0, avgs[i0 : i0 + b], mid_rhs_h1=np.arange(i0, i0 + b, dtype=float))
+        stacked.boundary(i0 + 1, states[i0 + 1 : i0 + 1 + b])
+    a, b = one.trajectory(n + 1), stacked.trajectory(n + 1)
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            other = getattr(b, name)
+            assert value.dtype == other.dtype and value.shape == other.shape, name
+            assert np.array_equal(value.view(np.uint64), other.view(np.uint64)), name
+    assert len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))

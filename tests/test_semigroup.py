@@ -19,7 +19,12 @@ from zkbs import (
     to_spectral,
 )
 from zkbs.domain import _kept_band
+from zkbs.semigroup import _block_steps
 from zkbs.trajectory import _Recorder
+
+
+# linear-verify's forced solves run on these 8 x 4 modes; duhamel_solve steps them 64 at a time
+MODES_8X4 = plan_domain(L=math.pi, X=16 * math.pi, nx=14, ny=4, delta=0.5)
 
 
 def single_mode(d, j, l, amp=1.0, theta=0.0):
@@ -202,9 +207,15 @@ class TestDuhamel:
             scale = max(scale, abs(ref))
         assert worst <= 1e-8 * scale
 
-    def test_forcing_is_sampled_once_per_boundary_and_midpoint(self, small_domain):
-        # n steps need n + 1 boundaries and n midpoints, 2n + 1 samples in all
-        d = small_domain
+    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
+    @pytest.mark.parametrize("blocks", [1.0, 2.0, 3.0], ids=["B+3", "2B", "2B+3"])
+    def test_forcing_is_sampled_once_per_boundary_and_midpoint(self, small_domain, domain,
+                                                               blocks):
+        # n steps need n + 1 boundaries and n midpoints, 2n + 1 samples in all,
+        # taken in time order across the edges of the solve's blocks of B steps
+        d = small_domain if domain == "small" else MODES_8X4
+        B = _block_steps(d)
+        n = {1.0: B + 3, 2.0: 2 * B, 3.0: 2 * B + 3}[blocks]
         f = to_spectral(GridField(np.random.default_rng(5).standard_normal(d.shape)), d).coeffs
         times = []
 
@@ -212,9 +223,62 @@ class TestDuhamel:
             times.append(t)
             return f
 
-        traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, 0.02, 1e-3, symbol(d))
-        assert len(times) == 2 * traj.n_steps + 1
+        traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, n * 1e-3, 1e-3, symbol(d))
+        assert traj.n_steps == n and len(times) == 2 * n + 1
         assert times[::2] == list(traj.times)  # boundaries, at the recorded times
+        assert times[1::2] == [t + 0.5e-3 for t in traj.times[:-1]]  # midpoints
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+    def test_block_size_comes_from_the_byte_budget(self, small_domain, desk_domain):
+        # a forced block's 7 B + 2 half spectra fit in 256 KiB, with B from 1 to 64
+        assert _block_steps(MODES_8X4) == 64  # 72 would fit
+        state = 16 * 33 * 16
+        assert _block_steps(small_domain) == 4
+        assert (7 * 4 + 2) * state <= 2**18 < (7 * 5 + 2) * state
+        assert _block_steps(desk_domain) == 1  # where not even 9 states fit
+
+    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
+    @pytest.mark.parametrize("where", ["first", "second block", "last"])
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "forcing sample contains non-finite entries"),
+        ("imaginary mean row", "forcing sample is not a real field's spectrum"),
+        ("row", "forcing sample has shape"),
+    ])
+    def test_a_bad_sample_is_refused_wherever_it_falls_in_a_block(self, small_domain, domain,
+                                                                  where, bad, message):
+        # with n = 2B + 3 steps, sample 0 starts the first block, sample
+        # 2B + 3 is a midpoint inside the second and sample 2n ends the last,
+        # partial, block; each bad sample raises the message it raises alone
+        d = small_domain if domain == "small" else MODES_8X4
+        B = _block_steps(d)
+        n = 2 * B + 3
+        at = {"first": 0, "second block": 2 * B + 3, "last": 2 * n}[where]
+        good = np.zeros(d.spectral_shape, dtype=complex)
+        if bad == "nan":
+            wrong = np.full(d.spectral_shape, np.nan, dtype=complex)
+        elif bad == "imaginary mean row":
+            wrong = good.copy()
+            wrong[0, 1] = 1.0j
+        else:  # one row of amplitudes would broadcast over the half spectrum
+            wrong = np.ones(d.ny, dtype=complex)
+        calls = []
+
+        def forcing(t):
+            calls.append(t)
+            return wrong if len(calls) == at + 1 else good
+
+        with pytest.raises(ValueError, match=message):
+            duhamel_solve(SpectralField(good), forcing, n * 1e-3, 1e-3, symbol(d))
+        assert len(calls) > at
+
+    def test_rejects_non_finite_initial_amplitudes(self, small_domain):
+        # as a forcing sample is: a NaN would otherwise solve to an all-NaN run
+        d = small_domain
+        for value in (np.nan, np.inf, complex(1.0, np.nan)):
+            c = np.zeros(d.spectral_shape, dtype=complex)
+            c[3, 2] = value
+            with pytest.raises(ValueError, match="initial amplitudes contains non-finite"):
+                duhamel_solve(SpectralField(c), None, 0.01, 1e-3, symbol(d))
 
     def test_rejects_non_divisible_dt(self, small_domain):
         d = small_domain
@@ -244,11 +308,14 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="shape"):
             duhamel_solve(u0, lambda t: row, 0.01, 1e-3, symbol(d))
 
-    def test_forcing_may_reuse_one_output_buffer(self, small_domain):
+    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
+    def test_forcing_may_reuse_one_output_buffer(self, small_domain, domain):
         # samples are copied where they are taken, so a callable that
-        # overwrites and returns one array solves as one that returns fresh ones
-        d = small_domain
+        # overwrites and returns one array solves as one that returns fresh
+        # ones, over more steps than one block holds
+        d = small_domain if domain == "small" else MODES_8X4
         S = symbol(d)
+        n = 2 * _block_steps(d) + 3
         rng = np.random.default_rng(8)
         u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
         f0 = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
@@ -257,9 +324,9 @@ class TestDuhamel:
         def reused(t):
             return np.multiply(f0, math.cos(5.0 * t), out=buf)
 
-        fresh, once = (duhamel_solve(u0, forcing, 0.1, 1e-3, S)
+        fresh, once = (duhamel_solve(u0, forcing, n * 1e-3, 1e-3, S)
                        for forcing in (lambda t: f0 * math.cos(5.0 * t), reused))
-        assert len(fresh.snapshots) == fresh.n_steps + 1
+        assert len(fresh.snapshots) == fresh.n_steps + 1 == n + 1
         for a, b in zip(fresh.snapshots, once.snapshots, strict=True):
             assert np.array_equal(a, b)
 
