@@ -107,9 +107,9 @@ def _three_node_weights(S: SymbolTable, dt: float):
             dt * (4.0 * p3 - p2))
 
 
-# a forced block of B steps holds 7 B + 2 states (2 B + 1 forcing samples, 3 B
-# products w f, B + 1 boundary states and B averaged states); B is the most steps
-# whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (64 on 8 x 4 modes)
+# a forced block of B steps holds 7 B states (two stacks of B boundary states, B
+# averaged states, 2 B forcing samples and two stacks of B left products); B is the
+# most steps whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (64 on 8 x 4 modes)
 _BLOCK_BYTES = 2**18
 _MAX_BLOCK = 64
 
@@ -117,7 +117,7 @@ _MAX_BLOCK = 64
 def _block_steps(d: DomainConfig) -> int:
     """Steps that duhamel_solve advances per block on domain d."""
     states = _BLOCK_BYTES // (16 * d.spectral_shape[0] * d.spectral_shape[1])
-    return max(1, min(_MAX_BLOCK, (states - 2) // 7))
+    return max(1, min(_MAX_BLOCK, states // 7))
 
 
 def _check_samples(block: np.ndarray, d: DomainConfig, what: str) -> None:
@@ -160,9 +160,9 @@ def duhamel_solve(
     rows, finite entries) before any step uses one, then forms the
     block's products w f, steps with four in-place ufuncs, and records
     the block's boundaries and averaged states as two stacks.  Every
-    buffer is allocated once per solve: 7 B + 2 half spectra (2 B + 1
-    unforced), within _BLOCK_BYTES (256 KiB) whenever B > 1, and B more
-    in the recorder.
+    buffer is allocated once per solve: 7 B half spectra (3 B unforced),
+    within _BLOCK_BYTES (256 KiB) whenever B > 1, and B more in the
+    recorder.  No state is copied between blocks.
     """
     d = S.domain
     u = np.array(u0.coeffs, dtype=complex)
@@ -177,14 +177,17 @@ def duhamel_solve(
     def stack(k: int) -> np.ndarray:
         return np.empty((k, *d.spectral_shape), dtype=complex)
 
-    # U holds a block's boundaries, the first being the last block's end
-    U, avg = stack(B + 1), stack(B)
-    U[0] = u
-    rec.boundary(0, U[:1])
+    # a block writes its states into one stack while its first step reads the
+    # last block's end from the other; its left products go the same way
+    states, spare, avg = stack(B), stack(B), stack(B)
+    start = u
+    rec.boundary(0, u)
     if forcing is not None:
-        # step k of a block samples F[2k], F[2k + 1] and F[2k + 2]; P holds each
-        # step's left, midpoint and right products w f
-        F, P = stack(2 * B + 1), stack(3 * B).reshape(3, B, *d.spectral_shape)
+        # F holds a block's samples, step k's midpoint at row 2k and right end at
+        # 2k + 1, each overwritten by its product with w_mid or w_right; a step's
+        # left end is the last step's right end, whose product with w_left goes to
+        # lefts[k], and the block's last one to lefts[0], for the next block
+        F, lefts, spare_lefts = stack(2 * B), stack(B), stack(B)
 
         def take(k: int, t: float) -> None:
             f = np.asarray(forcing(t))
@@ -193,25 +196,32 @@ def duhamel_solve(
 
         take(0, times[0])
         _check_samples(F[:1], d, "forcing sample")
+        first_left = np.multiply(w_left, F[0], out=spare_lefts[0])
     for i0 in range(0, n, B):
         b = min(B, n - i0)
         if forcing is not None:
             for k in range(b):
-                take(2 * k + 1, times[i0 + k] + 0.5 * dt)
-                take(2 * k + 2, times[i0 + k + 1])
-            _check_samples(F[1 : 2 * b + 1], d, "forcing sample")
-            for first, (w, p) in enumerate(zip((w_left, w_mid, w_right), P)):
-                np.multiply(w, F[first : first + 2 * b : 2], out=p[:b])
+                take(2 * k, times[i0 + k] + 0.5 * dt)
+                take(2 * k + 1, times[i0 + k + 1])
+            _check_samples(F[: 2 * b], d, "forcing sample")
+            mids, rights = F[0 : 2 * b : 2], F[1 : 2 * b : 2]
+            np.multiply(w_left, rights[: b - 1], out=lefts[1:b])
+            np.multiply(w_left, rights[b - 1], out=lefts[0])
+            np.multiply(w_mid, mids, out=mids)
+            np.multiply(w_right, rights, out=rights)
+        u = start
         for k in range(b):
             # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
-            u_next = np.multiply(E, U[k], out=U[k + 1])
+            u = np.multiply(E, u, out=states[k])
             if forcing is not None:
-                for p in P[:, k]:
-                    np.add(u_next, p, out=u_next)
-        np.multiply(np.add(U[:b], U[1 : b + 1], out=avg[:b]), 0.5, out=avg[:b])
+                for p in (lefts[k] if k else first_left, mids[k], rights[k]):
+                    np.add(u, p, out=u)
+        np.add(start, states[0], out=avg[0])
+        np.add(states[: b - 1], states[1:b], out=avg[1:b])
+        np.multiply(avg[:b], 0.5, out=avg[:b])
         rec.interval(i0, avg[:b])
-        rec.boundary(i0 + 1, U[1 : b + 1])
-        U[0] = U[b]
+        rec.boundary(i0 + 1, states[:b])
+        start, states, spare = states[b - 1], spare, states
         if forcing is not None:
-            F[0] = F[2 * b]
+            first_left, lefts, spare_lefts = lefts[0], spare_lefts, lefts
     return rec.trajectory(n + 1)

@@ -230,12 +230,12 @@ class TestDuhamel:
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_block_size_comes_from_the_byte_budget(self, small_domain, desk_domain):
-        # a forced block's 7 B + 2 half spectra fit in 256 KiB, with B from 1 to 64
-        assert _block_steps(MODES_8X4) == 64  # 72 would fit
+        # a forced block's 7 B half spectra fit in 256 KiB, with B from 1 to 64
+        assert _block_steps(MODES_8X4) == 64  # 73 would fit
         state = 16 * 33 * 16
         assert _block_steps(small_domain) == 4
-        assert (7 * 4 + 2) * state <= 2**18 < (7 * 5 + 2) * state
-        assert _block_steps(desk_domain) == 1  # where not even 9 states fit
+        assert 7 * 4 * state <= 2**18 < 7 * 5 * state
+        assert _block_steps(desk_domain) == 1  # where not even 7 states fit
 
     @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
     @pytest.mark.parametrize("where", ["first", "second block", "last"])
