@@ -207,27 +207,26 @@ class TestDuhamel:
             scale = max(scale, abs(ref))
         assert worst <= 1e-8 * scale
 
-    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
-    @pytest.mark.parametrize("blocks", [1.0, 2.0, 3.0], ids=["B+3", "2B", "2B+3"])
-    def test_forcing_is_sampled_once_per_boundary_and_midpoint(self, small_domain, domain,
-                                                               blocks):
+    def test_forcing_is_sampled_once_per_boundary_and_midpoint(self, small_domain):
         # n steps need n + 1 boundaries and n midpoints, 2n + 1 samples in all,
         # taken in time order across the edges of the solve's blocks of B steps
-        d = small_domain if domain == "small" else MODES_8X4
-        B = _block_steps(d)
-        n = {1.0: B + 3, 2.0: 2 * B, 3.0: 2 * B + 3}[blocks]
-        f = to_spectral(GridField(np.random.default_rng(5).standard_normal(d.shape)), d).coeffs
-        times = []
+        for d in (small_domain, MODES_8X4):
+            B = _block_steps(d)
+            f = to_spectral(GridField(np.random.default_rng(5).standard_normal(d.shape)),
+                            d).coeffs
+            for n in (B + 3, 2 * B, 2 * B + 3):
+                times = []
 
-        def forcing(t):
-            times.append(t)
-            return f
+                def forcing(t):
+                    times.append(t)
+                    return f
 
-        traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, n * 1e-3, 1e-3, symbol(d))
-        assert traj.n_steps == n and len(times) == 2 * n + 1
-        assert times[::2] == list(traj.times)  # boundaries, at the recorded times
-        assert times[1::2] == [t + 0.5e-3 for t in traj.times[:-1]]  # midpoints
-        assert all(a < b for a, b in zip(times, times[1:]))
+                traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, n * 1e-3, 1e-3,
+                                     symbol(d))
+                assert traj.n_steps == n and len(times) == 2 * n + 1
+                assert times[::2] == list(traj.times)  # boundaries, at the recorded times
+                assert times[1::2] == [t + 0.5e-3 for t in traj.times[:-1]]  # midpoints
+                assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_block_size_comes_from_the_byte_budget(self, small_domain, desk_domain):
         # a forced block's 7 B half spectra fit in 256 KiB, with B from 1 to 64
@@ -308,27 +307,26 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="shape"):
             duhamel_solve(u0, lambda t: row, 0.01, 1e-3, symbol(d))
 
-    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
-    def test_forcing_may_reuse_one_output_buffer(self, small_domain, domain):
+    def test_forcing_may_reuse_one_output_buffer(self, small_domain):
         # samples are copied where they are taken, so a callable that
         # overwrites and returns one array solves as one that returns fresh
         # ones, over more steps than one block holds
-        d = small_domain if domain == "small" else MODES_8X4
-        S = symbol(d)
-        n = 2 * _block_steps(d) + 3
-        rng = np.random.default_rng(8)
-        u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
-        f0 = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
-        buf = np.empty_like(f0)
+        for d in (small_domain, MODES_8X4):
+            S = symbol(d)
+            n = 2 * _block_steps(d) + 3
+            rng = np.random.default_rng(8)
+            u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
+            f0 = to_spectral(GridField(rng.standard_normal(d.shape)), d).coeffs
+            buf = np.empty_like(f0)
 
-        def reused(t):
-            return np.multiply(f0, math.cos(5.0 * t), out=buf)
+            def reused(t):
+                return np.multiply(f0, math.cos(5.0 * t), out=buf)
 
-        fresh, once = (duhamel_solve(u0, forcing, n * 1e-3, 1e-3, S)
-                       for forcing in (lambda t: f0 * math.cos(5.0 * t), reused))
-        assert len(fresh.snapshots) == fresh.n_steps + 1 == n + 1
-        for a, b in zip(fresh.snapshots, once.snapshots, strict=True):
-            assert np.array_equal(a, b)
+            fresh, once = (duhamel_solve(u0, forcing, n * 1e-3, 1e-3, S)
+                           for forcing in (lambda t: f0 * math.cos(5.0 * t), reused))
+            assert len(fresh.snapshots) == fresh.n_steps + 1 == n + 1
+            for a, b in zip(fresh.snapshots, once.snapshots, strict=True):
+                assert np.array_equal(a, b)
 
     def test_rejects_forcing_of_no_real_field(self, small_domain):
         # an imaginary x-mean row is not the spectrum of a real field; it
