@@ -55,7 +55,6 @@ __all__ = [
     "to_spectral",
     "to_grid",
     "parseval_norm_sq",
-    "mode_inner",
     "ModeMultipliers",
     "mode_multipliers",
 ]
@@ -299,11 +298,6 @@ def parseval_norm_sq(coeffs: np.ndarray, d: DomainConfig) -> float:
     coeffs is the half spectrum or a leading block of it, such as the kept band.
     """
     return float(d.parseval_weight[: len(coeffs)] @ np.sum(np.abs(coeffs) ** 2, axis=1))
-
-
-def mode_inner(a: np.ndarray, b: np.ndarray, d: DomainConfig) -> float:
-    """L2 pairing integral a*b dx dy of two real fields given spectrally."""
-    return float(d.parseval_weight @ np.sum((np.conj(a) * b).real, axis=1))
 
 
 @dataclass(eq=False)

@@ -471,19 +471,13 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
     tab = _etd2_tables(symbol(d), dt)
     work = _grid_work(d)
     lap = -mode_multipliers(d).d1[:kx, :ky]  # spectral Laplacian multiplier
-    rhs_weights = np.stack([rec.weights["diss_l2"], rec.weights["e2_mixed"]])
-    l2_weight = rec.weights["l2"]
-
-    def pairing(a, b):
-        """integral a b of two real fields from their band blocks."""
-        return float(l2_weight @ (np.conj(a) * b).real.ravel())
 
     def boundary_flux(i, u):
         """N(u) at boundary i, whose pairings with u give the boundary's series."""
         G, n = _nonlinear_core(u, flux, d, work, t=rec.times[i])
-        rec.put(i, nonlin_flux=pairing(u, n))
+        rec.work(i, u, n)
         if u2_pairings:
-            rec.put(i, cube=2.0 * pairing(u, G))
+            rec.cols["cube"][i] = 2.0 * rec.pairing(u, G)
         return n
 
     u = to_spectral(u0, d).coeffs[:kx, :ky]
@@ -505,16 +499,12 @@ def simulate(u0: GridField, T: float, cfg: StepperConfig, flux: RegularizedFlux,
             if not math.isfinite(norm_next) or norm_next > guard:
                 raise BlowupError("L2 norm left the trust region", t + dt)
 
-            uavg = 0.5 * (u + u_next)
+            uavg, n_avg = 0.5 * (u + u_next), None
             if audit_series:
                 G_avg, n_avg = _nonlinear_core(uavg, flux, d, work, t=t + 0.5 * dt)
-                products = (np.conj(uavg) * n_avg).real
-                rhs_h1, rhs_h2 = 2.0 * (rhs_weights @ products.ravel())
-                u2lap = ({"mid_u2lap": 2.0 * pairing(lap * uavg, G_avg)}
-                         if u2_pairings else {})
-                rec.interval(i, uavg, mid_rhs_h1=rhs_h1, mid_rhs_h2=rhs_h2, **u2lap)
-            else:
-                rec.interval(i, uavg)
+                if u2_pairings:
+                    rec.mid["mid_u2lap"][i] = 2.0 * rec.pairing(lap * uavg, G_avg)
+            rec.interval(i, uavg, n_avg)
 
             u = u_next
             n0 = boundary_flux(i + 1, u)

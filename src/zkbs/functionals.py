@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import mode_inner, mode_multipliers
 from .trajectory import _NORM_COLUMNS, Trajectory
 
 __all__ = [
@@ -86,14 +85,14 @@ def _balance(traj: Trajectory, k: int) -> np.ndarray:
     return energy - energy[0] + 2.0 * traj.domain.delta * _cumulative_midpoint(traj, dissipation)
 
 
-# identity -> its order k and the series of the run's own work 2 <W_k u, N(u)>:
-# nonlin_flux, half of it at step boundaries, by the trapezoid rule, and
-# mid_rhs_h1/h2, all of it at step midpoints, by the midpoint rule
+# identity -> its order k and the series of the run's own work 2 <W_k u, F>, F
+# = N(u) or the forcing: nonlin_flux, half of it at step boundaries, by the
+# trapezoid rule, and mid_rhs_h1/h2, all of it at step midpoints, by the midpoint rule
 _BALANCES = {"mass_3_3": (0, "nonlin_flux"), "h1_3_15": (1, "mid_rhs_h1"),
              "h2_3_29": (2, "mid_rhs_h2")}
 
 
-def audit_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
+def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     """Residual of one energy balance along a simulate() or duhamel_solve() run.
 
     which selects the balance:
@@ -107,17 +106,13 @@ def audit_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
                      the u^2/2 flux only, so an h != None run raises.
 
     The run's own work is read from its recorded series (_BALANCES), which
-    a duhamel_solve() run records as zeros: the homogeneous equation does
-    no work.  Every other time integral takes the midpoint rule.
-    Requesting an identity whose series were not recorded raises.
-
-    forcing is None or, for a forced duhamel_solve() run, the callable
-    t -> spectral array passed to the solve.  Its work pairs W_k times the
-    averaged stored snapshots with the forcing at each snapshot
-    interval's midpoint, so the residual is reported at the stored
-    snapshot times.  A forcing split as f0 + d/dx f1 + d/dy f2 needs no
-    pairings of its own: integration by parts is exact on the discrete
-    sine-Fourier spectra.
+    every run records at every step, forced or not, so the residual is
+    reported at every boundary whatever the snapshot stride.  Every other
+    time integral takes the midpoint rule.  Requesting an identity whose
+    series were not recorded raises: a duhamel_solve() run records no
+    cube, so it has no combined_3_23.  A forcing split as
+    f0 + d/dx f1 + d/dy f2 needs no pairings of its own: integration by
+    parts is exact on the discrete sine-Fourier spectra.
     """
     if which not in IDENTITIES:
         raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITIES}")
@@ -127,8 +122,6 @@ def audit_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
     if which == "combined_3_23":
         if traj.h is not None:
             raise ValueError(f"combined_3_23 holds for the u^2/2 flux only, not h = {traj.h!r}")
-        if forcing is not None:
-            raise ValueError("combined_3_23 has no forced form")
         _require_series(traj, ("cube", "mid_u2lap"), which)
         delta = traj.domain.delta
         energy = traj.diss_l2 - traj.cube / 3.0
@@ -142,21 +135,8 @@ def audit_identity(traj: Trajectory, which: str, forcing=None) -> EnergyReport:
         work = (_cumulative_trapezoid(traj, 2.0 * values) if series == "nonlin_flux"
                 else _cumulative_midpoint(traj, values))
         lhs = _balance(traj, k) - work
-    times, residual = traj.times, np.abs(lhs)
-    if forcing is not None:
-        d, idx = traj.domain, traj.snapshot_indices
-        if len(idx) < 2:
-            raise ValueError("trajectory lacks snapshots needed for the forcing quadrature")
-        mults = mode_multipliers(d)
-        weight = (1.0, mults.d1, mults.e2)[k]
-        forced = np.zeros(len(idx))
-        for j in range(len(idx) - 1):
-            ta, tb = traj.times[idx[j]], traj.times[idx[j + 1]]
-            uavg = 0.5 * (traj.snapshots[j] + traj.snapshots[j + 1])
-            f = np.asarray(forcing(0.5 * (ta + tb)), dtype=complex)
-            forced[j + 1] = forced[j] + 2.0 * mode_inner(weight * uavg, f, d) * (tb - ta)
-        times, residual = traj.times[idx], np.abs(lhs[idx] - forced)
-    return EnergyReport(identity=which, times=times, residual=residual,
+    residual = np.abs(lhs)
+    return EnergyReport(identity=which, times=traj.times, residual=residual,
                         max_residual=float(np.max(residual)), dt=traj.dt)
 
 

@@ -107,9 +107,9 @@ def _three_node_weights(S: SymbolTable, dt: float):
             dt * (4.0 * p3 - p2))
 
 
-# a forced block of B steps holds 7 B states (two stacks of B boundary states, B
-# averaged states, 2 B forcing samples and two stacks of B left products); B is the
-# most steps whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (64 on 8 x 4 modes)
+# a forced block of B steps holds 9 B states (two stacks of B boundary states, B averaged
+# states, 2 B forcing samples and their 2 B products, two stacks of B left products); B is
+# the most steps whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (56 on 8 x 4 modes)
 _BLOCK_BYTES = 2**18
 _MAX_BLOCK = 64
 
@@ -117,7 +117,7 @@ _MAX_BLOCK = 64
 def _block_steps(d: DomainConfig) -> int:
     """Steps that duhamel_solve advances per block on domain d."""
     states = _BLOCK_BYTES // (16 * d.spectral_shape[0] * d.spectral_shape[1])
-    return max(1, min(_MAX_BLOCK, states // 7))
+    return max(1, min(_MAX_BLOCK, states // 9))
 
 
 def _check_samples(block: np.ndarray, d: DomainConfig, what: str) -> None:
@@ -152,17 +152,20 @@ def duhamel_solve(
             the first and last).
 
     Returns a Trajectory whose dense scalar series feed
-    functionals.audit_identity; its work series nonlin_flux, mid_rhs_h1
-    and mid_rhs_h2 stay zero, as the homogeneous equation does no work.
+    functionals.audit_identity.  Its work series pair u with the forcing
+    samples f: <u, f> per boundary (nonlin_flux), 2 <d1 u, f> and 2 <e2 u, f>
+    per step's averaged state and midpoint sample (mid_rhs_h1, mid_rhs_h2).
+    They are zero only when forcing is None: the homogeneous equation does no work.
 
     The solve advances a block of B = _block_steps steps at a time.  It
     takes all of a block's samples first and checks them (real-field
     rows, finite entries) before any step uses one, then forms the
-    block's products w f, steps with four in-place ufuncs, and records
-    the block's boundaries and averaged states as two stacks.  Every
-    buffer is allocated once per solve: 7 B half spectra (3 B unforced),
-    within _BLOCK_BYTES (256 KiB) whenever B > 1, and B more in the
-    recorder.  No state is copied between blocks.
+    block's products w f beside the samples, steps with four in-place
+    ufuncs, and records the block's boundaries and averaged states as
+    two stacks, each paired with its samples.  Every buffer is allocated
+    once per solve: 9 B half spectra (3 B unforced), within _BLOCK_BYTES
+    (256 KiB) whenever B > 1, and 2 B more in the recorder.  No state is
+    copied between blocks.
     """
     d = S.domain
     u = np.array(u0.coeffs, dtype=complex)
@@ -184,10 +187,10 @@ def duhamel_solve(
     rec.boundary(0, u)
     if forcing is not None:
         # F holds a block's samples, step k's midpoint at row 2k and right end at
-        # 2k + 1, each overwritten by its product with w_mid or w_right; a step's
-        # left end is the last step's right end, whose product with w_left goes to
-        # lefts[k], and the block's last one to lefts[0], for the next block
-        F, lefts, spare_lefts = stack(2 * B), stack(B), stack(B)
+        # 2k + 1, and P their products with w_mid and w_right in the same rows; a
+        # step's left end is the last step's right end, whose product with w_left
+        # goes to lefts[k], and the block's last one to lefts[0], for the next block
+        F, P, lefts, spare_lefts = stack(2 * B), stack(2 * B), stack(B), stack(B)
 
         def take(k: int, t: float) -> None:
             f = np.asarray(forcing(t))
@@ -196,9 +199,11 @@ def duhamel_solve(
 
         take(0, times[0])
         _check_samples(F[:1], d, "forcing sample")
+        rec.work(0, u, F[0])
         first_left = np.multiply(w_left, F[0], out=spare_lefts[0])
     for i0 in range(0, n, B):
         b = min(B, n - i0)
+        mids = None
         if forcing is not None:
             for k in range(b):
                 take(2 * k, times[i0 + k] + 0.5 * dt)
@@ -207,21 +212,22 @@ def duhamel_solve(
             mids, rights = F[0 : 2 * b : 2], F[1 : 2 * b : 2]
             np.multiply(w_left, rights[: b - 1], out=lefts[1:b])
             np.multiply(w_left, rights[b - 1], out=lefts[0])
-            np.multiply(w_mid, mids, out=mids)
-            np.multiply(w_right, rights, out=rights)
+            np.multiply(w_mid, mids, out=P[0 : 2 * b : 2])
+            np.multiply(w_right, rights, out=P[1 : 2 * b : 2])
         u = start
         for k in range(b):
             # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
             u = np.multiply(E, u, out=states[k])
             if forcing is not None:
-                for p in (lefts[k] if k else first_left, mids[k], rights[k]):
+                for p in (lefts[k] if k else first_left, P[2 * k], P[2 * k + 1]):
                     np.add(u, p, out=u)
         np.add(start, states[0], out=avg[0])
         np.add(states[: b - 1], states[1:b], out=avg[1:b])
         np.multiply(avg[:b], 0.5, out=avg[:b])
-        rec.interval(i0, avg[:b])
+        rec.interval(i0, avg[:b], mids)
         rec.boundary(i0 + 1, states[:b])
-        start, states, spare = states[b - 1], spare, states
         if forcing is not None:
+            rec.work(i0 + 1, states[:b], rights)
             first_left, lefts, spare_lefts = lefts[0], spare_lefts, lefts
+        start, states, spare = states[b - 1], spare, states
     return rec.trajectory(n + 1)

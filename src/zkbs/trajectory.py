@@ -10,8 +10,8 @@ Midpoint-interval series (mid_*) hold the audit integrands evaluated on
 the averaged state (u_n + u_{n+1}) / 2, which is how the midpoint time
 rule is realized on a trajectory that is only known at step boundaries.
 
-Both integrators (duhamel_solve and simulate) fill their Trajectory
-through the one private _Recorder below.
+Both integrators (duhamel_solve and simulate) fill their Trajectory,
+work series included, through the one private _Recorder below.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ class Trajectory:
     diss_l2: np.ndarray               # (n+1,) integral u_x^2 + u_y^2
     diss_h1: np.ndarray               # (n+1,) integral u_xx^2 + 2 u_xy^2 + u_yy^2
     e2_mixed: np.ndarray              # (n+1,) integral u_xx^2 + u_xy^2 + u_yy^2
-    nonlin_flux: np.ndarray           # (n+1,) integral g_h(u) u_x
+    nonlin_flux: np.ndarray           # (n+1,) work <u, F> of the run's own F (N(u) or forcing)
     mid_diss0: np.ndarray             # (n,) integral |Du|^2 at averaged states
     mid_diss1: np.ndarray             # (n,) integral u_xx^2 + 2 u_xy^2 + u_yy^2, averaged states
     mid_diss2: np.ndarray             # (n,) third-order dissipation integral, averaged states
     snapshot_indices: np.ndarray      # indices into times
     snapshots: list                   # spectral coefficient arrays, complex (nx/2 + 1, ny)
     cube: np.ndarray | None = None            # (n+1,) integral u^3 (audit runs, h = None)
-    mid_rhs_h1: np.ndarray | None = None      # (n,) 2 integral u u_x (u_xx + u_yy)
-    mid_rhs_h2: np.ndarray | None = None      # (n,) second-order forcing pairing
+    mid_rhs_h1: np.ndarray | None = None      # (n,) 2 <d1 u, F>, averaged states, midpoint F
+    mid_rhs_h2: np.ndarray | None = None      # (n,) 2 <e2 u, F>, likewise
     mid_u2lap: np.ndarray | None = None       # (n,) integral u^2 (u_xx + u_yy) (as cube)
     blowup_time: float | None = None
     h: float | None = None            # the flux's cutoff scale; None for u^2/2 and linear runs
@@ -107,18 +107,23 @@ class _Recorder:
     the mid_diss series, the snapshot stride (an integer >= 0; 0 keeps the
     first and last boundary only) and the truncation of a run that blew
     up: trajectory() keeps the first `rows` boundaries and rows - 1 steps.
-    Callers add their own series, named at construction, as keyword
-    values; nonlin_flux always exists and stays zero unless written.
+    Callers name their own series at construction and write them into
+    cols and mid; nonlin_flux always exists and stays zero unless written.
     Built-in series sum |c|^2 against mode_multipliers weights times the
     Parseval row weight, sliced once to the recorded state's leading
     `shape` block (simulate records its kept band); snapshots are padded
     to the full half spectrum.
 
-    boundary() and interval() take a (k, rows, cols) stack of consecutive
-    states, k <= `block`, or a single (rows, cols) state, which is a stack
-    of one: there is one recording path.  Each state's sums are one gemv
-    per weight product, so a stack records the bits its states would one
-    at a time, into buffers allocated once per run.
+    It owns every pairing <a, b> of a state with a right-hand side F:
+    work() writes <u, F> into nonlin_flux and interval() 2 <d1 u, F> and
+    2 <e2 u, F> into mid_rhs_h1 and mid_rhs_h2, summing Re(conj(u) F).
+
+    boundary(), work() and interval() take a (k, rows, cols) stack of
+    consecutive states, k <= `block`, or a single (rows, cols) state,
+    which is a stack of one: there is one recording path.  Each state's
+    sums are one gemv (one dot for a single weight row) per weight
+    product, so a stack records the bits its states would one at a time,
+    into buffers allocated once per run.
     """
 
     def __init__(self, d: DomainConfig, T: float, dt: float, snapshot_stride: int,
@@ -139,8 +144,7 @@ class _Recorder:
         # above they would change how it is blocked, and the last bits of its rows
         self.half_stacked = stack(m.hs(0.5), m.hs(1.5))
         self.mid_stacked = stack(m.d1, m.d2, m.d3)
-        self.weights = dict(zip(("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed",
-                                 "h_half", "h3_half"), (*self.stacked, *self.half_stacked)))
+        self.work_stacked = stack(m.d1, m.e2)  # interval work 2 <d1 u, F> and 2 <e2 u, F>
         self.mid_weights = dict(zip(("mid_diss0", "mid_diss1", "mid_diss2"), self.mid_stacked))
         # the weight rows' columns are the rows of one matrix, so that a stack's sums
         # land in one copy; the half orders' product fills rows 0-1 and the other rows
@@ -154,6 +158,7 @@ class _Recorder:
                     **{name: np.zeros(n) for name in interval_series}}
         self.snapshot_indices, self.snapshots = [], []
         self._re2, self._im2 = np.empty((2, block, rows, cols))  # squares of the recorded states
+        self._pairs = np.empty((block, rows, cols), dtype=complex)  # conj(u) F of paired states
         self._sums = np.empty((block, len(order), 1))  # each state's sums, one matrix row each
         self._mid_sums = np.empty((block, len(self.mid_weights), 1))
         self._cuts: dict[int, tuple] = {}
@@ -195,14 +200,30 @@ class _Recorder:
                 self.snapshot_indices.append(j)
                 self.snapshots.append(_pad_band(stack[j - i], self.domain))
 
-    def put(self, i: int, **values) -> None:
-        for name, value in values.items():
-            self.cols[name][i] = value
+    def _pair(self, weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """weights (a row, or r rows) times Re(conj(a) b) per state: (k, 1) or (k, r, 1)."""
+        a, b = (x[None] if x.ndim == 2 else x for x in (a, b))
+        k = len(a)
+        pairs, reals = self._pairs[:k], self._re2[:k]
+        np.conjugate(a, out=pairs)
+        np.multiply(pairs, b, out=pairs)
+        np.copyto(reals, pairs.real)
+        return np.matmul(weights, reals.reshape(k, -1, 1))
 
-    def interval(self, i: int, uavg: np.ndarray, **values) -> None:
+    def pairing(self, a: np.ndarray, b: np.ndarray) -> float:
+        """integral a b of two real fields from their recorded blocks."""
+        return float(self._pair(self.stacked[0], a, b)[0, 0])
+
+    def work(self, i: int, coeffs: np.ndarray, rhs: np.ndarray) -> None:
+        """nonlin_flux = <u, F> at boundaries i, i + 1, ... from a stack of states and their F."""
+        pairs = self._pair(self.stacked[0], coeffs, rhs)
+        self.cols["nonlin_flux"][i : i + len(pairs)] = pairs[:, 0]
+
+    def interval(self, i: int, uavg: np.ndarray, rhs: np.ndarray | None = None) -> None:
         """Record steps i, i + 1, ... from a stack of averaged states (or one state).
 
-        values are scalars for one state, or one value per state.
+        rhs is None or the stack of right-hand sides F at the steps'
+        midpoints, whose work goes to mid_rhs_h1 and mid_rhs_h2.
         """
         stack = uavg[None] if uavg.ndim == 2 else uavg
         k = len(stack)
@@ -210,8 +231,9 @@ class _Recorder:
         self._sum_squares(stack, re2, im2)
         np.matmul(self.mid_stacked, squares, out=mid)
         self._mid_series[:, i : i + k] = mid_t
-        for name, value in values.items():
-            self.mid[name][i : i + k] = value
+        if rhs is not None:
+            work = 2.0 * self._pair(self.work_stacked, stack, rhs)[:, :, 0].T
+            self.mid["mid_rhs_h1"][i : i + k], self.mid["mid_rhs_h2"][i : i + k] = work
 
     def trajectory(self, rows: int, blowup_time: float | None = None,
                    h: float | None = None) -> Trajectory:

@@ -12,13 +12,13 @@ from oracles import grid_quadrature, mixed_derivative
 from zkbs import (
     GridField,
     SpectralField,
-    mode_inner,
     mode_multipliers,
     parseval_norm_sq,
     plan_domain,
     to_grid,
     to_spectral,
 )
+from zkbs.trajectory import _Recorder
 
 
 def random_real_field(d, rng, scale=1.0):
@@ -100,12 +100,14 @@ class TestTransforms:
             rtol=1e-12,
         )
 
-    def test_mode_inner_matches_grid_pairing(self, small_domain, rng):
+    def test_recorder_pairing_matches_grid_pairing(self, small_domain, rng):
+        # the one pairing of two states, which every work series sums, is
+        # the grid quadrature of their product by discrete Parseval
         d = small_domain
         f, g = random_real_field(d, rng), random_real_field(d, rng)
         sf, sg = to_spectral(f, d), to_spectral(g, d)
         assert np.isclose(
-            mode_inner(sf.coeffs, sg.coeffs, d),
+            _Recorder(d, 1.0, 1.0, 0).pairing(sf.coeffs, sg.coeffs),
             grid_quadrature(f.values * g.values, d),
             rtol=1e-11,
         )

@@ -130,6 +130,12 @@ class TestRegularizedFlux:
         assert abs(val - 4.138459355085541) <= 1e-12
         assert abs(flux(3.0) - val) <= 1e-12
 
+    def test_scalar_value_without_cutoff_is_the_parabola(self):
+        # h = None is u^2 / 2 everywhere, on either side of any cutoff
+        flux = RegularizedFlux(None)
+        for u in (-3.0, 0.5, 3.0):
+            assert g_h(u, flux) == 0.5 * u * u, u
+
     def test_band_quad_oracle_h_half(self):
         # flag the region seam at u = 1/h = 2 or adaptive quad loses digits
         flux = RegularizedFlux(h=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zkbs import (
+    EnergyReport,
     GridField,
     RegularizedFlux,
     SpectralField,
@@ -297,6 +298,12 @@ class TestNonlinearAudits:
         assert reports[0].max_residual == 0.0 == reports[1].max_residual
         assert refinement_order(*reports) is None
         assert (reports[0].dt, reports[1].dt) == (2e-3, 1e-3)
+
+    def test_a_zero_coarse_residual_has_no_refinement_order(self):
+        # one zero residual is enough: log(0 / r) has no value
+        coarse, fine = (EnergyReport("mass_3_3", np.zeros(2), np.array([0.0, r]), r, dt)
+                        for r, dt in ((0.0, 2e-3), (1e-9, 1e-3)))
+        assert refinement_order(coarse, fine) is None
 
     def test_refinement_order_needs_one_identity_at_a_finer_step(self, run):
         coarse, fine = (audit_identity(traj, "mass_3_3") for traj in run)

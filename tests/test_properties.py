@@ -14,7 +14,6 @@ from zkbs import (
     GridField,
     RegularizedFlux,
     SpectralField,
-    mode_inner,
     mode_multipliers,
     parseval_norm_sq,
     plan_domain,
@@ -88,7 +87,7 @@ def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
     c = _pad_band(half_spectrum_coeffs(d, np.random.default_rng(seed), scale)[:kx, :ky], d)
     _, n = _nonlinear_core(c[:kx, :ky], RegularizedFlux(h=None), d, _grid_work(d))
     size = parseval_norm_sq(c, d) ** 1.5
-    assert abs(mode_inner(c, _pad_band(n, d), d)) <= 1e-12 * size
+    assert abs(_Recorder(d, 1.0, 1.0, 0).pairing(c, _pad_band(n, d))) <= 1e-12 * size
 
 
 @props
@@ -138,7 +137,7 @@ def test_band_recorder_matches_the_full_recorder_on_band_data(d, seed, scale):
     for rec, crop in ((full, np.s_[:, :]), (band, np.s_[:kx, :ky])):
         rec.boundary(0, c[crop])
         rec.interval(0, mid[crop])
-    for name in full.weights:
+    for name in full.cols:
         assert math.isclose(band.cols[name][0], full.cols[name][0], rel_tol=1e-13), name
     for name in full.mid_weights:
         assert math.isclose(band.mid[name][0], full.mid[name][0], rel_tol=1e-13), name
@@ -154,8 +153,9 @@ def test_split_forcing_pairs_as_its_sum(d, seed, scale):
     rng = np.random.default_rng(seed)
     u, f1, f2 = (half_spectrum_coeffs(d, rng, scale) for _ in range(3))
     ix, ky = 1j * d.xi_odd[:, None], np.sqrt(d.lam)[None, :]
-    got = mode_inner(u, ix * f1 - ky * f2, d)
-    want = -mode_inner(ix * u, f1, d) - mode_inner(ky * u, f2, d)
+    pairing = _Recorder(d, 1.0, 1.0, 0).pairing
+    got = pairing(u, ix * f1 - ky * f2)
+    want = -pairing(ix * u, f1) - pairing(ky * u, f2)
     size = math.sqrt(parseval_norm_sq(u, d)) * (math.sqrt(parseval_norm_sq(ix * f1, d))
                                                 + math.sqrt(parseval_norm_sq(ky * f2, d)))
     assert abs(got - want) <= 1e-13 * size
@@ -172,30 +172,38 @@ _MODES_8X4 = plan_domain(L=math.pi, X=16 * math.pi, nx=14, ny=4, delta=0.5)
        st.integers(1, 131), st.sampled_from(["0", "1", "3", "B - 1", "B", "B + 1", "2B"]))
 def test_a_stack_records_what_its_states_record_one_at_a_time(where, seed, B, n, stride):
     # boundaries and averaged states recorded in stacks of B (the last one
-    # shorter) against the same states recorded one at a time: every series
-    # and snapshot bit for bit; strides of B - 1 and B + 1 put snapshots
-    # inside stacks, B and 2B at their edges
+    # shorter), each paired with its right-hand sides, against the same states
+    # recorded one at a time: every series, the work series too, and every
+    # snapshot bit for bit; strides of B - 1 and B + 1 put snapshots inside
+    # stacks, B and 2B at their edges
     d = _DESK if where == "desk band" else _MODES_8X4
     shape = _kept_band(d) if where == "desk band" else d.spectral_shape
     stride = {"0": 0, "1": 1, "3": 3, "B - 1": max(B - 1, 1), "B": B, "B + 1": B + 1,
               "2B": 2 * B}[stride]
     rng = np.random.default_rng(seed)
-    # strided stacks, as simulate's band views are
-    states, avgs = ((rng.standard_normal((count, *d.spectral_shape))
-                     + 1j * rng.standard_normal((count, *d.spectral_shape)))[:, :shape[0], :shape[1]]
-                    for count in (n + 1, n))
-    one, stacked = (_Recorder(d, n * 1e-3, 1e-3, stride, interval_series=("mid_rhs_h1",),
+    # strided stacks, as simulate's band views are; the right-hand sides
+    # interleave boundary and midpoint rows, as duhamel_solve's samples do
+    states, avgs, rhs = ((rng.standard_normal((count, *d.spectral_shape))
+                          + 1j * rng.standard_normal((count, *d.spectral_shape)))
+                         [:, :shape[0], :shape[1]] for count in (n + 1, n, 2 * n + 1))
+    rights, mids = rhs[0::2], rhs[1::2]
+    one, stacked = (_Recorder(d, n * 1e-3, 1e-3, stride,
+                              interval_series=("mid_rhs_h1", "mid_rhs_h2"),
                               shape=shape, block=block) for block in (1, B))
     for i in range(n + 1):
         one.boundary(i, states[i])
+        one.work(i, states[i], rights[i])
     for i in range(n):
-        one.interval(i, avgs[i], mid_rhs_h1=float(i))
+        one.interval(i, avgs[i], mids[i])
     stacked.boundary(0, states[0])
+    stacked.work(0, states[0], rights[0])
     for i0 in range(0, n, B):
         b = min(B, n - i0)
-        stacked.interval(i0, avgs[i0 : i0 + b], mid_rhs_h1=np.arange(i0, i0 + b, dtype=float))
+        stacked.interval(i0, avgs[i0 : i0 + b], mids[i0 : i0 + b])
         stacked.boundary(i0 + 1, states[i0 + 1 : i0 + 1 + b])
+        stacked.work(i0 + 1, states[i0 + 1 : i0 + 1 + b], rights[i0 + 1 : i0 + 1 + b])
     a, b = one.trajectory(n + 1), stacked.trajectory(n + 1)
+    assert np.all(a.nonlin_flux != 0.0) and np.all(a.mid_rhs_h2 != 0.0)
     for name, value in vars(a).items():
         if isinstance(value, np.ndarray):
             other = getattr(b, name)

@@ -23,7 +23,7 @@ from zkbs.semigroup import _block_steps
 from zkbs.trajectory import _Recorder
 
 
-# linear-verify's forced solves run on these 8 x 4 modes; duhamel_solve steps them 64 at a time
+# linear-verify's forced solves run on these 8 x 4 modes; duhamel_solve steps them 56 at a time
 MODES_8X4 = plan_domain(L=math.pi, X=16 * math.pi, nx=14, ny=4, delta=0.5)
 
 
@@ -229,12 +229,13 @@ class TestDuhamel:
                 assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_block_size_comes_from_the_byte_budget(self, small_domain, desk_domain):
-        # a forced block's 7 B half spectra fit in 256 KiB, with B from 1 to 64
-        assert _block_steps(MODES_8X4) == 64  # 73 would fit
+        # a forced block's 9 B half spectra fit in 256 KiB, with B from 1 to 64
+        assert _block_steps(MODES_8X4) == 56
+        assert 9 * 56 * 16 * 8 * 4 <= 2**18 < 9 * 57 * 16 * 8 * 4
         state = 16 * 33 * 16
-        assert _block_steps(small_domain) == 4
-        assert 7 * 4 * state <= 2**18 < 7 * 5 * state
-        assert _block_steps(desk_domain) == 1  # where not even 7 states fit
+        assert _block_steps(small_domain) == 3
+        assert 9 * 3 * state <= 2**18 < 9 * 4 * state
+        assert _block_steps(desk_domain) == 1  # where not even 9 states fit
 
     @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
     @pytest.mark.parametrize("where", ["first", "second block", "last"])
@@ -345,10 +346,16 @@ def expression_form_solve(u0, forcing, T, dt, S):
     Every product and sum makes a fresh temporary, in the order that
     duhamel_solve's in-place step takes them.  Returns the states, the
     boundary sums (l2^2, h1^2, h2^2, diss_l2, diss_h1, e2_mixed, then
-    h_half^2 and h3_half^2, each product apart) and the interval sums
-    (mid_diss0/1/2).
+    h_half^2 and h3_half^2, each product apart), the interval sums
+    (mid_diss0/1/2) and the work series (nonlin_flux, mid_rhs_h1 and
+    mid_rhs_h2, zero when unforced).
     """
     rec = _Recorder(S.domain, T, dt, 1)
+    work = np.zeros((3, rec.n_steps + 1))
+
+    def pair(weights, a, b):
+        return weights @ (np.conj(a) * b).real.ravel()
+
     z = S.m * dt
     p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
     E = np.exp(z)
@@ -362,6 +369,8 @@ def expression_form_solve(u0, forcing, T, dt, S):
     u = np.array(u0.coeffs, dtype=complex)
     states, bsums, msums = [u], [sums(u, rec.stacked, rec.half_stacked)], []
     f_right = None if forcing is None else forcing(rec.times[0])
+    if forcing is not None:
+        work[0, 0] = pair(rec.stacked[0], u, f_right)
     for i in range(rec.n_steps):
         if forcing is None:
             u_next = E * u
@@ -369,11 +378,15 @@ def expression_form_solve(u0, forcing, T, dt, S):
             f_left, f_mid, f_right = (f_right, forcing(rec.times[i] + 0.5 * dt),
                                       forcing(rec.times[i + 1]))
             u_next = E * u + w_left * f_left + w_mid * f_mid + w_right * f_right
-        msums.append(sums(0.5 * (u + u_next), rec.mid_stacked))
+        uavg = 0.5 * (u + u_next)
+        msums.append(sums(uavg, rec.mid_stacked))
         u = u_next
         states.append(u)
         bsums.append(sums(u, rec.stacked, rec.half_stacked))
-    return states, np.array(bsums).T, np.array(msums).T
+        if forcing is not None:
+            work[0, i + 1] = pair(rec.stacked[0], u, f_right)
+            work[1:, i] = 2.0 * pair(rec.work_stacked, uavg, f_mid)
+    return states, np.array(bsums).T, np.array(msums).T, work
 
 
 class TestInPlaceStep:
@@ -393,7 +406,7 @@ class TestInPlaceStep:
 
         forcing = forcing if forced else None
         traj = duhamel_solve(u0, forcing, 0.05, 1e-3, S)
-        states, bsums, msums = expression_form_solve(u0, forcing, 0.05, 1e-3, S)
+        states, bsums, msums, work = expression_form_solve(u0, forcing, 0.05, 1e-3, S)
         assert len(traj.snapshots) == len(states) == 51
         for got, want in zip(traj.snapshots, states, strict=True):
             assert np.array_equal(got, want)
@@ -403,6 +416,10 @@ class TestInPlaceStep:
             assert np.array_equal(getattr(traj, name), want), name
         for name, want in zip(("mid_diss0", "mid_diss1", "mid_diss2"), msums):
             assert np.array_equal(getattr(traj, name), want), name
+        assert np.array_equal(traj.nonlin_flux, work[0])
+        for name, want in zip(("mid_rhs_h1", "mid_rhs_h2"), work[1:]):
+            assert np.array_equal(getattr(traj, name), want[:-1]), name
+        assert np.any(work != 0.0) == forced
 
     def test_band_recorder_of_a_strided_block_matches_the_expression_form(self, small_domain):
         # simulate records a (kx, ky) view into a larger array
@@ -410,17 +427,25 @@ class TestInPlaceStep:
         kx, ky = _kept_band(d)
         rng = np.random.default_rng(22)
         full = rng.standard_normal(d.spectral_shape) + 1j * rng.standard_normal(d.spectral_shape)
-        block = full[:kx, :ky]
-        rec = _Recorder(d, 1.0, 1.0, 0, shape=(kx, ky))
+        block, rhs = full[:kx, :ky], full[1:, 1:][:kx, :ky]
+        rec = _Recorder(d, 1.0, 1.0, 0, interval_series=("mid_rhs_h1", "mid_rhs_h2"),
+                        shape=(kx, ky))
         rec.boundary(0, block)
-        rec.interval(0, block)
+        rec.work(0, block, rhs)
+        rec.interval(0, block, rhs)
         squares = (block.real**2 + block.imag**2).ravel()
         want = [*(rec.stacked @ squares), *(rec.half_stacked @ squares)]
-        assert [rec.cols[name][0] for name in rec.weights] == [
+        names = ("l2", "h1", "h2", "diss_l2", "diss_h1", "e2_mixed", "h_half", "h3_half")
+        assert [rec.cols[name][0] for name in names] == [
             v if name in ("diss_l2", "diss_h1", "e2_mixed") else math.sqrt(v)
-            for name, v in zip(rec.weights, want)]
+            for name, v in zip(names, want)]
         assert [rec.mid[name][0] for name in rec.mid_weights] == list(
             rec.mid_stacked @ squares)
+        products = (np.conj(block) * rhs).real.ravel()
+        assert rec.cols["nonlin_flux"][0] == rec.pairing(block, rhs) == float(
+            rec.stacked[0] @ products)
+        assert [rec.mid["mid_rhs_h1"][0], rec.mid["mid_rhs_h2"][0]] == list(
+            2.0 * (rec.work_stacked @ products))
 
 
 class TestLinearAudits:
@@ -469,8 +494,7 @@ class TestLinearAudits:
             return w * (f0c + fx + fy)
 
         def run(dt):
-            traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_identity(traj, "mass_3_3", forcing=forcing)
+            return audit_identity(duhamel_solve(u0, forcing, 0.2, dt, S), "mass_3_3")
 
         assert 1.7 <= refinement_order(run(2e-3), run(1e-3)) <= 2.3
 
@@ -485,8 +509,7 @@ class TestLinearAudits:
             return f0c * math.exp(-t)
 
         def rep(which, dt):
-            traj = duhamel_solve(u0, forcing, 0.2, dt, S, snapshot_stride=1)
-            return audit_identity(traj, which, forcing=forcing)
+            return audit_identity(duhamel_solve(u0, forcing, 0.2, dt, S), which)
 
         for which in ("h1_3_15", "h2_3_29"):
             assert 1.7 <= refinement_order(rep(which, 2e-3), rep(which, 1e-3)) <= 2.3, which
@@ -494,7 +517,7 @@ class TestLinearAudits:
     def test_forced_audit_pairs_each_order_with_its_weight(self, small_domain):
         # one mode from rest under constant forcing: each identity is the mass
         # identity times its weight (1, d1 = 9.25, e2 = 83.3 on mode (8, 3)), and the
-        # midpoint rule leaves 1.1e-6 of the energy, so any other weight shows
+        # time rules leave 1.1e-6 of the energy, so any other weight shows
         d = small_domain
         f = np.zeros(d.spectral_shape, dtype=complex)
         f[8, 2] = 0.5 + 0.25j
@@ -505,7 +528,7 @@ class TestLinearAudits:
         traj = duhamel_solve(SpectralField(np.zeros_like(f)), forcing, 0.2, 1e-3, symbol(d))
         for which, energy in (("mass_3_3", traj.l2**2), ("h1_3_15", traj.diss_l2),
                               ("h2_3_29", traj.e2_mixed)):
-            rep = audit_identity(traj, which, forcing=forcing)
+            rep = audit_identity(traj, which)
             assert rep.max_residual <= 1e-5 * np.max(energy), which
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -517,12 +540,13 @@ class TestLinearAudits:
         forcing = (lambda t: f0c * math.cos(t)) if forced else None
         traj = duhamel_solve(u0, forcing, 1e-3, 1e-3, symbol(d))
         for which in ("mass_3_3", "h1_3_15", "h2_3_29"):
-            rep = audit_identity(traj, which, forcing=forcing)
+            rep = audit_identity(traj, which)
             assert rep.residual.shape == (2,) and np.all(np.isfinite(rep.residual)), which
             assert np.array_equal(rep.times, traj.times)
 
-    def test_forced_audit_of_an_endpoints_only_run_reports_its_endpoints(self, small_domain):
-        # snapshot_stride=0 stores the first and last boundary: one forcing interval
+    def test_forced_audit_does_not_depend_on_the_snapshot_stride(self, small_domain):
+        # the work is recorded at every step, so the residual series is the
+        # same, bit for bit, whichever boundaries keep a snapshot
         d = small_domain
         rng = np.random.default_rng(15)
         u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
@@ -531,11 +555,29 @@ class TestLinearAudits:
         def forcing(t):
             return f0c * math.exp(-t)
 
-        traj = duhamel_solve(u0, forcing, 0.05, 1e-3, symbol(d), snapshot_stride=0)
+        trajs = [duhamel_solve(u0, forcing, 0.05, 1e-3, symbol(d), snapshot_stride=stride)
+                 for stride in (0, 1, 5)]
+        assert [len(traj.snapshots) for traj in trajs] == [2, 51, 11]
         for which in ("mass_3_3", "h1_3_15", "h2_3_29"):
-            rep = audit_identity(traj, which, forcing=forcing)
-            assert rep.times.tolist() == [traj.times[0], traj.times[-1]], which
-            assert rep.residual.shape == (2,) and rep.residual[0] == 0.0, which
+            reps = [audit_identity(traj, which) for traj in trajs]
+            assert reps[0].residual.shape == (51,) and reps[0].residual[0] == 0.0, which
+            assert np.all(reps[0].residual[1:] > 0.0), which
+            for rep in reps[1:]:
+                assert np.array_equal(rep.times, reps[0].times), which
+                assert np.array_equal(rep.residual.view(np.uint64),
+                                      reps[0].residual.view(np.uint64)), which
+
+    def test_forced_run_has_no_combined_identity(self, small_domain):
+        # combined_3_23 holds for the u^2/2 flux only; a forced linear run
+        # records no cube series, and the refusal names it
+        d = small_domain
+        f = np.zeros(d.spectral_shape, dtype=complex)
+        f[3, 1] = 1.0 + 0.5j
+        traj = duhamel_solve(SpectralField(np.zeros_like(f)), lambda t: f, 0.01, 1e-3,
+                             symbol(d))
+        assert traj.cube is None and np.any(traj.nonlin_flux != 0.0)
+        with pytest.raises(ValueError, match="lacks the 'cube' diagnostics"):
+            audit_identity(traj, "combined_3_23")
 
     def test_unknown_identity_rejected(self, small_domain):
         d = small_domain
@@ -543,5 +585,3 @@ class TestLinearAudits:
         traj = duhamel_solve(u0, None, 0.01, 1e-3, symbol(d))
         with pytest.raises(ValueError, match="unknown"):
             audit_identity(traj, "momentum")
-        with pytest.raises(ValueError, match="no forced form"):
-            audit_identity(traj, "combined_3_23", forcing=lambda t: np.zeros(d.spectral_shape))

@@ -127,6 +127,27 @@ def test_step_transforms_only_inside_the_nonlinear_core():
                              ("_nonlinear_core", "_band_to_spectral")]
 
 
+def conjugations(source: str) -> list[str]:
+    """The callee of each call that conjugates, conj or conjugate, bare or as an attribute."""
+    return sorted(name for call in ast.walk(ast.parse(source)) if isinstance(call, ast.Call)
+                  for name in [getattr(call.func, "id", getattr(call.func, "attr", None))]
+                  if name in ("conj", "conjugate"))
+
+
+def test_scan_finds_every_conjugation():
+    source = "import numpy as np\nx = np.conj(a)\ny = b.conjugate()\nz = f(conj(c))\n" \
+             "w = np.conjugate\nq = 'np.conj(d)'\n"
+    assert conjugations(source) == ["conj", "conj", "conjugate"]
+
+
+def test_pairings_conjugate_only_in_the_recorder():
+    # every pairing of a state with a right-hand side, work series or not, is
+    # the recorder's, so no other module conjugates a spectrum
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := conjugations(path.read_text()))}
+    assert found == {"trajectory.py": ["conjugate"]}
+
+
 def audit_definitions(source: str) -> list[str]:
     """Functions and methods named audit*, balance or cumulative_* (leading _ ignored)."""
     return [node.name for node in ast.walk(ast.parse(source))
