@@ -30,13 +30,11 @@ __all__ = [
 IDENTITIES = ("mass_3_3", "h1_3_15", "combined_3_23", "h2_3_29")
 
 
-def _require_series(traj: Trajectory, names: tuple[str, ...], which: str) -> None:
+def _require_series(traj: Trajectory, names: tuple[str, ...], which: str, source: str) -> None:
     for name in names:
         if getattr(traj, name) is None:
-            raise ValueError(
-                f"trajectory lacks the {name!r} diagnostics required by {which};"
-                " rerun simulate() with audit_series=True"
-            )
+            raise ValueError(f"trajectory lacks the {name!r} diagnostics required by {which};"
+                             f" {source}")
 
 
 @dataclass
@@ -122,7 +120,8 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
     if which == "combined_3_23":
         if traj.h is not None:
             raise ValueError(f"combined_3_23 holds for the u^2/2 flux only, not h = {traj.h!r}")
-        _require_series(traj, ("cube", "mid_u2lap"), which)
+        _require_series(traj, ("cube", "mid_u2lap"), which,
+                        "only simulate() with audit_series=True at h = None records it")
         delta = traj.domain.delta
         energy = traj.diss_l2 - traj.cube / 3.0
         lhs = energy - energy[0]
@@ -130,7 +129,8 @@ def audit_identity(traj: Trajectory, which: str) -> EnergyReport:
         lhs += delta * _cumulative_midpoint(traj, traj.mid_u2lap)
     else:
         k, series = _BALANCES[which]
-        _require_series(traj, (series,), which)
+        _require_series(traj, (series,), which,
+                        "simulate() with audit_series=True and duhamel_solve() record it")
         values = getattr(traj, series)
         work = (_cumulative_trapezoid(traj, 2.0 * values) if series == "nonlin_flux"
                 else _cumulative_midpoint(traj, values))

@@ -107,9 +107,10 @@ def _three_node_weights(S: SymbolTable, dt: float):
             dt * (4.0 * p3 - p2))
 
 
-# a forced block of B steps holds 9 B states (two stacks of B boundary states, B averaged
-# states, 2 B forcing samples and their 2 B products, two stacks of B left products); B is
-# the most steps whose states fit in _BLOCK_BYTES, from 1 to _MAX_BLOCK (56 on 8 x 4 modes)
+# a forced block of B steps holds 7 B + 2 half spectra: B + 1 states and 2 B + 1 forcing
+# samples, each stack's row 0 carrying the last block's end, B averaged states and the
+# samples' 3 B products; B is the most steps whose half spectra fit in _BLOCK_BYTES, from 1
+# to _MAX_BLOCK (64 on 8 x 4 modes)
 _BLOCK_BYTES = 2**18
 _MAX_BLOCK = 64
 
@@ -117,7 +118,7 @@ _MAX_BLOCK = 64
 def _block_steps(d: DomainConfig) -> int:
     """Steps that duhamel_solve advances per block on domain d."""
     states = _BLOCK_BYTES // (16 * d.spectral_shape[0] * d.spectral_shape[1])
-    return max(1, min(_MAX_BLOCK, states // 9))
+    return max(1, min(_MAX_BLOCK, (states - 2) // 7))
 
 
 def _check_samples(block: np.ndarray, d: DomainConfig, what: str) -> None:
@@ -160,12 +161,13 @@ def duhamel_solve(
     The solve advances a block of B = _block_steps steps at a time.  It
     takes all of a block's samples first and checks them (real-field
     rows, finite entries) before any step uses one, then forms the
-    block's products w f beside the samples, steps with four in-place
-    ufuncs, and records the block's boundaries and averaged states as
-    two stacks, each paired with its samples.  Every buffer is allocated
-    once per solve: 9 B half spectra (3 B unforced), within _BLOCK_BYTES
-    (256 KiB) whenever B > 1, and 2 B more in the recorder.  No state is
-    copied between blocks.
+    block's products w f in three strided multiplies, steps with four
+    in-place ufuncs, and records the block's boundaries and averaged
+    states as two stacks, each paired with its samples.  Every buffer is
+    allocated once per solve: 7 B + 2 half spectra (2 B + 1 unforced),
+    within _BLOCK_BYTES (256 KiB) whenever B > 1, and 2 B more in the
+    recorder.  The state and sample stacks carry the last block's end in
+    row 0, so a block copies one state and one sample into the next.
     """
     d = S.domain
     u = np.array(u0.coeffs, dtype=complex)
@@ -177,20 +179,18 @@ def duhamel_solve(
     E, w_left, w_mid, w_right = _three_node_weights(S, dt)
     n, times = rec.n_steps, rec.times
 
-    def stack(k: int) -> np.ndarray:
-        return np.empty((k, *d.spectral_shape), dtype=complex)
+    def stack(*k: int) -> np.ndarray:
+        return np.empty((*k, *d.spectral_shape), dtype=complex)
 
-    # a block writes its states into one stack while its first step reads the
-    # last block's end from the other; its left products go the same way
-    states, spare, avg = stack(B), stack(B), stack(B)
-    start = u
+    # U[0] is a block's start and U[k + 1] step k's end
+    U, avg = stack(B + 1), stack(B)
+    U[0] = u
     rec.boundary(0, u)
     if forcing is not None:
-        # F holds a block's samples, step k's midpoint at row 2k and right end at
-        # 2k + 1, and P their products with w_mid and w_right in the same rows; a
-        # step's left end is the last step's right end, whose product with w_left
-        # goes to lefts[k], and the block's last one to lefts[0], for the next block
-        F, P, lefts, spare_lefts = stack(2 * B), stack(2 * B), stack(B), stack(B)
+        # F[0] is a block's left-end sample and F[2k + 1], F[2k + 2] step k's midpoint
+        # and right end; lefts, mids and rights hold their products with the weights
+        F, W = stack(2 * B + 1), stack(3, B)
+        lefts, mids, rights = W
 
         def take(k: int, t: float) -> None:
             f = np.asarray(forcing(t))
@@ -200,34 +200,28 @@ def duhamel_solve(
         take(0, times[0])
         _check_samples(F[:1], d, "forcing sample")
         rec.work(0, u, F[0])
-        first_left = np.multiply(w_left, F[0], out=spare_lefts[0])
     for i0 in range(0, n, B):
         b = min(B, n - i0)
-        mids = None
         if forcing is not None:
             for k in range(b):
-                take(2 * k, times[i0 + k] + 0.5 * dt)
-                take(2 * k + 1, times[i0 + k + 1])
-            _check_samples(F[: 2 * b], d, "forcing sample")
-            mids, rights = F[0 : 2 * b : 2], F[1 : 2 * b : 2]
-            np.multiply(w_left, rights[: b - 1], out=lefts[1:b])
-            np.multiply(w_left, rights[b - 1], out=lefts[0])
-            np.multiply(w_mid, mids, out=P[0 : 2 * b : 2])
-            np.multiply(w_right, rights, out=P[1 : 2 * b : 2])
-        u = start
+                take(2 * k + 1, times[i0 + k] + 0.5 * dt)
+                take(2 * k + 2, times[i0 + k + 1])
+            _check_samples(F[1 : 2 * b + 1], d, "forcing sample")
+            for j, w in enumerate((w_left, w_mid, w_right)):
+                np.multiply(w, F[j : 2 * b + j : 2], out=W[j, :b])
         for k in range(b):
             # u_next = E u + w_left f_left + w_mid f_mid + w_right f_right, summed left to right
-            u = np.multiply(E, u, out=states[k])
+            u = np.multiply(E, U[k], out=U[k + 1])
             if forcing is not None:
-                for p in (lefts[k] if k else first_left, P[2 * k], P[2 * k + 1]):
-                    np.add(u, p, out=u)
-        np.add(start, states[0], out=avg[0])
-        np.add(states[: b - 1], states[1:b], out=avg[1:b])
+                np.add(u, lefts[k], out=u)
+                np.add(u, mids[k], out=u)
+                np.add(u, rights[k], out=u)
+        np.add(U[:b], U[1 : b + 1], out=avg[:b])
         np.multiply(avg[:b], 0.5, out=avg[:b])
-        rec.interval(i0, avg[:b], mids)
-        rec.boundary(i0 + 1, states[:b])
+        rec.interval(i0, avg[:b], None if forcing is None else F[1 : 2 * b : 2])
+        rec.boundary(i0 + 1, U[1 : b + 1])
         if forcing is not None:
-            rec.work(i0 + 1, states[:b], rights)
-            first_left, lefts, spare_lefts = lefts[0], spare_lefts, lefts
-        start, states, spare = states[b - 1], spare, states
+            rec.work(i0 + 1, U[1 : b + 1], F[2 : 2 * b + 1 : 2])
+            F[0] = F[2 * b]
+        U[0] = U[b]
     return rec.trajectory(n + 1)

@@ -161,40 +161,26 @@ class _Recorder:
         self._pairs = np.empty((block, rows, cols), dtype=complex)  # conj(u) F of paired states
         self._sums = np.empty((block, len(order), 1))  # each state's sums, one matrix row each
         self._mid_sums = np.empty((block, len(self.mid_weights), 1))
-        self._cuts: dict[int, tuple] = {}
 
-    def _cut(self, k: int) -> tuple:
-        """The buffers' views for a stack of k states, made once per k.
-
-        They are the two squares buffers and their sum as one (modes, 1)
-        column per state; the boundary sums' two product parts, norm rows
-        and transpose; and the interval sums and their transpose.
-        """
-        if k not in self._cuts:
-            re2, sums, mid = self._re2[:k], self._sums[:k], self._mid_sums[:k]
-            half = len(self.half_stacked)
-            self._cuts[k] = (re2, self._im2[:k], re2.reshape(k, -1, 1),
-                             sums[:, :half], sums[:, half:], sums[:, : len(_NORM_COLUMNS)],
-                             sums[:, :, 0].T, mid, mid[:, :, 0].T)
-        return self._cuts[k]
-
-    @staticmethod
-    def _sum_squares(stack: np.ndarray, re2: np.ndarray, im2: np.ndarray) -> None:
-        """re^2 + im^2 of a stack of states, into re2 (no temporaries)."""
+    def _squares(self, stack: np.ndarray) -> np.ndarray:
+        """re^2 + im^2 of a stack of states, one (modes, 1) column each (no temporaries)."""
+        k = len(stack)
+        re2, im2 = self._re2[:k], self._im2[:k]
         np.square(stack.real, out=re2)
         np.square(stack.imag, out=im2)
         np.add(re2, im2, out=re2)
+        return re2.reshape(k, -1, 1)
 
     def boundary(self, i: int, coeffs: np.ndarray) -> None:
         """Record boundaries i, i + 1, ... from a stack of states (or one state)."""
         stack = coeffs[None] if coeffs.ndim == 2 else coeffs
-        k = len(stack)
-        re2, im2, squares, halves, wholes, norms, sums_t, _, _ = self._cut(k)
-        self._sum_squares(stack, re2, im2)
-        np.matmul(self.half_stacked, squares, out=halves)
-        np.matmul(self.stacked, squares, out=wholes)
+        k, half = len(stack), len(self.half_stacked)
+        squares, sums = self._squares(stack), self._sums[:k]
+        np.matmul(self.half_stacked, squares, out=sums[:, :half])
+        np.matmul(self.stacked, squares, out=sums[:, half:])
+        norms = sums[:, : len(_NORM_COLUMNS)]
         np.sqrt(norms, out=norms)
-        self._series[:, i : i + k] = sums_t
+        self._series[:, i : i + k] = sums[:, :, 0].T
         for j in range(i, i + k):
             if (self.stride > 0 and j % self.stride == 0) or j in (0, self.n_steps):
                 self.snapshot_indices.append(j)
@@ -227,10 +213,9 @@ class _Recorder:
         """
         stack = uavg[None] if uavg.ndim == 2 else uavg
         k = len(stack)
-        re2, im2, squares, _, _, _, _, mid, mid_t = self._cut(k)
-        self._sum_squares(stack, re2, im2)
-        np.matmul(self.mid_stacked, squares, out=mid)
-        self._mid_series[:, i : i + k] = mid_t
+        mid = self._mid_sums[:k]
+        np.matmul(self.mid_stacked, self._squares(stack), out=mid)
+        self._mid_series[:, i : i + k] = mid[:, :, 0].T
         if rhs is not None:
             work = 2.0 * self._pair(self.work_stacked, stack, rhs)[:, :, 0].T
             self.mid["mid_rhs_h1"][i : i + k], self.mid["mid_rhs_h2"][i : i + k] = work

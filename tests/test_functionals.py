@@ -319,7 +319,8 @@ class TestNonlinearAudits:
         S = symbol(d)
         u0 = SpectralField(np.zeros(d.spectral_shape, dtype=complex))
         traj = duhamel_solve(u0, None, 0.01, 1e-3, S)
-        with pytest.raises(ValueError, match="'cube'"):
+        with pytest.raises(ValueError, match=r"'cube'.*; only simulate\(\) with "
+                           r"audit_series=True at h = None records it$"):
             audit_identity(traj, "combined_3_23")
 
     @pytest.mark.parametrize("ident,missing", [

@@ -23,7 +23,7 @@ from zkbs.semigroup import _block_steps
 from zkbs.trajectory import _Recorder
 
 
-# linear-verify's forced solves run on these 8 x 4 modes; duhamel_solve steps them 56 at a time
+# linear-verify's forced solves run on these 8 x 4 modes; duhamel_solve steps them 64 at a time
 MODES_8X4 = plan_domain(L=math.pi, X=16 * math.pi, nx=14, ny=4, delta=0.5)
 
 
@@ -229,13 +229,14 @@ class TestDuhamel:
                 assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_block_size_comes_from_the_byte_budget(self, small_domain, desk_domain):
-        # a forced block's 9 B half spectra fit in 256 KiB, with B from 1 to 64
-        assert _block_steps(MODES_8X4) == 56
-        assert 9 * 56 * 16 * 8 * 4 <= 2**18 < 9 * 57 * 16 * 8 * 4
+        # a forced block's 7 B + 2 half spectra fit in 256 KiB, with B from 1 to 64
+        assert _block_steps(MODES_8X4) == 64  # the cap: 7 * 65 + 2 states would fit too
+        assert (7 * 65 + 2) * 16 * 8 * 4 <= 2**18
         state = 16 * 33 * 16
-        assert _block_steps(small_domain) == 3
-        assert 9 * 3 * state <= 2**18 < 9 * 4 * state
-        assert _block_steps(desk_domain) == 1  # where not even 9 states fit
+        assert _block_steps(small_domain) == 4
+        assert (7 * 4 + 2) * state <= 2**18 < (7 * 5 + 2) * state
+        assert _block_steps(desk_domain) == 1  # where not even 7 + 2 states fit
+        assert (7 + 2) * 16 * 129 * 64 > 2**18
 
     @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
     @pytest.mark.parametrize("where", ["first", "second block", "last"])
@@ -393,9 +394,13 @@ class TestInPlaceStep:
     """The buffered step and recorder against their expression forms, bit for bit."""
 
     @pytest.mark.parametrize("forced", [True, False], ids=["forced", "homogeneous"])
+    @pytest.mark.parametrize("domain", ["small", "modes_8x4"])
     def test_every_snapshot_and_series_matches_the_expression_form(self, small_domain,
-                                                                   forced):
-        d = small_domain
+                                                                   domain, forced):
+        # 50 steps on the small grid; 2 B + 3 on linear-verify's modes, so that two
+        # blocks carry their last state and right-end sample into the next
+        d = small_domain if domain == "small" else MODES_8X4
+        n = 50 if domain == "small" else 2 * _block_steps(d) + 3
         S = symbol(d)
         rng = np.random.default_rng(21)
         u0 = to_spectral(GridField(rng.standard_normal(d.shape)), d)
@@ -405,9 +410,9 @@ class TestInPlaceStep:
             return f0 * (math.sin(3.0 * t) + 0.5)
 
         forcing = forcing if forced else None
-        traj = duhamel_solve(u0, forcing, 0.05, 1e-3, S)
-        states, bsums, msums, work = expression_form_solve(u0, forcing, 0.05, 1e-3, S)
-        assert len(traj.snapshots) == len(states) == 51
+        traj = duhamel_solve(u0, forcing, n * 1e-3, 1e-3, S)
+        states, bsums, msums, work = expression_form_solve(u0, forcing, n * 1e-3, 1e-3, S)
+        assert len(traj.snapshots) == len(states) == n + 1
         for got, want in zip(traj.snapshots, states, strict=True):
             assert np.array_equal(got, want)
         for name, want in zip(("l2", "h1", "h2", "h_half", "h3_half"), bsums[[0, 1, 2, 6, 7]]):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zkbs import plan_domain, semigroup
 from zkbs.cli import RunConfig, _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +94,25 @@ def test_readme_common_flags_are_simulate_flags():
                    if isinstance(a, argparse._SubParsersAction))
     accepted = set(subparsers.choices["simulate"]._option_string_actions)
     assert named and named <= accepted, named - accepted
+
+
+def test_readme_block_figures_are_linear_verifys(monkeypatch):
+    # "advances N steps per block" and "the block's S·N + C half spectra" on the
+    # 8 x 4 modes that linear-verify's forced solves run on
+    paragraph = re.search(r"On those 8×4 modes(.*?)half\s+spectra", README, re.S).group(1)
+    steps = int(re.search(r"advances\s+(\d+)\s+steps\s+per\s+block", paragraph).group(1))
+    per_step, of_steps, carried = map(int, re.search(
+        r"block's\s+(\d+)·(\d+)\s*\+\s*(\d+)\s*$", paragraph).groups())
+    c = RunConfig()
+    modes = plan_domain(c.L, c.X, 14, 4, c.delta)
+    assert steps == of_steps == semigroup._block_steps(modes)
+    # the budget that just holds S·B + C half spectra gives B steps, one byte less B - 1
+    state = 16 * modes.spectral_shape[0] * modes.spectral_shape[1]
+    for B in (1, 2, 10, semigroup._MAX_BLOCK):
+        monkeypatch.setattr(semigroup, "_BLOCK_BYTES", (per_step * B + carried) * state)
+        assert semigroup._block_steps(modes) == B
+        monkeypatch.setattr(semigroup, "_BLOCK_BYTES", (per_step * B + carried) * state - 1)
+        assert semigroup._block_steps(modes) == max(B - 1, 1)
 
 
 def test_readme_names_every_bench_record():
