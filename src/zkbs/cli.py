@@ -30,6 +30,9 @@ from .domain import (
     DomainConfig,
     GridField,
     SpectralField,
+    _band_to_grid,
+    _check_spectral,
+    _grid_work,
     _kept_band,
     parseval_norm_sq,
     plan_domain,
@@ -317,16 +320,22 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 def _propagator_error(d: DomainConfig, S, cases, times) -> float:
     """Worst relative grid error of each case's propagated superposition of parts.
 
-    Times are the outer loop, so each time's propagator is built once; each
-    case's spectrum is built inside it, one at a time.
+    Each case is synthesized by the step's own kernel, _band_to_grid, from
+    the leading (r, ky) block that holds all of its modes, r = 1 + the
+    largest row j drawn, so the closed form checks the synthesis every step
+    uses.  Times are the outer loop, so each time's propagator is built once;
+    each case's spectrum is built inside it, one at a time.
     """
+    r, ky = 1 + max(j for parts in cases for j, *_ in parts), _kept_band(d)[1]
+    work = _grid_work(d)
     worst = 0.0
     for t in times:
-        E = S.propagator(float(t))
+        E = S.propagator(float(t))[:r, :ky]
         for parts in cases:
-            # one expression, so that no case's grids outlive its error
+            c = _mode_coeffs(d, parts)
+            _check_spectral(c, d, "spectral field")
             worst = max(worst, _rel_err(
-                to_grid(SpectralField(_mode_coeffs(d, parts) * E), d).values,
+                _band_to_grid(c[:r, :ky] * E, d, work),
                 sum(_closed_form_grid(d, j, l, a, th, float(t)) for j, l, a, th in parts)))
     return worst
 
@@ -367,7 +376,9 @@ _FORCING_SHAPES = {
 
 def cmd_linear_verify(cfg: RunConfig, tol: dict, out: Path) -> tuple[Checks, dict]:
     # the fixed draws below reach row 16 (the propagator modes) and sine column 6
-    # (the semigroup block), and none of their rows may be the Nyquist row nx/2
+    # (the semigroup block), and none of their rows may be the Nyquist row nx/2;
+    # so the propagator checks' 17-row block stays within the step's band kernel,
+    # which takes at most nx/2 rows, and their sine indices l <= 4 within ky >= 4
     if cfg.nx < 34 or cfg.ny < 6:
         raise ConfigError(f"linear-verify needs nx >= 34 and ny >= 6 for its fixed modes, "
                           f"got {cfg.nx} x {cfg.ny}")

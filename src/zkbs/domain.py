@@ -252,7 +252,7 @@ def _kept_band(d: DomainConfig) -> tuple[int, int]:
 class _GridWork(NamedTuple):
     """One run's buffers for _band_to_grid; the grid values it returns live in grid."""
 
-    half: np.ndarray  # (ky, nx/2 + 1) transposed half spectrum, zero past column kx
+    half: np.ndarray  # (ky, nx/2 + 1) transposed half spectrum, zero past the block's rows
     grid: np.ndarray  # (nx, ny) grid values
 
 
@@ -262,12 +262,15 @@ def _grid_work(d: DomainConfig) -> _GridWork:
 
 
 def _band_to_grid(band: np.ndarray, d: DomainConfig, work: _GridWork) -> np.ndarray:
-    """to_grid of the kept-band block band, (kx, ky), unchecked, as a raw array.
+    """to_grid of the leading block band, (r, ky) with r <= nx/2, unchecked, as a raw array.
 
-    The scaled band goes into work's zero-padded half spectrum (numpy's own
-    padding of a short input is a slow copy), then an inverse real FFT in x,
-    then a product with the cached sine block in y into work.grid, which is
-    returned and overwritten by the next call.
+    The step passes its kept band, r = kx; linear-verify's closed-form checks
+    pass the rows their modes reach.  The scaled band goes into work's
+    zero-padded half spectrum (numpy's own padding of a short input is a slow
+    copy), whose columns past r are zero only if no earlier call on work passed
+    more rows; then an inverse real FFT in x, then a product with the cached
+    sine block in y into work.grid, which is returned and overwritten by the
+    next call.
     """
     np.multiply(band.T, d.phase[: len(band)] * d.nx, out=work.half[:, : len(band)])
     csin = np.fft.irfft(work.half, n=d.nx, axis=1).T  # (nx, ky), F-ordered

@@ -167,7 +167,8 @@ def duhamel_solve(
     allocated once per solve: 7 B + 2 half spectra (2 B + 1 unforced),
     within _BLOCK_BYTES (256 KiB) whenever B > 1, and 2 B more in the
     recorder.  The state and sample stacks carry the last block's end in
-    row 0, so a block copies one state and one sample into the next.
+    row 0, so a block copies one state and one sample into the next (the
+    last block into none).
     """
     d = S.domain
     u = np.array(u0.coeffs, dtype=complex)
@@ -222,6 +223,8 @@ def duhamel_solve(
         rec.boundary(i0 + 1, U[1 : b + 1])
         if forcing is not None:
             rec.work(i0 + 1, U[1 : b + 1], F[2 : 2 * b + 1 : 2])
-            F[0] = F[2 * b]
-        U[0] = U[b]
+        if i0 + b < n:  # the last block's end is carried into no next block
+            U[0] = U[b]
+            if forcing is not None:
+                F[0] = F[2 * b]
     return rec.trajectory(n + 1)

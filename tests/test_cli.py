@@ -591,6 +591,38 @@ def test_linear_verify_builds_one_propagator_per_time(tmp_path, capsys, monkeypa
     assert times == [*np.linspace(0.0, 2.0, 9), 0.5, 1.3, 2.0, 0.4, 0.35, 0.75, 0.6, 0.6, 0.6]
 
 
+PROPAGATOR_CHECKS = ("propagator_single_modes", "propagator_superpositions")
+
+
+def propagator_tags(capsys) -> list[str]:
+    """The [tag] of each propagator check line a run printed, in order."""
+    return [line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if any(f"] {name}:" in line for name in PROPAGATOR_CHECKS)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9], ids=["kernel", "kernel-off-by-1e-9"])
+def test_propagator_checks_see_the_steps_band_kernel(tmp_path, capsys, monkeypatch, scale):
+    # the closed form checks the synthesis every step uses: a relative error
+    # of 1e-9 in the step's kernel alone must fail both propagator checks
+    kernel = zkbs.cli._band_to_grid
+    monkeypatch.setattr(zkbs.cli, "_band_to_grid",
+                        lambda band, d, work: kernel(band, d, work) * scale)
+    cfg = write_cfg(tmp_path, "nx = 34\nny = 6\nt_end = 0.05\n")
+    code = main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (code, propagator_tags(capsys)) == (
+        (0, ["[ok]", "[ok]"]) if scale == 1.0 else (1, ["[FAIL]", "[FAIL]"]))
+
+
+def test_propagator_checks_pass_at_their_threshold_and_fail_one_ulp_above(
+        tmp_path, capsys, monkeypatch):
+    tol = zkbs.cli.PROFILES["default"]["propagator_rel"]
+    cfg = write_cfg(tmp_path, "nx = 34\nny = 6\nt_end = 0.05\n")
+    for err, tag in ((tol, "[ok]"), (np.nextafter(tol, 1.0), "[FAIL]")):
+        monkeypatch.setattr(zkbs.cli, "_propagator_error", lambda *args, e=err: e)
+        main(["linear-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert propagator_tags(capsys) == [tag, tag]
+
+
 def test_working_set_beyond_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, SMALL)
     need = zkbs.cli._working_set_bytes(load_config(cfg))

@@ -107,6 +107,19 @@ def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
 
 
 @props
+@given(domains, seeds, scales)
+def test_band_synthesis_takes_any_leading_block_of_at_most_half_the_rows(d, seed, scale):
+    # linear-verify's closed-form checks synthesize a block of other than kx
+    # rows with the step's kernel; up to nx/2 rows it must still match to_grid
+    ky = _kept_band(d)[1]
+    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
+    for r in (1, _kept_band(d)[0], d.nx // 2):
+        want = to_grid(SpectralField(_pad_band(c[:r, :ky], d)), d).values
+        got = _band_to_grid(c[:r, :ky], d, _grid_work(d))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
+
+
+@props
 @given(domains, seeds, scales, st.floats(min_value=1e-3, max_value=10.0))
 def test_recorded_norms_and_symbol_read_the_one_weight_table(d, seed, scale, delta):
     # the recorder's stacked contraction against the functionals that read

@@ -147,6 +147,16 @@ def test_step_transforms_only_inside_the_nonlinear_core():
                              ("_nonlinear_core", "_band_to_spectral")]
 
 
+def test_linear_verify_checks_the_steps_synthesis_not_to_grid():
+    # the closed-form propagator checks synthesize through the step's band
+    # kernel, so that they check the kernel every step uses
+    source = (SRC / "cli.py").read_text()
+    found = calls_by_function(source, {"_band_to_grid", "to_grid"})
+    assert [call for call in found if call[1] == "_band_to_grid"] == [
+        ("_propagator_error", "_band_to_grid")]
+    assert ("_propagator_error", "to_grid") not in found
+
+
 def conjugations(source: str) -> list[str]:
     """The callee of each call that conjugates, conj or conjugate, bare or as an attribute."""
     return sorted(name for call in ast.walk(ast.parse(source)) if isinstance(call, ast.Call)
