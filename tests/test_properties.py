@@ -93,30 +93,20 @@ def test_dealiased_flux_is_orthogonal_to_u(d, seed, scale):
 @props
 @given(domains, seeds, scales)
 def test_band_transforms_match_the_public_pair_on_the_kept_band(d, seed, scale):
-    # the step's band kernel against to_grid/to_spectral, its oracle
+    # the step's band kernel against to_grid/to_spectral, its oracle; the
+    # synthesis also on leading blocks of 1 and nx/2 rows, as linear-verify's
+    # closed-form checks pass it a block of other than kx rows
     rng = np.random.default_rng(seed)
     kx, ky = _kept_band(d)
-    c = half_spectrum_coeffs(d, rng, scale)[:kx, :ky]
-    want = to_grid(SpectralField(_pad_band(c, d)), d).values
-    got = _band_to_grid(c, d, _grid_work(d))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    c = half_spectrum_coeffs(d, rng, scale)
+    for r in (1, kx, d.nx // 2):
+        want = to_grid(SpectralField(_pad_band(c[:r, :ky], d)), d).values
+        got = _band_to_grid(c[:r, :ky], d, _grid_work(d))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
     f = scale * rng.standard_normal(d.shape)
     want = to_spectral(GridField(f), d).coeffs[:kx, :ky]
     got = _band_to_spectral(f, d)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-@props
-@given(domains, seeds, scales)
-def test_band_synthesis_takes_any_leading_block_of_at_most_half_the_rows(d, seed, scale):
-    # linear-verify's closed-form checks synthesize a block of other than kx
-    # rows with the step's kernel; up to nx/2 rows it must still match to_grid
-    ky = _kept_band(d)[1]
-    c = half_spectrum_coeffs(d, np.random.default_rng(seed), scale)
-    for r in (1, _kept_band(d)[0], d.nx // 2):
-        want = to_grid(SpectralField(_pad_band(c[:r, :ky], d)), d).values
-        got = _band_to_grid(c[:r, :ky], d, _grid_work(d))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
 
 
 @props
